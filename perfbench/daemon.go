@@ -100,7 +100,7 @@ func launch(ctx context.Context, bin string, w *workload, in *inputs) (*daemon, 
 	case <-ctx.Done():
 		return fail(ctx.Err())
 	}
-	if w.precompute {
+	if w.precompute() {
 		// A warming boundsd answers 503 on /readyz until it logs that it
 		// is ready. Waiting for the line instead of polling keeps the
 		// driver off the CPUs the precompute pass runs on.
@@ -170,6 +170,10 @@ func (d *daemon) stop() {
 		}
 	})
 }
+
+// clockTicks is the unit of the CPU times in /proc/<pid>/stat: Linux
+// reports them in USER_HZ, which is 100 per second.
+const clockTicks = 100
 
 // cpuTicks returns boundsd's user plus system CPU time in clock ticks,
 // fields 14 and 15 of /proc/<pid>/stat.

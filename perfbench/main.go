@@ -28,12 +28,20 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
+	"time"
 )
 
-// setupLaunches is how many times an untraced run launches and warms
-// boundsd: setup_s is the median of their set-up times, and the last
-// launch serves the measured window.
-const setupLaunches = 15
+// An untraced run times boundsd's set-up in setupGroups groups of
+// launches spaced setupGap apart, half before the measured window and
+// half after it; setup_s is the median of the timed launches. The box's
+// speed moves from one second to the next, so launches spread over the
+// run follow the run rather than one moment of it. The first launch of
+// a group comes after an idle gap and runs slow, so it is not timed.
+const (
+	setupGroups   = 12
+	groupLaunches = 4 // timed launches per group, after the untimed first
+	setupGap      = 500 * time.Millisecond
+)
 
 // options are the command-line flags.
 type options struct {
@@ -42,7 +50,6 @@ type options struct {
 	seconds  int
 	trace    int
 	boundsd  string
-	clkTck   int
 	out      string
 }
 
@@ -67,7 +74,6 @@ func main() {
 	flag.IntVar(&o.seconds, "seconds", 10, "length of the measured window in seconds")
 	flag.IntVar(&o.trace, "trace", 0, "1 = report per-layer metrics from a traced in-process replay")
 	flag.StringVar(&o.boundsd, "boundsd", "", "path of the boundsd binary to launch")
-	flag.IntVar(&o.clkTck, "clk-tck", 100, "kernel clock ticks per second, for /proc CPU times")
 	flag.StringVar(&o.out, "out", "", "directory the traced run writes its spans to (empty = not written)")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -107,38 +113,51 @@ func run(ctx context.Context, o options) (*result, error) {
 		runtime.GOMAXPROCS(n)
 	}
 	in := newInputs(w, o.seed)
-	launches := setupLaunches
-	if o.trace == 1 {
-		launches = 1
-	}
 	var (
 		d      *daemon
 		setups []float64
+		err    error
 	)
-	defer func() {
-		if d != nil {
-			d.stop()
-		}
-	}()
-	for i := 0; i < launches; i++ {
-		if d != nil {
-			d.stop()
-		}
-		var (
-			secs float64
-			err  error
-		)
-		if d, secs, err = launch(ctx, o.boundsd, w, in); err != nil {
-			return nil, err
-		}
-		setups = append(setups, secs)
+	if o.trace == 1 {
+		d, _, err = launch(ctx, o.boundsd, w, in)
+	} else {
+		d, err = setUp(ctx, o, w, in, setupGroups/2, &setups)
 	}
-	m, err := drive(ctx, w, in, d, o)
 	if err != nil {
 		return nil, err
 	}
+	m, err := drive(ctx, w, in, d, o)
+	// A window the open loop's generator fell behind on measured the
+	// generator, not boundsd: a stall of the shared box does that. It is
+	// discarded and driven again, on a fresh boundsd so that the cache
+	// starts from the same state.
+	for tries := 1; err == nil && !m.valid(w) && tries < maxWindows; tries++ {
+		fmt.Printf("  window %d discarded: generator lag p99 %.3g ms exceeds %.0f ms\n", tries, m.lagP99, maxLagMs)
+		d.stop()
+		if d, _, err = launch(ctx, o.boundsd, w, in); err != nil {
+			return nil, err
+		}
+		m, err = drive(ctx, w, in, d, o)
+	}
 	d.stop()
+	if err != nil {
+		return nil, err
+	}
+	if !m.valid(w) {
+		m.checks = append(m.checks, fmt.Sprintf("generator lag p99 %.2f ms exceeds %.0f ms in each of %d windows: the run is invalid",
+			m.lagP99, maxLagMs, maxWindows))
+	}
 	m.report(os.Stdout, w, o)
+	if o.trace == 0 {
+		before := len(setups)
+		last, err := setUp(ctx, o, w, in, setupGroups-setupGroups/2, &setups)
+		if err != nil {
+			return nil, err
+		}
+		last.stop()
+		fmt.Printf("  set-up median %.4g ms over %d launches before the window, %.4g ms over %d after it\n",
+			median(setups[:before])*1000, before, median(setups[before:])*1000, len(setups)-before)
+	}
 	res := &result{Attempted: m.col.attempted, Failed: m.col.failed + int64(len(m.checks))}
 	problems := append(m.col.problems, m.checks...)
 	if o.trace == 0 {
@@ -158,4 +177,38 @@ func run(ctx context.Context, o options) (*result, error) {
 	}
 	printMetrics(os.Stdout, res.Metrics)
 	return res, nil
+}
+
+// setUp launches boundsd in groups of 1+groupLaunches, setupGap apart,
+// appends the set-up time of every launch but each group's first to
+// secs, and returns the last launch, still running. On an error no
+// boundsd it started is left running.
+func setUp(ctx context.Context, o options, w *workload, in *inputs, groups int, secs *[]float64) (*daemon, error) {
+	var d *daemon
+	for g := 0; g < groups; g++ {
+		if d != nil {
+			d.stop()
+			select {
+			case <-time.After(setupGap):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		for i := 0; i <= groupLaunches; i++ {
+			if i > 0 {
+				d.stop()
+			}
+			var (
+				s   float64
+				err error
+			)
+			if d, s, err = launch(ctx, o.boundsd, w, in); err != nil {
+				return nil, err
+			}
+			if i > 0 {
+				*secs = append(*secs, s)
+			}
+		}
+	}
+	return d, nil
 }

@@ -24,4 +24,4 @@ export GOCACHE="$build/gocache" GOMODCACHE="$build/gomodcache" GOTMPDIR="$build/
 export GOTOOLCHAIN=local GOFLAGS= GOWORK=off
 go build -o "$build/boundsd" ./cmd/boundsd
 (cd perfbench && go build -o "$build/perfbench" .)
-exec "$build/perfbench" -boundsd "$build/boundsd" -clk-tck "$(getconf CLK_TCK 2>/dev/null || echo 100)" -out "$build" "$@"
+exec "$build/perfbench" -boundsd "$build/boundsd" -out "$build" "$@"

@@ -166,20 +166,14 @@ func (lb *loopback) do(ctx context.Context, p loadgen.Plan) (int, time.Time, tim
 // newServer builds one replay stack's server, warmed as boundsd is.
 func (t *tracer) newServer(eng *engine.Engine) (*server.Server, error) {
 	srv := server.New(server.Config{Engine: eng})
-	if t.in.w.precompute {
+	if t.in.w.precompute() {
 		if _, err := srv.Precompute(t.ctx, precomputeSpec()); err != nil {
 			return nil, fmt.Errorf("precompute: %w", err)
 		}
 	}
 	if t.in.w.warm != nil {
-		for i, script := range t.in.scripts {
-			body, err := json.Marshal(map[string]string{"script": script})
-			if err != nil {
-				return nil, err
-			}
-			if rec := serve(srv, http.MethodPost, "/v1/strategies", body); rec.Code != http.StatusOK {
-				return nil, fmt.Errorf("register script %d in-process: status %d", i, rec.Code)
-			}
+		if _, err := registerOn(srv, t.in.scripts); err != nil {
+			return nil, fmt.Errorf("in-process: %w", err)
 		}
 	}
 	return srv, nil
@@ -213,7 +207,7 @@ func traceReplay(ctx context.Context, w *workload, in *inputs, m *measurement, o
 	defer t.loop.ts.Close()
 	t.rec = srvs[2]
 	t.eng = newEngine()
-	if w.precompute {
+	if w.precompute() {
 		if _, err := server.New(server.Config{Engine: t.eng}).Precompute(ctx, precomputeSpec()); err != nil {
 			return nil, nil, fmt.Errorf("precompute: %w", err)
 		}

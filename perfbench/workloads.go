@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 
 	"repro/internal/loadgen"
@@ -30,11 +31,6 @@ type workload struct {
 	rate float64
 	// flags are the extra boundsd flags.
 	flags []string
-	// precompute marks a workload whose boundsd runs -precompute; the
-	// traced replay warms its in-process servers the same way.
-	precompute bool
-	// shed marks the workload on which 429 answers are expected.
-	shed bool
 	// plan derives request i from the seeded inputs.
 	plan func(in *inputs, i int) loadgen.Plan
 	// warm runs after /readyz answers 200 and counts toward set-up
@@ -47,17 +43,16 @@ var workloads = []*workload{
 		name: "serve-hot",
 		why: "open loop of the default loadgen mix against a precomputed boundsd: cache hits dominate, " +
 			"so the handler, encoder, transport and cache-hit path do the work and the kernel almost none",
-		rate:       1000,
-		flags:      []string{"-precompute"},
-		precompute: true,
-		plan:       func(in *inputs, i int) loadgen.Plan { return in.sampler.Plan(i) },
+		rate:  1000,
+		flags: []string{"-precompute"},
+		plan:  func(in *inputs, i int) loadgen.Plan { return in.sampler.Plan(i) },
 	},
 	{
 		name: "sweep-cold",
 		why: "closed loop of NDJSON sweeps and scripted verifies at unique horizons: every cell misses the cache, " +
 			"so the adversary kernel, the script VM and LRU eviction do the work",
 		plan: sweepColdPlan,
-		warm: registerScripts,
+		warm: registerOverHTTP,
 	},
 	{
 		name: "montecarlo-flood",
@@ -68,10 +63,13 @@ var workloads = []*workload{
 		// holds one of the two CPUs, and a second one arriving while it
 		// runs waits at most 2ms before it is shed.
 		flags: []string{"-workers", "1", "-max-inflight-heavy", "1", "-shed-after", "2ms"},
-		shed:  true,
 		plan:  floodPlan,
 	},
 }
+
+// precompute reports whether the workload's boundsd runs -precompute;
+// the traced replay warms its in-process servers the same way.
+func (w *workload) precompute() bool { return slices.Contains(w.flags, "-precompute") }
 
 // workloadNamed returns the named workload, or nil.
 func workloadNamed(name string) *workload {
@@ -198,16 +196,20 @@ func sweepColdPlan(in *inputs, i int) loadgen.Plan {
 // the planar regime k > 2(f+1).
 var shorelineKFs = [][2]int{{5, 1}, {7, 2}, {9, 3}}
 
-// floodPlan draws a closed-form /v1/bounds lookup (six requests in
-// ten, so the median lies inside the lookups' latencies rather than in
-// the gap between them and the simulations') or a simulation:
-// pfaulty-halfline with a continuous p and a unique seed (two in ten),
-// shoreline or evacuation-line at a unique horizon (one in ten each).
+// floodPlan draws a closed-form /v1/bounds lookup (17 requests in 20)
+// or a simulation (one in 20 each): pfaulty-halfline with a continuous
+// p and a unique seed, shoreline or evacuation-line at a unique
+// horizon. The simulations hold one CPU while the lookups share the
+// other with the driver, so the lookups' upper quartile moves with
+// whatever else the box runs; with this share the median of all
+// requests lies near the lookups' own median, which does not. The
+// simulations are large enough that the few of them still offer more
+// work than the heavy slot serves.
 func floodPlan(in *inputs, i int) loadgen.Plan {
 	rng := in.rng(i)
 	q := url.Values{}
-	x := rng.Intn(10)
-	if x < 6 {
+	x := rng.Intn(20)
+	if x < 17 {
 		k := 1 + rng.Intn(8)
 		q.Set("m", strconv.Itoa(1+rng.Intn(3)))
 		q.Set("k", strconv.Itoa(k))
@@ -215,7 +217,7 @@ func floodPlan(in *inputs, i int) loadgen.Plan {
 		return loadgen.Plan{Index: i, Op: loadgen.OpBounds, Method: http.MethodGet, Path: "/v1/bounds?" + q.Encode()}
 	}
 	switch x {
-	case 6, 7:
+	case 17:
 		q.Set("model", "pfaulty-halfline")
 		q.Set("m", "1")
 		q.Set("k", "1")
@@ -224,15 +226,15 @@ func floodPlan(in *inputs, i int) loadgen.Plan {
 		q.Set("seed", strconv.FormatInt(1+rng.Int63n(1<<40), 10))
 		q.Set("horizon", formatFloat(logUniform(rng, 1e3, 1e5)))
 		q.Set("samples", strconv.Itoa(registry.MaxSamples))
-		q.Set("points", strconv.Itoa(12+rng.Intn(9)))
-	case 8:
+		q.Set("points", strconv.Itoa(36+rng.Intn(25)))
+	case 18:
 		kf := shorelineKFs[rng.Intn(len(shorelineKFs))]
 		q.Set("model", "shoreline")
 		q.Set("m", "2")
 		q.Set("k", strconv.Itoa(kf[0]))
 		q.Set("f", strconv.Itoa(kf[1]))
 		q.Set("horizon", formatFloat(logUniform(rng, 10, 1e4)))
-		q.Set("points", strconv.Itoa(16+rng.Intn(17)))
+		q.Set("points", strconv.Itoa(48+rng.Intn(49)))
 	default:
 		f := 1 + rng.Intn(2)
 		q.Set("model", "evacuation-line")
@@ -240,46 +242,73 @@ func floodPlan(in *inputs, i int) loadgen.Plan {
 		q.Set("k", strconv.Itoa(2*f+1))
 		q.Set("f", strconv.Itoa(f))
 		q.Set("horizon", formatFloat(logUniform(rng, 10, 1e4)))
-		q.Set("points", strconv.Itoa(8+rng.Intn(9)))
+		q.Set("points", strconv.Itoa(24+rng.Intn(25)))
 	}
 	return loadgen.Plan{Index: i, Op: loadgen.OpSimulate, Method: http.MethodGet, Path: "/v1/simulate?" + q.Encode()}
 }
 
-// registerScripts is sweep-cold's warm-up: it registers the run's
-// strategy scripts and requires boundsd to hash each one as an
-// in-process compile does.
-func registerScripts(ctx context.Context, c *http.Client, base string, in *inputs) error {
-	for i, script := range in.scripts {
-		body, err := json.Marshal(map[string]string{"script": script})
-		if err != nil {
-			return err
-		}
+// registerOverHTTP is sweep-cold's warm-up: it registers the run's
+// strategy scripts with boundsd and requires boundsd to hash each one
+// as an in-process compile does.
+func registerOverHTTP(ctx context.Context, c *http.Client, base string, in *inputs) error {
+	hashes, err := registerScripts(in.scripts, func(body []byte) (int, []byte, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/strategies", bytes.NewReader(body))
 		if err != nil {
-			return err
+			return 0, nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := c.Do(req)
 		if err != nil {
-			return fmt.Errorf("register script %d: %w", i, err)
+			return 0, nil, err
 		}
+		defer resp.Body.Close()
 		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("register script %d: %w", i, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("register script %d: status %d: %s", i, resp.StatusCode, data)
-		}
-		var ans server.StrategiesAnswer
-		if err := json.Unmarshal(data, &ans); err != nil {
-			return fmt.Errorf("register script %d: %w", i, err)
-		}
-		if ans.Hash != in.hashes[i] {
-			return fmt.Errorf("boundsd hashed script %d as %s, an in-process compile gives %s", i, ans.Hash, in.hashes[i])
+		return resp.StatusCode, data, err
+	})
+	if err != nil {
+		return err
+	}
+	for i, h := range hashes {
+		if h != in.hashes[i] {
+			return fmt.Errorf("boundsd hashed script %d as %s, an in-process compile gives %s", i, h, in.hashes[i])
 		}
 	}
 	return nil
+}
+
+// registerOn registers scripts with the in-process handler h and
+// returns their hashes.
+func registerOn(h http.Handler, scripts []string) ([]string, error) {
+	return registerScripts(scripts, func(body []byte) (int, []byte, error) {
+		rec := serve(h, http.MethodPost, "/v1/strategies", body)
+		return rec.Code, rec.Body.Bytes(), nil
+	})
+}
+
+// registerScripts registers each script through post, which sends one
+// POST /v1/strategies body and returns the status and answer, and
+// returns the hashes the server gave them, in order.
+func registerScripts(scripts []string, post func(body []byte) (int, []byte, error)) ([]string, error) {
+	hashes := make([]string, len(scripts))
+	for i, script := range scripts {
+		body, err := json.Marshal(map[string]string{"script": script})
+		if err != nil {
+			return nil, err
+		}
+		status, data, err := post(body)
+		if err != nil {
+			return nil, fmt.Errorf("register script %d: %w", i, err)
+		}
+		if status != http.StatusOK {
+			return nil, fmt.Errorf("register script %d: status %d: %.200s", i, status, data)
+		}
+		var ans server.StrategiesAnswer
+		if err := json.Unmarshal(data, &ans); err != nil {
+			return nil, fmt.Errorf("register script %d: %w", i, err)
+		}
+		hashes[i] = ans.Hash
+	}
+	return hashes, nil
 }
 
 // scriptOf extracts the script of a /v1/strategies body.
