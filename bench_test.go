@@ -160,7 +160,7 @@ func BenchmarkE05ORCCover(b *testing.B) {
 	}
 	var turns [][]float64
 	for r := 0; r < 2; r++ {
-		rounds, err := s.Rounds(r, 2000)
+		rounds, err := s.AppendRounds(nil, r, 2000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func BenchmarkE07AlphaSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ev, err := adversary.ExactRatio(s, 1, 5e3)
+			ev, err := adversary.ExactRatio(context.Background(), s, 1, 5e3)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -704,7 +704,7 @@ func BenchmarkAblationEDFAssignment(b *testing.B) {
 	}
 	var all []cover.Interval
 	for r := 0; r < 4; r++ {
-		rounds, err := s.Rounds(r, 5e3)
+		rounds, err := s.AppendRounds(nil, r, 5e3)
 		if err != nil {
 			b.Fatal(err)
 		}

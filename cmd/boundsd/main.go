@@ -33,13 +33,12 @@
 //
 // Warm starts: -snapshot PATH restores the engine result cache (and
 // the solver memo) from PATH at startup and writes it back atomically
-// on graceful shutdown (plus every -snapshot-interval, if set); a
-// missing, corrupt or schema-mismatched snapshot is a logged cold
-// start, never a failure. -precompute additionally fills the cache
-// with the Theorem-1 grid and the loadgen sampler pools before the
-// node reports ready. While warming, /readyz answers 503 (and
-// /healthz 200) so load balancers hold traffic without restarting the
-// process:
+// on graceful shutdown; a missing, corrupt or schema-mismatched
+// snapshot is a logged cold start, never a failure. -precompute
+// additionally fills the cache with the Theorem-1 grid and the loadgen
+// sampler pools before the node reports ready. While warming, /readyz
+// answers 503 (and /healthz 200) so load balancers hold traffic
+// without restarting the process:
 //
 //	boundsd -addr :8080 -snapshot /var/lib/boundsd/cache.snap -precompute
 //	curl localhost:8080/readyz
@@ -76,13 +75,11 @@ type options struct {
 	addr              string
 	workers           int
 	cache             int
-	shards            int
 	timeout           time.Duration
 	heartbeat         time.Duration
 	drain             time.Duration
-	pprofAddr         string        // "" = pprof off
-	snapshot          string        // "" = persistence off
-	snapshotInterval  time.Duration // 0 = shutdown-only snapshots
+	pprofAddr         string // "" = pprof off
+	snapshot          string // "" = persistence off
 	precompute        bool
 	maxInflight       int
 	maxInflightHeavy  int
@@ -95,13 +92,11 @@ func main() {
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&opts.workers, "workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
 	flag.IntVar(&opts.cache, "cache", server.DefaultCacheCapacity, "engine LRU result-cache capacity (0 = unbounded)")
-	flag.IntVar(&opts.shards, "cache-shards", 0, "engine result-cache shard count (0 = automatic)")
 	flag.DurationVar(&opts.timeout, "timeout", server.DefaultTimeout, "per-request compute budget")
 	flag.DurationVar(&opts.heartbeat, "heartbeat", server.DefaultHeartbeat, "NDJSON sweep-stream heartbeat interval")
 	flag.DurationVar(&opts.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
 	flag.StringVar(&opts.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	flag.StringVar(&opts.snapshot, "snapshot", "", "engine cache snapshot path: restored at startup, written on graceful shutdown (empty = off)")
-	flag.DurationVar(&opts.snapshotInterval, "snapshot-interval", 0, "also write the snapshot periodically at this interval (0 = shutdown only)")
 	flag.BoolVar(&opts.precompute, "precompute", false, "warm the engine cache with the Theorem-1 grid and the pooled scenario requests before reporting ready")
 	flag.IntVar(&opts.maxInflight, "max-inflight", 0, "cap on concurrently admitted compute requests (0 = default)")
 	flag.IntVar(&opts.maxInflightHeavy, "max-inflight-heavy", 0, "cap on concurrently admitted Monte-Carlo-class requests (0 = max-inflight/4)")
@@ -138,7 +133,7 @@ func run(ctx context.Context, opts options) error {
 	// below finishes — load balancers hold traffic, probes (and
 	// /healthz) see a live process.
 	warming := opts.snapshot != "" || opts.precompute
-	eng := engine.NewWithCacheShards(opts.workers, opts.cache, opts.shards)
+	eng := engine.NewWithCache(opts.workers, opts.cache)
 	handler := server.New(server.Config{
 		Engine:           eng,
 		Timeout:          opts.timeout,
@@ -198,20 +193,6 @@ func run(ctx context.Context, opts options) error {
 			}
 			handler.SetReady(true)
 			log.Printf("boundsd: ready")
-		}()
-	}
-	if opts.snapshot != "" && opts.snapshotInterval > 0 {
-		go func() {
-			t := time.NewTicker(opts.snapshotInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					snapshotNow(eng, opts.snapshot)
-				case <-ctx.Done():
-					return
-				}
-			}
 		}()
 	}
 	errCh := make(chan error, 1)

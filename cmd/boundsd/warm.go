@@ -1,7 +1,7 @@
 // warm.go is the daemon's warm-start machinery: restoring the engine
-// cache from a snapshot, writing one atomically on shutdown (and on a
-// timer), and converting the loadgen sampler pools into the startup
-// precompute pass. All of it is best-effort by design — a node must
+// cache from a snapshot, writing one atomically on shutdown, and
+// converting the loadgen sampler pools into the startup precompute
+// pass. All of it is best-effort by design — a node must
 // come up cold whenever its snapshot is missing, stale or torn, and a
 // failed snapshot write must never take the process down.
 package main
@@ -40,11 +40,6 @@ func restoreSnapshot(eng *engine.Engine, path string) {
 		}
 		return
 	}
-	if st.LegacyDropped > 0 {
-		log.Printf("boundsd: restored %d cache entries and %d solver entries from %s (dropped %d legacy-schema cache entries; partial warm start)",
-			st.Entries, st.SolverEntries, path, st.LegacyDropped)
-		return
-	}
 	log.Printf("boundsd: restored %d cache entries and %d solver entries from %s",
 		st.Entries, st.SolverEntries, path)
 }
@@ -71,8 +66,7 @@ func writeSnapshot(eng *engine.Engine, path string) error {
 	return os.Rename(tmp, path)
 }
 
-// snapshotNow is one logged snapshot pass (the shutdown hook and the
-// -snapshot-interval ticker both call it).
+// snapshotNow is one logged snapshot pass, run by the shutdown hook.
 func snapshotNow(eng *engine.Engine, path string) {
 	if err := writeSnapshot(eng, path); err != nil {
 		log.Printf("boundsd: snapshot write failed: %v", err)

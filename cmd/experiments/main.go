@@ -291,7 +291,7 @@ func e05(ctx context.Context, w io.Writer, _ *exec) error {
 func orcTurnsOf(s strategy.Strategy, horizon float64) ([][]float64, error) {
 	out := make([][]float64, s.K())
 	for r := 0; r < s.K(); r++ {
-		rounds, err := s.Rounds(r, horizon)
+		rounds, err := s.AppendRounds(nil, r, horizon)
 		if err != nil {
 			return nil, err
 		}

@@ -234,7 +234,7 @@ func runCrash(ctx context.Context, w io.Writer, opts options) error {
 		res.DetectionTime, res.Ratio, lambda0)
 
 	if opts.sweep {
-		ev, err := adversary.ExactRatioCtx(ctx, s, opts.f, 1e5)
+		ev, err := adversary.ExactRatio(ctx, s, opts.f, 1e5)
 		if err != nil {
 			return err
 		}

@@ -119,7 +119,7 @@ func scriptTurns(path string, m, k, f int, horizon float64) (io.Reader, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# compiled strategy program %s (m=%d k=%d f=%d horizon=%g)\n", prog.Hash()[:16], m, k, f, horizon)
 	for r := 0; r < k; r++ {
-		rounds, err := inst.Rounds(r, horizon)
+		rounds, err := inst.AppendRounds(nil, r, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("robot %d: %w", r, err)
 		}

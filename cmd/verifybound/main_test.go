@@ -118,7 +118,7 @@ func TestScriptTurnsMatchesCyclicStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for robot := 0; robot < k; robot++ {
-		rounds, err := want.Rounds(robot, horizon)
+		rounds, err := want.AppendRounds(nil, robot, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

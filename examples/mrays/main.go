@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	evOpt, err := adversary.ExactRatio(opt, 1, 1e5)
+	evOpt, err := adversary.ExactRatio(context.Background(), opt, 1, 1e5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	evFF, err := adversary.ExactRatio(optFF, 0, 1e5)
+	evFF, err := adversary.ExactRatio(context.Background(), optFF, 0, 1e5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	evBase, err := adversary.ExactRatio(base, 0, 1e5)
+	evBase, err := adversary.ExactRatio(context.Background(), base, 0, 1e5)
 	if err != nil {
 		log.Fatal(err)
 	}

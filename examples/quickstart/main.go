@@ -8,10 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/trajectory"
 )
 
@@ -45,7 +47,7 @@ func main() {
 		res.DetectionTime, res.Ratio, lambda)
 
 	// The worst case over all target positions matches the bound.
-	ev, err := problem.VerifyUpper(1e5)
+	ev, err := problem.VerifyUpperOn(context.Background(), engine.New(0), 1e5)
 	if err != nil {
 		log.Fatal(err)
 	}

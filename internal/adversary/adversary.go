@@ -79,7 +79,7 @@ func visitTables(s strategy.Strategy, horizon float64) ([][][]rayVisit, error) {
 		tables[ray] = make([][]rayVisit, k)
 	}
 	for r := 0; r < k; r++ {
-		rounds, err := s.Rounds(r, horizon)
+		rounds, err := s.AppendRounds(nil, r, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("adversary: robot %d: %w", r, err)
 		}
@@ -100,20 +100,16 @@ func visitTables(s strategy.Strategy, horizon float64) ([][][]rayVisit, error) {
 }
 
 // ExactRatio computes the exact supremum of tau(x)/x over x in [1, horizon)
-// on every ray, for the crash-fault adversary with f faults.
-func ExactRatio(s strategy.Strategy, faults int, horizon float64) (Evaluation, error) {
-	return ExactRatioCtx(context.Background(), s, faults, horizon)
-}
-
-// ExactRatioCtx is ExactRatio under a context: the breakpoint loop
-// checks ctx every cancelCheckEvery candidates and returns ctx's error
-// promptly when cancelled, so an abandoned evaluation stops consuming a
-// worker mid-ray instead of finishing for nobody.
+// on every ray, for the crash-fault adversary with f faults. The
+// breakpoint loop checks ctx every cancelCheckEvery candidates and
+// returns ctx's error promptly when cancelled, so an abandoned
+// evaluation stops consuming a worker mid-ray instead of finishing for
+// nobody.
 //
 // It is a thin wrapper over a single-use Evaluator; callers evaluating
 // the same strategy at several fault counts should build the Evaluator
 // themselves (or use FRange) so the visit tables are built once.
-func ExactRatioCtx(ctx context.Context, s strategy.Strategy, faults int, horizon float64) (Evaluation, error) {
+func ExactRatio(ctx context.Context, s strategy.Strategy, faults int, horizon float64) (Evaluation, error) {
 	if s == nil {
 		return Evaluation{}, fmt.Errorf("%w: nil strategy", ErrBadParams)
 	}
@@ -132,15 +128,10 @@ func ExactRatioCtx(ctx context.Context, s strategy.Strategy, faults int, horizon
 // distances per ray in [1, horizon]. It underestimates the true supremum
 // (the sup lives at right-limits of turning points, which a grid almost
 // surely misses); it exists for the grid-vs-exact ablation and as an
-// independent cross-check (Grid <= Exact must always hold).
-func GridRatio(s strategy.Strategy, faults int, horizon float64, n int) (float64, error) {
-	return GridRatioCtx(context.Background(), s, faults, horizon, n)
-}
-
-// GridRatioCtx is GridRatio under a context, with the same cooperative
-// cancellation contract as ExactRatioCtx. Like ExactRatioCtx it is a
-// thin wrapper over a single-use Evaluator.
-func GridRatioCtx(ctx context.Context, s strategy.Strategy, faults int, horizon float64, n int) (float64, error) {
+// independent cross-check (Grid <= Exact must always hold). Like
+// ExactRatio it cancels cooperatively and is a thin wrapper over a
+// single-use Evaluator.
+func GridRatio(ctx context.Context, s strategy.Strategy, faults int, horizon float64, n int) (float64, error) {
 	if s == nil || n < 2 {
 		return 0, fmt.Errorf("%w: need a strategy and n >= 2", ErrBadParams)
 	}

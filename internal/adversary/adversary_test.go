@@ -15,16 +15,16 @@ import (
 
 func TestExactRatioValidation(t *testing.T) {
 	s := strategy.Doubling()
-	if _, err := ExactRatio(nil, 0, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := ExactRatio(context.Background(), nil, 0, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("nil strategy should fail")
 	}
-	if _, err := ExactRatio(s, 1, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := ExactRatio(context.Background(), s, 1, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("faults >= robots should fail")
 	}
-	if _, err := ExactRatio(s, 0, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := ExactRatio(context.Background(), s, 0, 1); !errors.Is(err, ErrBadParams) {
 		t.Error("horizon <= 1 should fail")
 	}
-	if _, err := ExactRatio(s, 0, math.Inf(1)); !errors.Is(err, ErrBadParams) {
+	if _, err := ExactRatio(context.Background(), s, 0, math.Inf(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("infinite horizon should fail")
 	}
 }
@@ -33,7 +33,7 @@ func TestExactRatioCowPathIsNine(t *testing.T) {
 	// The doubling strategy's supremum is the classical 9, approached as
 	// x grows (the windowed sup at breakpoint 2^i is 9 - 2^(1-i)), so a
 	// large horizon pins it tightly from below.
-	ev, err := ExactRatio(strategy.Doubling(), 0, 1e7)
+	ev, err := ExactRatio(context.Background(), strategy.Doubling(), 0, 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestExactRatioMatchesLambda0(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := ExactRatio(s, c.f, 1e6)
+		ev, err := ExactRatio(context.Background(), s, c.f, 1e6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestExactRatioSuboptimalAlphaIsWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := ExactRatio(s, f, 1e6)
+		ev, err := ExactRatio(context.Background(), s, f, 1e6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,11 +108,11 @@ func TestGridRatioUnderestimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactRatio(s, 1, 300)
+	exact, err := ExactRatio(context.Background(), s, 1, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := GridRatio(s, 1, 300, 2000)
+	grid, err := GridRatio(context.Background(), s, 1, 300, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +127,16 @@ func TestGridRatioUnderestimates(t *testing.T) {
 
 func TestGridRatioValidation(t *testing.T) {
 	s := strategy.Doubling()
-	if _, err := GridRatio(nil, 0, 10, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := GridRatio(context.Background(), nil, 0, 10, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("nil strategy should fail")
 	}
-	if _, err := GridRatio(s, 0, 10, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := GridRatio(context.Background(), s, 0, 10, 1); !errors.Is(err, ErrBadParams) {
 		t.Error("n < 2 should fail")
 	}
-	if _, err := GridRatio(s, 1, 10, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := GridRatio(context.Background(), s, 1, 10, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("faults >= robots should fail")
 	}
-	if _, err := GridRatio(s, 0, 0.5, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := GridRatio(context.Background(), s, 0, 0.5, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("horizon <= 1 should fail")
 	}
 }
@@ -184,11 +184,11 @@ func TestRaySplitBaselineWorseThanOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evBase, err := ExactRatio(base, 0, 1e6)
+	evBase, err := ExactRatio(context.Background(), base, 0, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evOpt, err := ExactRatio(opt, 0, 1e6)
+	evOpt, err := ExactRatio(context.Background(), opt, 0, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestQuickExactAtLeastGrid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exact, err := ExactRatio(s, ff, 120)
+		exact, err := ExactRatio(context.Background(), s, ff, 120)
 		if err != nil {
 			return false
 		}
-		grid, err := GridRatio(s, ff, 120, 150)
+		grid, err := GridRatio(context.Background(), s, ff, 120, 150)
 		if err != nil {
 			return false
 		}
@@ -263,7 +263,7 @@ func TestQuickMeasuredNeverBeatsLowerBound(t *testing.T) {
 		}
 		// Finite windows approach the true supremum from below, so allow
 		// the window-convergence slack on top of the bound.
-		ev, err := ExactRatio(s, 0, 1e5)
+		ev, err := ExactRatio(context.Background(), s, 0, 1e5)
 		if err != nil {
 			return false
 		}
@@ -274,10 +274,10 @@ func TestQuickMeasuredNeverBeatsLowerBound(t *testing.T) {
 	}
 }
 
-// TestExactRatioCtxCancellation: the breakpoint loop checks its context
+// TestExactRatioCancellation: the breakpoint loop checks its context
 // periodically, so a cancelled evaluation aborts with the context's
 // error instead of running to completion.
-func TestExactRatioCtxCancellation(t *testing.T) {
+func TestExactRatioCancellation(t *testing.T) {
 	// A deep ladder (k=8, horizon 1e7) has thousands of breakpoints, so
 	// the every-64th-point check fires many times.
 	s, err := strategy.NewCyclicExponential(2, 8, 7)
@@ -286,14 +286,14 @@ func TestExactRatioCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExactRatioCtx(ctx, s, 7, 1e7); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled ExactRatioCtx = %v, want context.Canceled", err)
+	if _, err := ExactRatio(ctx, s, 7, 1e7); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ExactRatio = %v, want context.Canceled", err)
 	}
-	if _, err := GridRatioCtx(ctx, s, 7, 1e7, 1000); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled GridRatioCtx = %v, want context.Canceled", err)
+	if _, err := GridRatio(ctx, s, 7, 1e7, 1000); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled GridRatio = %v, want context.Canceled", err)
 	}
-	// The context-free names stay the plain evaluations.
-	ev, err := ExactRatio(s, 7, 1e5)
+	// A live context evaluates normally.
+	ev, err := ExactRatio(context.Background(), s, 7, 1e5)
 	if err != nil || !(ev.WorstRatio > 1) {
 		t.Errorf("ExactRatio = (%+v, %v)", ev, err)
 	}

@@ -25,7 +25,7 @@ func TestEvaluatorMatchesPackageFunctions(t *testing.T) {
 	}
 	ctx := context.Background()
 	for f := 0; f <= 2; f++ {
-		want, err := ExactRatio(s, f, 1e4)
+		want, err := ExactRatio(context.Background(), s, f, 1e4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestEvaluatorMatchesPackageFunctions(t *testing.T) {
 		if got != want {
 			t.Errorf("f=%d: evaluator %+v, package %+v", f, got, want)
 		}
-		wantGrid, err := GridRatio(s, f, 1e4, 300)
+		wantGrid, err := GridRatio(context.Background(), s, f, 1e4, 300)
 		if err != nil {
 			t.Fatal(err)
 		}

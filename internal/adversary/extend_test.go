@@ -67,7 +67,7 @@ func requireSameShape(t *testing.T, label string, e *Evaluator, tables [][][]ray
 
 // testStrategies returns a diverse strategy set: cyclic exponentials
 // across the regime, the ray-split baseline, and a FixedRounds list
-// (whose Rounds ignore the horizon — the Extend overshoot path).
+// (whose AppendRounds ignores the horizon — the Extend overshoot path).
 func testStrategies(t *testing.T) []strategy.Strategy {
 	t.Helper()
 	var out []strategy.Strategy
@@ -199,7 +199,7 @@ func TestConvergenceCheckMatchesRebuilds(t *testing.T) {
 	}
 	h := 50.0
 	for i, g := range got {
-		ev, err := ExactRatio(s, 2, h)
+		ev, err := ExactRatio(context.Background(), s, 2, h)
 		if err != nil {
 			t.Fatalf("ExactRatio at %g: %v", h, err)
 		}

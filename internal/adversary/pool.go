@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/strategy"
-	"repro/internal/trajectory"
 )
 
 // Kernel counters (process-wide, like the pool itself).
@@ -105,26 +104,6 @@ func (e *Evaluator) Release() {
 	e.released = true
 	e.s = nil
 	evalPool.Put(e)
-}
-
-// roundsAppender is the optional strategy fast path: excursion
-// generation into a recycled buffer (strategy.CyclicExponential
-// implements it). Strategies without it fall back to Rounds plus a
-// copy.
-type roundsAppender interface {
-	AppendRounds(dst []trajectory.Round, r int, horizon float64) ([]trajectory.Round, error)
-}
-
-// appendRounds generates robot r's excursions into dst.
-func appendRounds(s strategy.Strategy, dst []trajectory.Round, r int, horizon float64) ([]trajectory.Round, error) {
-	if ra, ok := s.(roundsAppender); ok {
-		return ra.AppendRounds(dst, r, horizon)
-	}
-	rounds, err := s.Rounds(r, horizon)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, rounds...), nil
 }
 
 // Buffer resizers: reuse the arena buffer when it is big enough,
@@ -203,7 +182,7 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 	var err error
 	for r := 0; r < k; r++ {
 		e.robotOff[r] = len(rb)
-		rb, err = appendRounds(s, rb, r, horizon)
+		rb, err = s.AppendRounds(rb, r, horizon)
 		if err != nil {
 			e.roundsBuf = rb[:0]
 			return fmt.Errorf("adversary: robot %d: %w", r, err)
@@ -371,7 +350,7 @@ func (e *Evaluator) Extend(horizon float64) error {
 	rb := e.roundsBuf[:0]
 	for r := 0; r < e.k; r++ {
 		var err error
-		rb, err = appendRounds(e.s, rb[:0], r, horizon)
+		rb, err = e.s.AppendRounds(rb[:0], r, horizon)
 		if err != nil {
 			e.roundsBuf = rb[:0]
 			return fmt.Errorf("adversary: robot %d: %w", r, err)

@@ -85,7 +85,7 @@ func hybridSlowdownOf(s *strategy.CyclicExponential, horizon float64) (HybridRes
 	}
 	var all []tagged
 	for r := 0; r < k; r++ {
-		rounds, err := s.Rounds(r, horizon)
+		rounds, err := s.AppendRounds(nil, r, horizon)
 		if err != nil {
 			return HybridResult{}, fmt.Errorf("contract: %w", err)
 		}

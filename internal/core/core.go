@@ -12,15 +12,16 @@
 // Typical usage:
 //
 //	p := core.Problem{M: 2, K: 3, F: 1}
-//	lb, _ := p.LowerBound()          // 5.2333...
-//	s, _ := p.OptimalStrategy()      // the cyclic exponential strategy
-//	ev, _ := p.VerifyUpper(1e6)      // measured sup ratio == lb
+//	eng := engine.New(0)
+//	lb, _ := p.LowerBound()                  // 5.2333...
+//	s, _ := p.OptimalStrategy()              // the cyclic exponential strategy
+//	ev, _ := p.VerifyUpperOn(ctx, eng, 1e6)  // measured sup ratio == lb
 //	cert, _ := p.RefuteBelow(ctx, 0.97, 300) // machine-checked impossibility
 //
 // The compute methods that can run long take a context.Context and
-// cancel cooperatively (VerifyOn, VerifyUpperOn, RefuteBelow);
-// VerifyUpper is the context-free convenience over the process-wide
-// engine.
+// cancel cooperatively (VerifyOn, VerifyUpperOn, RefuteBelow). The
+// verification methods run through a caller-supplied engine, so the
+// caller owns the pool size and the lifetime of the result cache.
 package core
 
 import (
@@ -47,7 +48,7 @@ var (
 	// ErrNotSearchRegime is returned when an operation needs the
 	// nontrivial regime f < k < m(f+1).
 	ErrNotSearchRegime = errors.New("core: operation requires the search regime f < k < m(f+1)")
-	// ErrNoEvaluation is returned by VerifyUpper(On) when the scenario's
+	// ErrNoEvaluation is returned by VerifyUpperOn when the scenario's
 	// verification produces only a scalar (no adversarial evaluation) —
 	// use VerifyOn for those scenarios.
 	ErrNoEvaluation = errors.New("core: scenario verification produces a scalar, not an adversarial evaluation; use VerifyOn")
@@ -233,20 +234,11 @@ func (p Problem) OptimalStrategy() (*strategy.CyclicExponential, error) {
 	return strategy.NewCyclicExponential(p.M, p.K, p.F)
 }
 
-// VerifyUpper measures the exact worst-case ratio of the optimal strategy
-// over [1, horizon) — the executable form of the Theorem 6 upper bound.
-// The evaluation runs through the process-wide engine, so repeated
-// verifications of the same (problem, horizon) are served from its
-// result cache. The cache is append-only; callers sweeping unbounded
-// parameter sets should use VerifyUpperOn with their own engine (or
-// engine.Default().ResetCache()) to bound its memory.
-func (p Problem) VerifyUpper(horizon float64) (adversary.Evaluation, error) {
-	return p.VerifyUpperOn(context.Background(), engine.Default(), horizon)
-}
-
-// VerifyUpperOn is VerifyUpper evaluated through an explicit engine —
-// the hook batch callers (cmd/experiments, the benchmark harness, the
-// boundsd server) use to control pool size and cache lifetime. The job
+// VerifyUpperOn measures the exact worst-case ratio of the optimal
+// strategy over [1, horizon) — the executable form of the Theorem 6
+// upper bound — through the engine e, whose result cache serves
+// repeated verifications of the same (problem, horizon). The caller
+// owns e, and with it the pool size and the cache lifetime. The job
 // is resolved through the scenario registry, so it shares cache keys
 // with engine.Sweep cells of the same (m, k, f, horizon). Cancelling
 // ctx aborts the evaluation at its next cooperative check.
@@ -352,7 +344,7 @@ func orcTurnsCtx(ctx context.Context, s strategy.Strategy, horizon float64) ([][
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rounds, err := s.Rounds(r, horizon)
+		rounds, err := s.AppendRounds(nil, r, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}

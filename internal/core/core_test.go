@@ -136,7 +136,7 @@ func TestProblemOptimalStrategyAndVerify(t *testing.T) {
 	if s.M() != 3 || s.K() != 2 {
 		t.Error("strategy parameters wrong")
 	}
-	ev, err := p.VerifyUpper(1e5)
+	ev, err := p.VerifyUpperOn(context.Background(), engine.New(0), 1e5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestEndToEndGrid(t *testing.T) {
 		if lb != ub {
 			t.Errorf("%+v: bounds differ", p)
 		}
-		ev, err := p.VerifyUpper(2e4)
+		ev, err := p.VerifyUpperOn(context.Background(), engine.New(0), 2e4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bounds"
+	"repro/internal/engine"
 	"repro/internal/numeric"
 	"repro/internal/sim"
 	"repro/internal/strategy"
@@ -67,7 +68,7 @@ func TestIntegrationBoundConsistencyAcrossPaths(t *testing.T) {
 func TestIntegrationSimNeverBeatsExactSup(t *testing.T) {
 	// Any single simulated target's ratio is at most the exact supremum.
 	p := Problem{M: 3, K: 4, F: 1}
-	ev, err := p.VerifyUpper(1e4)
+	ev, err := p.VerifyUpperOn(context.Background(), engine.New(0), 1e4)
 	if err != nil {
 		t.Fatal(err)
 	}

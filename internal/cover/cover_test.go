@@ -315,7 +315,7 @@ func TestExactAssignmentMultiRobotORC(t *testing.T) {
 		}
 		var all []Interval
 		for r := 0; r < c.k; r++ {
-			rounds, err := s.Rounds(r, 800)
+			rounds, err := s.AppendRounds(nil, r, 800)
 			if err != nil {
 				t.Fatal(err)
 			}

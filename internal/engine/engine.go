@@ -50,8 +50,8 @@ var (
 )
 
 // Engine runs Jobs on a bounded worker pool and memoizes their results.
-// The zero value is not usable; construct with New, NewWithCache or
-// NewWithCacheShards. An Engine is safe for concurrent use.
+// The zero value is not usable; construct with New or NewWithCache.
+// An Engine is safe for concurrent use.
 //
 // The result cache is sharded: each job key hashes (FNV-1a over the
 // fingerprint) to one of several independent shards, each with its own
@@ -152,13 +152,12 @@ const (
 // (capacity <= 0 = unbounded). Long-lived servers use this to bound the
 // memory of a cache fed by arbitrary request streams; evicting an
 // in-flight entry is safe (its waiters keep their reference, only new
-// Runs recompute). The shard count is chosen automatically; use
-// NewWithCacheShards to pin it.
+// Runs recompute). The shard count is chosen automatically.
 func NewWithCache(workers, capacity int) *Engine {
-	return NewWithCacheShards(workers, capacity, 0)
+	return newWithCacheShards(workers, capacity, 0)
 }
 
-// NewWithCacheShards is NewWithCache with an explicit cache shard
+// newWithCacheShards is NewWithCache with an explicit cache shard
 // count (shards <= 0 selects the automatic policy: one shard for small
 // bounded caches, defaultShardCount otherwise). The capacity budget is
 // split evenly across shards — each shard evicts independently once
@@ -166,7 +165,7 @@ func NewWithCache(workers, capacity int) *Engine {
 // summed size reaches capacity when keys hash unevenly; the summed
 // size never exceeds capacity. A single shard keeps the exact global
 // LRU order.
-func NewWithCacheShards(workers, capacity, shards int) *Engine {
+func newWithCacheShards(workers, capacity, shards int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -218,14 +217,6 @@ func (e *Engine) shardFor(key string) *cacheShard {
 	}
 	return e.shards[h%uint64(len(e.shards))]
 }
-
-// defaultEngine serves package-level callers (core.Problem.VerifyUpper)
-// that want caching without threading an Engine through their API.
-var defaultEngine = New(0)
-
-// Default returns the shared process-wide engine, sized to
-// runtime.GOMAXPROCS(0) at package initialization.
-func Default() *Engine { return defaultEngine }
 
 // Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -298,8 +289,7 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the engine counters. The counters are
-// cumulative for the engine's lifetime; ResetCache drops entries but
-// not the counters.
+// cumulative for the engine's lifetime.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Hits:      e.hits.Load(),
@@ -313,20 +303,6 @@ func (e *Engine) Stats() Stats {
 		Shards:    len(e.shards),
 		Solver:    e.solver.Stats(),
 		Kernel:    adversary.ReadKernelStats(),
-	}
-}
-
-// ResetCache drops every memoized result (in-flight computations are
-// unaffected: their callers still receive them, but new Runs recompute).
-// Long-lived processes sweeping many distinct parameters use this to
-// bound the memory of Default()'s otherwise append-only cache. The
-// hit/miss/eviction counters are not reset.
-func (e *Engine) ResetCache() {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		sh.cache = make(map[string]*cacheEntry)
-		sh.lru = list.New()
-		sh.mu.Unlock()
 	}
 }
 

@@ -245,7 +245,7 @@ func TestVerifyUpperJobMatchesDirectEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := adversary.ExactRatio(s, 1, 1e4)
+	direct, err := adversary.ExactRatio(context.Background(), s, 1, 1e4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,48 +382,6 @@ func TestStatsConcurrentAccounting(t *testing.T) {
 	}
 }
 
-func TestResetCacheUnderConcurrentCallers(t *testing.T) {
-	// Runs and ResetCache race freely; afterward the cache must still be
-	// internally consistent: every key resolvable, sizes within bounds,
-	// and a final Run returning the right value.
-	eng := NewWithCache(8, 16)
-	var runs atomic.Int64
-	var wg sync.WaitGroup
-	const goroutines, perG = 12, 60
-	wg.Add(goroutines + 1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
-			eng.ResetCache()
-		}
-	}()
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				key := fmt.Sprintf("k%d", i%10)
-				res, err := eng.Run(context.Background(), countingJob{key: key, value: float64(i % 10), runs: &runs})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if res.Value != float64(i%10) {
-					t.Errorf("Run(%s) = %g, want %g", key, res.Value, float64(i%10))
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if size := eng.CacheSize(); size > 16 {
-		t.Errorf("cache size %d exceeds capacity 16 after reset storm", size)
-	}
-	res, err := eng.Run(context.Background(), countingJob{key: "k3", value: 3, runs: &runs})
-	if err != nil || res.Value != 3 {
-		t.Errorf("post-storm Run = (%v, %v), want 3", res.Value, err)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	eng := NewWithCache(2, 2)
 	var runs atomic.Int64
@@ -537,9 +495,9 @@ func TestCacheShardPolicy(t *testing.T) {
 		{4, 0, 3, 3},     // explicit count on an unbounded cache
 	}
 	for _, c := range cases {
-		eng := NewWithCacheShards(c.workers, c.capacity, c.shards)
+		eng := newWithCacheShards(c.workers, c.capacity, c.shards)
 		if got := eng.CacheShards(); got != c.want {
-			t.Errorf("NewWithCacheShards(%d, %d, %d).CacheShards() = %d, want %d",
+			t.Errorf("newWithCacheShards(%d, %d, %d).CacheShards() = %d, want %d",
 				c.workers, c.capacity, c.shards, got, c.want)
 		}
 		if st := eng.Stats(); st.Shards != eng.CacheShards() {
@@ -551,7 +509,7 @@ func TestCacheShardPolicy(t *testing.T) {
 func TestShardedCacheBoundAndSingleflight(t *testing.T) {
 	// A sharded bounded cache never exceeds its summed capacity, and
 	// singleflight still collapses concurrent Runs of one key.
-	eng := NewWithCacheShards(8, 64, 16)
+	eng := newWithCacheShards(8, 64, 16)
 	var runs atomic.Int64
 	for i := 0; i < 500; i++ {
 		if _, err := eng.Run(context.Background(), countingJob{key: fmt.Sprintf("k%d", i), value: 1, runs: &runs}); err != nil {
@@ -585,7 +543,7 @@ func TestShardedCacheConcurrentDistinctKeys(t *testing.T) {
 	// Hammer distinct keys across shards under -race: every miss is one
 	// execution, hits+misses account for every Run, and values stay
 	// keyed correctly.
-	eng := NewWithCacheShards(8, 0, 16)
+	eng := newWithCacheShards(8, 0, 16)
 	var runs atomic.Int64
 	const goroutines, perG, keys = 16, 60, 23
 	var wg sync.WaitGroup

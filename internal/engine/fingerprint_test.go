@@ -9,24 +9,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// opaqueStrategy deliberately does not implement Fingerprinter, to
-// exercise the engine's fallback identity.
-type opaqueStrategy struct {
-	name  string
-	turns []float64
-}
-
-func (s *opaqueStrategy) Name() string { return s.name }
-func (s *opaqueStrategy) M() int       { return 1 }
-func (s *opaqueStrategy) K() int       { return 1 }
-func (s *opaqueStrategy) Rounds(r int, horizon float64) ([]trajectory.Round, error) {
-	out := make([]trajectory.Round, len(s.turns))
-	for i, turn := range s.turns {
-		out[i] = trajectory.Round{Ray: 1, Turn: turn}
-	}
-	return out, nil
-}
-
 // TestFingerprintCollisionRegression pins the collision-hardening
 // contract behind every engine cache key: two strategies that can
 // produce different rounds must never share a fingerprint — in
@@ -81,8 +63,6 @@ func TestFingerprintCollisionRegression(t *testing.T) {
 		{"scripted program", progInst},
 		{"scripted program, nearby alpha", progInstOtherAlpha},
 		{"ray split", raySplit},
-		{"opaque", &opaqueStrategy{name: "custom", turns: []float64{1, 2, 4}}},
-		{"opaque, same name, different rounds", &opaqueStrategy{name: "custom", turns: []float64{1, 3, 9}}},
 	}
 
 	keys := make(map[string]string)
@@ -97,10 +77,6 @@ func TestFingerprintCollisionRegression(t *testing.T) {
 		keys[key] = tc.label
 	}
 
-	// Opaque strategies with identical rounds but different names DO get
-	// different keys (conservative: never share), while the two opaque
-	// entries above differ by rounds under one name — the dangerous
-	// direction — and were already asserted distinct.
 	if len(keys) != len(strategies) {
 		t.Fatalf("%d distinct keys for %d strategies", len(keys), len(strategies))
 	}

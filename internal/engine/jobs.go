@@ -2,51 +2,14 @@ package engine
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"repro/internal/adversary"
 	"repro/internal/randomized"
 	"repro/internal/solver"
 	"repro/internal/strategy"
 )
-
-// fingerprint identifies a strategy for cache keying. Every strategy in
-// this repository carries a content-addressed identity
-// (strategy.Fingerprinter — for compiled programs the script's content
-// hash plus exact instantiation bits), which is used verbatim. A
-// foreign Strategy implementation without one falls back to a hash of
-// the rounds it materializes up to the job's horizon — the exact input
-// the job consumes — so even foreign strategies sharing a type and Name
-// can never share a cache line unless their observable behaviour up to
-// that horizon is identical. (Turns hash at full 'x'-format precision:
-// a one-ulp difference is a different key.) The fallback preimage
-// carries an explicit geometry tag next to the parameters — strategy
-// rounds only describe star geometry, so the tag keeps these keys
-// disjoint from any opaque planar fingerprint by construction, the
-// same way the planar job keys carry geo=r2.
-func fingerprint(s strategy.Strategy, horizon float64) string {
-	if fp, ok := s.(strategy.Fingerprinter); ok {
-		return fp.Fingerprint()
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "opaque-rounds/v2|geo=star|%T|m=%d|k=%d|", s, s.M(), s.K())
-	for r := 0; r < s.K(); r++ {
-		rounds, err := s.Rounds(r, horizon)
-		if err != nil {
-			fmt.Fprintf(h, "err=%v|", err)
-			continue
-		}
-		for _, rd := range rounds {
-			fmt.Fprintf(h, "%d;%s,", rd.Ray, strconv.FormatFloat(rd.Turn, 'x', -1, 64))
-		}
-		h.Write([]byte{'|'})
-	}
-	return "opaque|" + hex.EncodeToString(h.Sum(nil))
-}
 
 // Result is the outcome of one Job: a headline scalar, plus the full
 // adversarial evaluation for ratio-style jobs and the effective
@@ -81,7 +44,7 @@ type Result struct {
 type Job interface {
 	// Key fingerprints the job for the result cache. Strategy-based
 	// jobs derive the fingerprint from the strategy's content-addressed
-	// identity (strategy.Fingerprinter) — for compiled programs the
+	// identity (Strategy.Fingerprint) — for compiled programs the
 	// script content hash plus exact instantiation bits — never from
 	// the human-facing Name.
 	Key() string
@@ -105,12 +68,12 @@ func (j ExactRatio) Key() string {
 	if j.Strategy == nil {
 		return ""
 	}
-	return fmt.Sprintf("exact|%s|f=%d|h=%g", fingerprint(j.Strategy, j.Horizon), j.Faults, j.Horizon)
+	return fmt.Sprintf("exact|%s|f=%d|h=%g", j.Strategy.Fingerprint(), j.Faults, j.Horizon)
 }
 
 // Run implements Job.
 func (j ExactRatio) Run(ctx context.Context) (Result, error) {
-	ev, err := adversary.ExactRatioCtx(ctx, j.Strategy, j.Faults, j.Horizon)
+	ev, err := adversary.ExactRatio(ctx, j.Strategy, j.Faults, j.Horizon)
 	return Result{Value: ev.WorstRatio, Eval: ev}, err
 }
 
@@ -135,7 +98,7 @@ func (j FRangeRatio) Key() string {
 	if j.Strategy == nil {
 		return ""
 	}
-	return fmt.Sprintf("frange|%s|fmax=%d|h=%g", fingerprint(j.Strategy, j.Horizon), j.MaxF, j.Horizon)
+	return fmt.Sprintf("frange|%s|fmax=%d|h=%g", j.Strategy.Fingerprint(), j.MaxF, j.Horizon)
 }
 
 // Run implements Job.
@@ -168,12 +131,12 @@ func (j GridRatio) Key() string {
 	if j.Strategy == nil {
 		return ""
 	}
-	return fmt.Sprintf("grid|%s|f=%d|h=%g|n=%d", fingerprint(j.Strategy, j.Horizon), j.Faults, j.Horizon, j.N)
+	return fmt.Sprintf("grid|%s|f=%d|h=%g|n=%d", j.Strategy.Fingerprint(), j.Faults, j.Horizon, j.N)
 }
 
 // Run implements Job.
 func (j GridRatio) Run(ctx context.Context) (Result, error) {
-	v, err := adversary.GridRatioCtx(ctx, j.Strategy, j.Faults, j.Horizon, j.N)
+	v, err := adversary.GridRatio(ctx, j.Strategy, j.Faults, j.Horizon, j.N)
 	return Result{Value: v}, err
 }
 
@@ -208,7 +171,7 @@ func (j VerifyUpper) Run(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ev, err := adversary.ExactRatioCtx(ctx, s, j.F, j.Horizon)
+	ev, err := adversary.ExactRatio(ctx, s, j.F, j.Horizon)
 	return Result{Value: ev.WorstRatio, Eval: ev}, err
 }
 
@@ -238,7 +201,7 @@ func (j RandomizedTrials) Key() string {
 // Run implements Job.
 func (j RandomizedTrials) Run(ctx context.Context) (Result, error) {
 	rng := rand.New(rand.NewSource(j.Seed))
-	v, err := randomized.MonteCarloRatioCtx(ctx, j.Base, j.X, j.Samples, rng)
+	v, err := randomized.MonteCarloRatio(ctx, j.Base, j.X, j.Samples, rng)
 	return Result{Value: v, Samples: j.Samples, Seed: j.Seed, Clamped: j.Clamped}, err
 }
 

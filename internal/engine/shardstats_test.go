@@ -20,7 +20,7 @@ import (
 // serving.
 func TestEvictionOrderAcrossShards(t *testing.T) {
 	const shards, perShard = 4, 3
-	e := NewWithCacheShards(2, shards*perShard, shards)
+	e := newWithCacheShards(2, shards*perShard, shards)
 	e.solver = solver.New()
 	var runs atomic.Int64
 
@@ -130,7 +130,7 @@ func TestStatsShardsAccountingConcurrent(t *testing.T) {
 		perG       = 300
 		keySpace   = 200 // > capacity, so eviction churns throughout
 	)
-	e := NewWithCacheShards(4, capacity, shards)
+	e := newWithCacheShards(4, capacity, shards)
 	e.solver = solver.New()
 	var runs atomic.Int64
 	var wg sync.WaitGroup
@@ -189,7 +189,7 @@ func TestStatsShardsAccountingConcurrent(t *testing.T) {
 	if err := e.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	dst := NewWithCacheShards(4, capacity, shards)
+	dst := newWithCacheShards(4, capacity, shards)
 	dst.solver = solver.New()
 	rst, err := dst.ReadSnapshot(&buf)
 	if err != nil {

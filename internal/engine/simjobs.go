@@ -103,7 +103,7 @@ func (j PFaultyTrials) Key() string {
 // Run implements Job.
 func (j PFaultyTrials) Run(ctx context.Context) (Result, error) {
 	rng := rand.New(rand.NewSource(j.Seed))
-	v, err := pfaulty.MonteCarloRatioCtx(ctx, j.Base, j.P, j.X, j.Samples, rng)
+	v, err := pfaulty.MonteCarloRatio(ctx, j.Base, j.P, j.X, j.Samples, rng)
 	return Result{Value: v, Samples: j.Samples, Seed: j.Seed, Clamped: j.Clamped}, err
 }
 

@@ -1,9 +1,8 @@
 // snapshot.go is the engine cache's persistence codec: a versioned
 // JSON document carrying the memoized job results (fingerprint key +
 // Result) plus the solver's memo tables, written on boundsd's graceful
-// shutdown (and optional periodic interval) and restored at the next
-// startup so a warm restart does not cold-start the hot (m, k, f)
-// grids.
+// shutdown and restored at the next startup so a warm restart does not
+// cold-start the hot (m, k, f) grids.
 //
 // The format is guarded by SnapshotSchema, a version string embedded
 // in the document. Readers reject any other version with
@@ -37,18 +36,8 @@ import (
 // SnapshotSchema identifies the snapshot layout AND the semantics of
 // the keyed results inside it. v2 rolled the cache-key grammar onto
 // content-addressed strategy fingerprints (program hashes instead of
-// Name() strings). Readers accept exactly this string, with one
-// exception: SnapshotSchemaV1 documents restore partially (see
-// ReadSnapshot).
+// Name() strings). Readers accept exactly this string.
 const SnapshotSchema = "boundsd-snapshot/v2"
-
-// SnapshotSchemaV1 is the pre-program-fingerprint schema. Its cache
-// keys embedded strategy Name() strings, which no job emits anymore, so
-// its entries can never be hit and are dropped on restore; its solver
-// memo is keyed purely by (m, k, f) triples, which still mean the same
-// thing, so it is imported. A v1 snapshot therefore restores as a
-// logged partial warm start, not an error.
-const SnapshotSchemaV1 = "boundsd-snapshot/v1"
 
 // ErrSnapshotSchema is returned by ReadSnapshot for a structurally
 // valid snapshot written under a different schema version. Callers
@@ -164,10 +153,6 @@ type RestoreStats struct {
 	Skipped int
 	// SolverEntries is the number of solver memo entries imported.
 	SolverEntries int
-	// LegacyDropped counts cache entries discarded from an
-	// older-schema snapshot whose key grammar this build no longer
-	// emits (their keys could never be hit again).
-	LegacyDropped int
 }
 
 // ReadSnapshot restores a snapshot written by WriteSnapshot into the
@@ -184,20 +169,11 @@ func (e *Engine) ReadSnapshot(r io.Reader) (RestoreStats, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return RestoreStats{}, fmt.Errorf("engine: snapshot decode: %w", err)
 	}
-	if doc.Schema != SnapshotSchema && doc.Schema != SnapshotSchemaV1 {
+	if doc.Schema != SnapshotSchema {
 		return RestoreStats{}, fmt.Errorf("%w: snapshot is %q, this build reads %q",
 			ErrSnapshotSchema, doc.Schema, SnapshotSchema)
 	}
 	var st RestoreStats
-	if doc.Schema == SnapshotSchemaV1 {
-		// v1 cache keys predate content-addressed fingerprints: no
-		// current job emits them, so restoring the entries would only
-		// pin dead weight in the LRU. Import the solver memo (its
-		// (m, k, f) keys are schema-stable) and drop the rest.
-		st.LegacyDropped = len(doc.Entries)
-		st.SolverEntries = e.solver.Import(doc.Solver)
-		return st, nil
-	}
 	for _, entry := range doc.Entries {
 		if entry.Key == "" {
 			st.Skipped++

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/solver"
+	"repro/internal/strategy/program"
 )
 
 // warmEngine runs n distinct countingJobs through e and returns the
@@ -31,7 +32,7 @@ func warmEngine(t *testing.T, e *Engine, n int) *atomic.Int64 {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	src := NewWithCacheShards(2, 0, 4)
+	src := newWithCacheShards(2, 0, 4)
 	src.solver = solver.New()
 	warmEngine(t, src, 10)
 	// Warm the solver memo too, so the snapshot carries more than the
@@ -49,7 +50,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 
-	dst := NewWithCacheShards(2, 0, 4)
+	dst := newWithCacheShards(2, 0, 4)
 	dst.solver = solver.New()
 	st, err := dst.ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -84,7 +85,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDeterministicBytes(t *testing.T) {
-	e := NewWithCacheShards(2, 0, 8)
+	e := newWithCacheShards(2, 0, 8)
 	e.solver = solver.New()
 	warmEngine(t, e, 16)
 	var a, b bytes.Buffer
@@ -103,26 +104,36 @@ func TestSnapshotSchemaMismatchFallsBackCold(t *testing.T) {
 	src := New(1)
 	src.solver = solver.New()
 	warmEngine(t, src, 3)
+	if _, err := src.solver.AlphaStar(4, 2, 1); err != nil {
+		t.Fatalf("AlphaStar: %v", err)
+	}
 	var buf bytes.Buffer
 	if err := src.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	stale := strings.Replace(buf.String(), SnapshotSchema, "boundsd-snapshot/v0", 1)
-	if stale == buf.String() {
-		t.Fatal("failed to rewrite schema string in snapshot fixture")
-	}
+	// v1 is the pre-program-fingerprint schema: no current build reads
+	// any part of it, solver memo included.
+	for _, schema := range []string{"boundsd-snapshot/v0", "boundsd-snapshot/v1"} {
+		stale := strings.Replace(buf.String(), SnapshotSchema, schema, 1)
+		if stale == buf.String() {
+			t.Fatal("failed to rewrite schema string in snapshot fixture")
+		}
 
-	dst := New(1)
-	dst.solver = solver.New()
-	st, err := dst.ReadSnapshot(strings.NewReader(stale))
-	if !errors.Is(err, ErrSnapshotSchema) {
-		t.Fatalf("ReadSnapshot(stale) error = %v, want ErrSnapshotSchema", err)
-	}
-	if st != (RestoreStats{}) {
-		t.Fatalf("stale restore reported stats %+v, want zero", st)
-	}
-	if size := dst.Stats().Size; size != 0 {
-		t.Fatalf("stale restore left %d cache entries, want 0", size)
+		dst := New(1)
+		dst.solver = solver.New()
+		st, err := dst.ReadSnapshot(strings.NewReader(stale))
+		if !errors.Is(err, ErrSnapshotSchema) {
+			t.Fatalf("%s: ReadSnapshot(stale) error = %v, want ErrSnapshotSchema", schema, err)
+		}
+		if st != (RestoreStats{}) {
+			t.Fatalf("%s: stale restore reported stats %+v, want zero", schema, st)
+		}
+		if size := dst.Stats().Size; size != 0 {
+			t.Fatalf("%s: stale restore left %d cache entries, want 0", schema, size)
+		}
+		if n := dst.solver.Export().Entries(); n != 0 {
+			t.Fatalf("%s: stale restore imported %d solver memo entries, want 0", schema, n)
+		}
 	}
 }
 
@@ -140,7 +151,7 @@ func TestSnapshotCorruptInput(t *testing.T) {
 }
 
 func TestSnapshotRestoreRespectsCapacity(t *testing.T) {
-	src := NewWithCacheShards(2, 0, 1)
+	src := newWithCacheShards(2, 0, 1)
 	src.solver = solver.New()
 	warmEngine(t, src, 64)
 	var buf bytes.Buffer
@@ -148,7 +159,7 @@ func TestSnapshotRestoreRespectsCapacity(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 
-	dst := NewWithCacheShards(2, 8, 1)
+	dst := newWithCacheShards(2, 8, 1)
 	dst.solver = solver.New()
 	if _, err := dst.ReadSnapshot(&buf); err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
@@ -282,5 +293,67 @@ func (j blockingJob) Run(ctx context.Context) (Result, error) {
 		return Result{Value: 1}, nil
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
+	}
+}
+
+// TestSnapshotScriptedStrategyRoundTrip pins the v2 point of the schema
+// bump: cache entries for scripted (content-hash-keyed) strategies
+// survive a snapshot round trip — the restored engine answers the same
+// job from cache, and re-snapshotting the restored state reproduces the
+// original document byte for byte.
+func TestSnapshotScriptedStrategyRoundTrip(t *testing.T) {
+	prog, err := program.Compile("emit(1, 2)\nemit(2, 4)\nemit(1, 8)\nemit(2, 16)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := prog.New(2, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := ExactRatio{Strategy: inst, Faults: 0, Horizon: 10}
+	if key := job.Key(); !strings.Contains(key, prog.Hash()[:16]) {
+		t.Fatalf("scripted job key %q does not embed the program hash", key)
+	}
+
+	src := New(1)
+	src.solver = solver.New()
+	want, err := src.Run(context.Background(), job)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := src.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if !strings.Contains(buf.String(), SnapshotSchema) {
+		t.Fatalf("snapshot does not carry schema %q", SnapshotSchema)
+	}
+
+	dst := New(1)
+	dst.solver = solver.New()
+	st, err := dst.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if st.Entries != 1 {
+		t.Fatalf("restore stats %+v, want Entries=1", st)
+	}
+	got, err := dst.Run(context.Background(), job)
+	if err != nil {
+		t.Fatalf("restored Run: %v", err)
+	}
+	if got.Value != want.Value || got.Eval != want.Eval {
+		t.Errorf("restored result %+v, want %+v", got, want)
+	}
+	if stats := dst.Stats(); stats.Hits != 1 || stats.Misses != 0 {
+		t.Errorf("restored engine stats hits=%d misses=%d, want 1/0", stats.Hits, stats.Misses)
+	}
+
+	var again bytes.Buffer
+	if err := dst.WriteSnapshot(&again); err != nil {
+		t.Fatalf("re-WriteSnapshot: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Errorf("snapshot round trip not byte-identical:\n%s\nvs\n%s", buf.String(), again.String())
 	}
 }

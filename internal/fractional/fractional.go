@@ -278,7 +278,7 @@ func ReductionRobots(eta float64, maxK int, horizon float64) ([]WeightedRobot, i
 	}
 	robots := make([]WeightedRobot, k)
 	for r := 0; r < k; r++ {
-		rounds, err := s.Rounds(r, horizon)
+		rounds, err := s.AppendRounds(nil, r, horizon)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("fractional: %w", err)
 		}

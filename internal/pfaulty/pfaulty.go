@@ -213,16 +213,10 @@ func passTimes(star *trajectory.Star, x float64) []float64 {
 // at distance x by simulating the per-pass detection coin over the
 // materialized trajectory (see passTimes for the tangency convention).
 // The caller supplies the rng for reproducibility (the engine job
-// seeds it deterministically).
-func MonteCarloRatio(b, p, x float64, samples int, rng *rand.Rand) (float64, error) {
-	return MonteCarloRatioCtx(context.Background(), b, p, x, samples, rng)
-}
-
-// MonteCarloRatioCtx is MonteCarloRatio under a context: the sample
-// loop checks ctx every 64 samples. Cancellation does not disturb
-// determinism — a run that completes consumes exactly the same rng
-// stream regardless of ctx.
-func MonteCarloRatioCtx(ctx context.Context, b, p, x float64, samples int, rng *rand.Rand) (float64, error) {
+// seeds it deterministically). The sample loop checks ctx every 64
+// samples. Cancellation does not disturb determinism — a run that
+// completes consumes exactly the same rng stream regardless of ctx.
+func MonteCarloRatio(ctx context.Context, b, p, x float64, samples int, rng *rand.Rand) (float64, error) {
 	if err := validate(b, p); err != nil {
 		return 0, err
 	}

@@ -173,7 +173,7 @@ func TestMonteCarloMatchesClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, err := MonteCarloRatio(base, p, 7.5, 20000, rand.New(rand.NewSource(7)))
+		mc, err := MonteCarloRatio(context.Background(), base, p, 7.5, 20000, rand.New(rand.NewSource(7)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,18 +186,18 @@ func TestMonteCarloMatchesClosedForm(t *testing.T) {
 // TestMonteCarloDeterministicBySeed: same seed, same estimate — the
 // engine's cacheability contract.
 func TestMonteCarloDeterministicBySeed(t *testing.T) {
-	a, err := MonteCarloRatio(1.8, 0.5, 5, 500, rand.New(rand.NewSource(3)))
+	a, err := MonteCarloRatio(context.Background(), 1.8, 0.5, 5, 500, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarloRatio(1.8, 0.5, 5, 500, rand.New(rand.NewSource(3)))
+	b, err := MonteCarloRatio(context.Background(), 1.8, 0.5, 5, 500, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("same seed produced %g and %g", a, b)
 	}
-	c, err := MonteCarloRatio(1.8, 0.5, 5, 500, rand.New(rand.NewSource(4)))
+	c, err := MonteCarloRatio(context.Background(), 1.8, 0.5, 5, 500, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMonteCarloDeterministicBySeed(t *testing.T) {
 func TestMonteCarloCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MonteCarloRatioCtx(ctx, 1.8, 0.5, 5, 10000, rand.New(rand.NewSource(1))); !errors.Is(err, context.Canceled) {
+	if _, err := MonteCarloRatio(ctx, 1.8, 0.5, 5, 10000, rand.New(rand.NewSource(1))); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
 }

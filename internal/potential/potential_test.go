@@ -249,7 +249,7 @@ func orcCertFromCyclic(t *testing.T, m, k, f int, factor, upTo float64) Certific
 	}
 	var turns [][]float64
 	for r := 0; r < k; r++ {
-		rounds, err := s.Rounds(r, upTo*8)
+		rounds, err := s.AppendRounds(nil, r, upTo*8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestRefuteORCStrategyRecursion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := s.Rounds(0, 500)
+	rounds, err := s.AppendRounds(nil, 0, 500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,16 +126,11 @@ func Trajectory(b float64, rng *rand.Rand, horizon float64) (*trajectory.Line, e
 
 // MonteCarloRatio estimates the expected competitive ratio for a target at
 // signed position x by sampling full randomized trajectories. The fair
-// side coin is implemented by mirroring the target sign per sample.
-func MonteCarloRatio(b, x float64, samples int, rng *rand.Rand) (float64, error) {
-	return MonteCarloRatioCtx(context.Background(), b, x, samples, rng)
-}
-
-// MonteCarloRatioCtx is MonteCarloRatio under a context: the sample
-// loop checks ctx every 64 samples so a cancelled batch stops promptly.
-// Cancellation does not disturb determinism — a run that completes
-// consumes exactly the same rng stream regardless of ctx.
-func MonteCarloRatioCtx(ctx context.Context, b, x float64, samples int, rng *rand.Rand) (float64, error) {
+// side coin is implemented by mirroring the target sign per sample. The
+// sample loop checks ctx every 64 samples so a cancelled batch stops
+// promptly. Cancellation does not disturb determinism — a run that
+// completes consumes exactly the same rng stream regardless of ctx.
+func MonteCarloRatio(ctx context.Context, b, x float64, samples int, rng *rand.Rand) (float64, error) {
 	if !(b > 1) || x == 0 || samples < 1 || rng == nil {
 		return 0, fmt.Errorf("%w: base %g, x %g, samples %d", ErrBadParams, b, x, samples)
 	}

@@ -138,7 +138,7 @@ func TestMonteCarloMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MonteCarloRatio(b, 7.3, 4000, rng)
+	got, err := MonteCarloRatio(context.Background(), b, 7.3, 4000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestMonteCarloNegativeTargetSymmetric(t *testing.T) {
 	b := 3.0
 	rngA := rand.New(rand.NewSource(1))
 	rngB := rand.New(rand.NewSource(1))
-	pos, err := MonteCarloRatio(b, 5, 1500, rngA)
+	pos, err := MonteCarloRatio(context.Background(), b, 5, 1500, rngA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	neg, err := MonteCarloRatio(b, -5, 1500, rngB)
+	neg, err := MonteCarloRatio(context.Background(), b, -5, 1500, rngB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +169,16 @@ func TestMonteCarloNegativeTargetSymmetric(t *testing.T) {
 
 func TestMonteCarloDomain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := MonteCarloRatio(1, 1, 10, rng); !errors.Is(err, ErrBadParams) {
+	if _, err := MonteCarloRatio(context.Background(), 1, 1, 10, rng); !errors.Is(err, ErrBadParams) {
 		t.Error("b = 1 should fail")
 	}
-	if _, err := MonteCarloRatio(2, 0, 10, rng); !errors.Is(err, ErrBadParams) {
+	if _, err := MonteCarloRatio(context.Background(), 2, 0, 10, rng); !errors.Is(err, ErrBadParams) {
 		t.Error("x = 0 should fail")
 	}
-	if _, err := MonteCarloRatio(2, 1, 0, rng); !errors.Is(err, ErrBadParams) {
+	if _, err := MonteCarloRatio(context.Background(), 2, 1, 0, rng); !errors.Is(err, ErrBadParams) {
 		t.Error("0 samples should fail")
 	}
-	if _, err := MonteCarloRatio(2, 1, 1, nil); !errors.Is(err, ErrBadParams) {
+	if _, err := MonteCarloRatio(context.Background(), 2, 1, 1, nil); !errors.Is(err, ErrBadParams) {
 		t.Error("nil rng should fail")
 	}
 }
@@ -208,13 +208,13 @@ func TestQuickExpectedRatioConvex(t *testing.T) {
 	}
 }
 
-// TestMonteCarloRatioCtxCancellation: the sample loop checks its
+// TestMonteCarloRatioCancellation: the sample loop checks its
 // context, so a cancelled batch aborts instead of finishing.
-func TestMonteCarloRatioCtxCancellation(t *testing.T) {
+func TestMonteCarloRatioCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rng := rand.New(rand.NewSource(1))
-	if _, err := MonteCarloRatioCtx(ctx, 3.59, 7.5, 5000, rng); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled MonteCarloRatioCtx = %v, want context.Canceled", err)
+	if _, err := MonteCarloRatio(ctx, 3.59, 7.5, 5000, rng); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled MonteCarloRatio = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestGoldenTheorem1DetectionTimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := adversary.ExactRatio(s, f, horizon)
+		ev, err := adversary.ExactRatio(context.Background(), s, f, horizon)
 		if err != nil {
 			t.Fatalf("(k=%d, f=%d): adversary: %v", k, f, err)
 		}

@@ -68,12 +68,12 @@ func TestCyclicProgramPrefixStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		long, err := s.Rounds(r, 1e5)
+		long, err := s.AppendRounds(nil, r, 1e5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, h := range []float64{2, 50, 1000, 4e4} {
-			short, err := s.Rounds(r, h)
+			short, err := s.AppendRounds(nil, r, h)
 			if err != nil {
 				t.Fatal(err)
 			}

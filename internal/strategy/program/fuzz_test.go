@@ -66,7 +66,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return // instantiation may reject params relative to the program
 		}
-		rounds, err := inst.Rounds(0, 50)
+		rounds, err := inst.AppendRounds(nil, 0, 50)
 		if err != nil {
 			// Any sandbox error is fine; a non-sandbox error is not.
 			if !errors.Is(err, ErrEval) && !errors.Is(err, ErrGasExhausted) &&

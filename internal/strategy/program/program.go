@@ -159,9 +159,8 @@ func (p *Program) NewAlpha(m, k, f int, alpha float64) (*Instance, error) {
 }
 
 // Instance is a Program bound to concrete (m, k, f, alpha) parameters.
-// It implements strategy.Strategy and the adversary's AppendRounds fast
-// path, and carries the content-addressed fingerprint used by every
-// cache layer.
+// It implements strategy.Strategy, including the content-addressed
+// fingerprint used by every cache layer.
 type Instance struct {
 	p     *Program
 	m     int
@@ -199,11 +198,6 @@ func (s *Instance) Fingerprint() string {
 		"|k=" + strconv.Itoa(s.k) +
 		"|f=" + strconv.Itoa(s.f) +
 		"|a=" + strconv.FormatFloat(s.alpha, 'x', -1, 64)
-}
-
-// Rounds materialises robot r's excursions up to horizon.
-func (s *Instance) Rounds(r int, horizon float64) ([]trajectory.Round, error) {
-	return s.AppendRounds(nil, r, horizon)
 }
 
 // AppendRounds appends robot r's excursions up to horizon to dst,

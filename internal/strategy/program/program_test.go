@@ -26,7 +26,7 @@ func TestCompileAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := inst.Rounds(0, 100)
+	rounds, err := inst.AppendRounds(nil, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGasExhaustion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = inst.Rounds(0, 10)
+		_, err = inst.AppendRounds(nil, 0, 10)
 		if !errors.Is(err, ErrGasExhausted) {
 			t.Fatalf("runaway %q: err = %v, want ErrGasExhausted", src, err)
 		}
@@ -158,7 +158,7 @@ for {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = inst.Rounds(0, 10)
+	_, err = inst.AppendRounds(nil, 0, 10)
 	// The emit cap or the gas budget must stop it; the cap comes first
 	// at these costs.
 	if !errors.Is(err, ErrTooManyRounds) && !errors.Is(err, ErrGasExhausted) {
@@ -183,7 +183,7 @@ func TestEmitValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := inst.Rounds(0, 10); !errors.Is(err, ErrEval) {
+			if _, err := inst.AppendRounds(nil, 0, 10); !errors.Is(err, ErrEval) {
 				t.Fatalf("err = %v, want ErrEval", err)
 			}
 		})
@@ -211,10 +211,10 @@ func TestInstanceParamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Rounds(2, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := inst.AppendRounds(nil, 2, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("robot index past k accepted")
 	}
-	if _, err := inst.Rounds(0, math.NaN()); !errors.Is(err, ErrBadParams) {
+	if _, err := inst.AppendRounds(nil, 0, math.NaN()); !errors.Is(err, ErrBadParams) {
 		t.Error("NaN horizon accepted")
 	}
 }
@@ -235,7 +235,7 @@ emit(1, d + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := inst.Rounds(0, 10)
+	rounds, err := inst.AppendRounds(nil, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ emit(1, d + 1)
 		t.Fatalf("rounds = %+v", rounds)
 	}
 	// Run again through the pooled VM: identical output, no stale state.
-	again, err := inst.Rounds(0, 10)
+	again, err := inst.AppendRounds(nil, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ emit(1, exp(0) + log(1) + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := inst.Rounds(0, 1e9)
+	rounds, err := inst.AppendRounds(nil, 0, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}

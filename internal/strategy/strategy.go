@@ -46,8 +46,8 @@ var (
 const maxRounds = 1 << 20
 
 // Strategy describes a collective search plan for k robots on the star S_m.
-// Implementations are deterministic and stateless: Rounds may be called for
-// any robot and horizon in any order.
+// Implementations are deterministic and stateless: AppendRounds may be
+// called for any robot and horizon in any order.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
@@ -55,19 +55,17 @@ type Strategy interface {
 	M() int
 	// K returns the number of robots.
 	K() int
-	// Rounds returns robot r's excursions (r in 0..K-1), including every
-	// round needed so that the collective coverage of all targets at
-	// distance <= horizon is complete within the returned prefix.
-	Rounds(r int, horizon float64) ([]trajectory.Round, error)
-}
-
-// Fingerprinter is implemented by strategies that carry a
-// content-addressed cache identity: two strategies share a fingerprint
-// exactly when they generate identical rounds for every (robot,
-// horizon). Every cache layer (engine jobs, snapshots) keys on
-// Fingerprint, never on Name — Name is a human label and may omit
-// parameters or collide. All strategies in this package implement it.
-type Fingerprinter interface {
+	// AppendRounds appends robot r's excursions (r in 0..K-1) to dst,
+	// including every round needed so that the collective coverage of
+	// all targets at distance <= horizon is complete within the
+	// appended prefix. Callers wanting a fresh slice pass nil; the
+	// adversary kernel passes a recycled buffer.
+	AppendRounds(dst []trajectory.Round, r int, horizon float64) ([]trajectory.Round, error)
+	// Fingerprint is the strategy's content-addressed cache identity:
+	// two strategies share a fingerprint exactly when they generate
+	// identical rounds for every (robot, horizon). Every cache layer
+	// (engine jobs, snapshots) keys on Fingerprint, never on Name —
+	// Name is a human label and may omit parameters or collide.
 	Fingerprint() string
 }
 
@@ -75,7 +73,7 @@ type Fingerprinter interface {
 func Trajectories(s Strategy, horizon float64) ([]*trajectory.Star, error) {
 	out := make([]*trajectory.Star, s.K())
 	for r := 0; r < s.K(); r++ {
-		rounds, err := s.Rounds(r, horizon)
+		rounds, err := s.AppendRounds(nil, r, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("strategy %q robot %d: %w", s.Name(), r, err)
 		}
@@ -167,33 +165,29 @@ func (s *CyclicExponential) F() int { return s.f }
 // Q returns q = m(f+1), the covering multiplicity of Theorem 6.
 func (s *CyclicExponential) Q() int { return s.m * (s.f + 1) }
 
-// Fingerprint implements Fingerprinter: the content hash of the
+// Fingerprint implements Strategy: the content hash of the
 // compiled cyclic program plus the exact instantiation parameters
 // (alpha in full-precision hex, unlike Name's rounded %.6g).
 func (s *CyclicExponential) Fingerprint() string { return s.inst.Fingerprint() }
 
-// Rounds implements Strategy. Robot r's l-th excursion (l starting at
-// 1-2m) turns at alpha^(k*l + m*(r+1)) on ray ((l-1) mod m) + 1. Rounds are
-// generated until the turning point exceeds horizon * alpha^(q + k*m),
-// which guarantees that every point at distance <= horizon has received all
-// f+1 of its assigned visits within the returned prefix.
-func (s *CyclicExponential) Rounds(r int, horizon float64) ([]trajectory.Round, error) {
-	return s.AppendRounds(nil, r, horizon)
-}
-
-// AppendRounds is Rounds appending into dst — the allocation-averse
-// form the adversary kernel's pooled table builds use: with a recycled
-// dst of sufficient capacity the excursion generation allocates
-// nothing. Generation runs the native multiplication chain (one pow
-// seeds it, the loop multiplies); the compiled CyclicScript program is
-// the strategy's *identity* (Fingerprint) and its semantic pin — the
-// program's output is asserted bit-identical to this loop by
-// TestCyclicProgramBitIdentity — but the built-in does not pay the VM's
-// tree-walk on the adversary's hot path (Evaluator.Extend regenerates
-// rounds per doubling). The rounds generated for a smaller horizon are
-// a bit-exact prefix of those for a larger one: the chain depends only
-// on (alpha, k, m, r), the horizon only caps its length;
-// Evaluator.Extend relies on that prefix property.
+// AppendRounds implements Strategy. Robot r's l-th excursion (l
+// starting at 1-2m) turns at alpha^(k*l + m*(r+1)) on ray
+// ((l-1) mod m) + 1. Rounds are generated until the turning point
+// exceeds horizon * alpha^(q + k*m), which guarantees that every point
+// at distance <= horizon has received all f+1 of its assigned visits
+// within the appended prefix. With a recycled dst of sufficient
+// capacity (the adversary kernel's pooled table builds) the excursion
+// generation allocates nothing. Generation runs the native
+// multiplication chain (one pow seeds it, the loop multiplies); the
+// compiled CyclicScript program is the strategy's *identity*
+// (Fingerprint) and its semantic pin — the program's output is
+// asserted bit-identical to this loop by TestCyclicProgramBitIdentity —
+// but the built-in does not pay the VM's tree-walk on the adversary's
+// hot path (Evaluator.Extend regenerates rounds per doubling). The
+// rounds generated for a smaller horizon are a bit-exact prefix of
+// those for a larger one: the chain depends only on (alpha, k, m, r),
+// the horizon only caps its length; Evaluator.Extend relies on that
+// prefix property.
 func (s *CyclicExponential) AppendRounds(dst []trajectory.Round, r int, horizon float64) ([]trajectory.Round, error) {
 	return s.nativeAppendRounds(dst, r, horizon)
 }
@@ -284,7 +278,7 @@ func (s *CyclicExponential) LineTurns(r int, horizon float64) ([]float64, error)
 	if s.m != 2 {
 		return nil, fmt.Errorf("%w: LineTurns requires m = 2, got %d", ErrBadParams, s.m)
 	}
-	rounds, err := s.Rounds(r, horizon)
+	rounds, err := s.AppendRounds(nil, r, horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +347,7 @@ func NewFixedRounds(name string, m int, robots [][]trajectory.Round) (*FixedRoun
 // Name implements Strategy.
 func (s *FixedRounds) Name() string { return s.name }
 
-// Fingerprint implements Fingerprinter: a content hash over the
+// Fingerprint implements Strategy: a content hash over the
 // explicit round lists, independent of the caller-chosen name.
 func (s *FixedRounds) Fingerprint() string { return s.fp }
 
@@ -363,22 +357,21 @@ func (s *FixedRounds) M() int { return s.m }
 // K implements Strategy.
 func (s *FixedRounds) K() int { return len(s.robots) }
 
-// Rounds implements Strategy. The horizon is ignored: the caller supplied
-// a finite list, and truncation is the caller's responsibility.
-func (s *FixedRounds) Rounds(r int, _ float64) ([]trajectory.Round, error) {
+// AppendRounds implements Strategy. The horizon is ignored: the caller
+// supplied a finite list, and truncation is the caller's responsibility.
+func (s *FixedRounds) AppendRounds(dst []trajectory.Round, r int, _ float64) ([]trajectory.Round, error) {
 	if r < 0 || r >= len(s.robots) {
 		return nil, fmt.Errorf("%w: robot %d of %d", ErrBadParams, r, len(s.robots))
 	}
-	return append([]trajectory.Round(nil), s.robots[r]...), nil
+	return append(dst, s.robots[r]...), nil
 }
 
 // RaySplit is the naive fault-free baseline: the rays are partitioned among
 // the robots round-robin, and each robot runs a single-robot exponential
 // search over its private set of rays, ignoring the others. Its competitive
 // ratio is 1 + 2*M^M/(M-1)^(M-1) for M = ceil(m/k) private rays (when the
-// split is even), strictly worse than the cooperative optimum whenever the
-// cyclic strategy can interleave (k does not divide m*... the comparison is
-// the point of the E8 baseline column).
+// split is even). The E8 baseline column compares it with the
+// cooperative optimum, which it never beats.
 type RaySplit struct {
 	m, k int
 }
@@ -395,7 +388,7 @@ func NewRaySplit(m, k int) (*RaySplit, error) {
 // Name implements Strategy.
 func (s *RaySplit) Name() string { return fmt.Sprintf("ray-split(m=%d,k=%d)", s.m, s.k) }
 
-// Fingerprint implements Fingerprinter. RaySplit's rounds are a pure
+// Fingerprint implements Strategy. RaySplit's rounds are a pure
 // function of (m, k), so the content hash is over that descriptor.
 func (s *RaySplit) Fingerprint() string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("ray-split/v1|m=%d|k=%d", s.m, s.k)))
@@ -417,10 +410,11 @@ func (s *RaySplit) privateRays(r int) []int {
 	return rays
 }
 
-// Rounds implements Strategy: robot r cycles its private rays with the
-// single-searcher optimal base beta* = M/(M-1) per visit (M private rays),
-// i.e. the k = 1, f = 0 cyclic exponential restricted to its own star.
-func (s *RaySplit) Rounds(r int, horizon float64) ([]trajectory.Round, error) {
+// AppendRounds implements Strategy: robot r cycles its private rays with
+// the single-searcher optimal base beta* = M/(M-1) per visit (M private
+// rays), i.e. the k = 1, f = 0 cyclic exponential restricted to its own
+// star.
+func (s *RaySplit) AppendRounds(dst []trajectory.Round, r int, horizon float64) ([]trajectory.Round, error) {
 	if r < 0 || r >= s.k {
 		return nil, fmt.Errorf("%w: robot %d of %d", ErrBadParams, r, s.k)
 	}
@@ -431,29 +425,28 @@ func (s *RaySplit) Rounds(r int, horizon float64) ([]trajectory.Round, error) {
 	mm := len(rays)
 	if mm == 1 {
 		// A single private ray needs one pass; go straight out.
-		return []trajectory.Round{{Ray: rays[0], Turn: horizon * 2}}, nil
+		return append(dst, trajectory.Round{Ray: rays[0], Turn: horizon * 2}), nil
 	}
 	beta := float64(mm) / float64(mm-1)
 	var (
 		logB     = math.Log(beta)
 		stopExpo = math.Log(horizon)/logB + float64(mm+1)
-		rounds   []trajectory.Round
 	)
-	for l := 1 - 2*mm; ; l++ {
+	for l, n := 1-2*mm, 0; ; l, n = l+1, n+1 {
 		e := float64(l)
 		if e > stopExpo {
 			break
 		}
-		if len(rounds) >= maxRounds {
+		if n >= maxRounds {
 			return nil, fmt.Errorf("%w: %d rounds at horizon %g", ErrTooManyRounds, maxRounds, horizon)
 		}
 		idx := ((l-1)%mm + mm) % mm
-		rounds = append(rounds, trajectory.Round{
+		dst = append(dst, trajectory.Round{
 			Ray:  rays[idx],
 			Turn: math.Pow(beta, e),
 		})
 	}
-	return rounds, nil
+	return dst, nil
 }
 
 var (
@@ -464,9 +457,4 @@ var (
 	// package cannot import this one); pin it here so a drift breaks
 	// the build, not a downstream caller.
 	_ Strategy = (*program.Instance)(nil)
-
-	_ Fingerprinter = (*CyclicExponential)(nil)
-	_ Fingerprinter = (*FixedRounds)(nil)
-	_ Fingerprinter = (*RaySplit)(nil)
-	_ Fingerprinter = (*program.Instance)(nil)
 )

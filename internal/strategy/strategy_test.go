@@ -72,7 +72,7 @@ func TestCyclicExponentialRoundsCyclicOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := s.Rounds(0, 100)
+	rounds, err := s.AppendRounds(nil, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +102,13 @@ func TestCyclicExponentialRoundsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Rounds(1, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := s.AppendRounds(nil, 1, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("robot index out of range should fail")
 	}
-	if _, err := s.Rounds(0, 0); !errors.Is(err, ErrBadParams) {
+	if _, err := s.AppendRounds(nil, 0, 0); !errors.Is(err, ErrBadParams) {
 		t.Error("zero horizon should fail")
 	}
-	if _, err := s.Rounds(0, math.Inf(1)); !errors.Is(err, ErrBadParams) {
+	if _, err := s.AppendRounds(nil, 0, math.Inf(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("infinite horizon should fail")
 	}
 }
@@ -246,19 +246,19 @@ func TestFixedRounds(t *testing.T) {
 	if s.Name() != "test" || s.M() != 2 || s.K() != 2 {
 		t.Error("accessors misbehave")
 	}
-	got, err := s.Rounds(1, 999)
+	got, err := s.AppendRounds(nil, 1, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got[0].Turn = 42 // must not alias internal state
-	again, err := s.Rounds(1, 999)
+	again, err := s.AppendRounds(nil, 1, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again[0].Turn != 1 {
-		t.Error("Rounds must return a defensive copy")
+		t.Error("AppendRounds must return a defensive copy")
 	}
-	if _, err := s.Rounds(5, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := s.AppendRounds(nil, 5, 1); !errors.Is(err, ErrBadParams) {
 		t.Error("robot out of range should fail")
 	}
 }
@@ -292,7 +292,7 @@ func TestRaySplitCoversAllRays(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for r := 0; r < s.K(); r++ {
-		rounds, err := s.Rounds(r, 50)
+		rounds, err := s.AppendRounds(nil, r, 50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestRaySplitSingleRayRobot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := s.Rounds(1, 10)
+	rounds, err := s.AppendRounds(nil, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +352,10 @@ func TestRaySplitRoundsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Rounds(2, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := s.AppendRounds(nil, 2, 10); !errors.Is(err, ErrBadParams) {
 		t.Error("robot out of range should fail")
 	}
-	if _, err := s.Rounds(0, math.NaN()); !errors.Is(err, ErrBadParams) {
+	if _, err := s.AppendRounds(nil, 0, math.NaN()); !errors.Is(err, ErrBadParams) {
 		t.Error("NaN horizon should fail")
 	}
 }
@@ -486,8 +486,8 @@ func TestQuickCyclicRoundsDeterministic(t *testing.T) {
 		}
 		h := 1 + rng.Float64()*50
 		r := rng.Intn(k)
-		a, err1 := s.Rounds(r, h)
-		b, err2 := s.Rounds(r, h)
+		a, err1 := s.AppendRounds(nil, r, h)
+		b, err2 := s.AppendRounds(nil, r, h)
 		if err1 != nil || err2 != nil || len(a) != len(b) {
 			return false
 		}
