@@ -821,6 +821,56 @@ func BenchmarkEvaluatorExtend(b *testing.B) {
 	b.ReportMetric(last, "ratio-at-16k")
 }
 
+// BenchmarkExactRatioSweepCells measures the kernel layer in the shape
+// of a cold sweep: one op builds, queries and releases an Evaluator for
+// each of the 161 search-regime cells (f < k < m(f+1)) with
+// m ∈ {2,3,4} and k ≤ 12 — each cell its own optimal strategy, as in a
+// /v1/sweep — at the horizons a sweep spans. It reports breakpoints per
+// cell, the work one ExactRatio query walks.
+func BenchmarkExactRatioSweepCells(b *testing.B) {
+	type cell struct {
+		s strategy.Strategy
+		f int
+	}
+	var cells []cell
+	for m := 2; m <= 4; m++ {
+		for k := 1; k <= 12; k++ {
+			for f := 0; f < k; f++ {
+				if k >= m*(f+1) {
+					continue
+				}
+				s, err := strategy.NewCyclicExponential(m, k, f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells = append(cells, cell{s, f})
+			}
+		}
+	}
+	ctx := context.Background()
+	for _, h := range []float64{1e4, 1e6, 1e8} {
+		b.Run(fmt.Sprintf("h=%g", h), func(b *testing.B) {
+			breakpoints := 0
+			for i := 0; i < b.N; i++ {
+				breakpoints = 0
+				for _, c := range cells {
+					ev, err := adversary.NewEvaluator(c.s, h)
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := ev.ExactRatio(ctx, c.f)
+					if err != nil {
+						b.Fatal(err)
+					}
+					breakpoints += res.Breakpoints
+					ev.Release()
+				}
+			}
+			b.ReportMetric(float64(breakpoints)/float64(len(cells)), "breakpoints/cell")
+		})
+	}
+}
+
 // BenchmarkSnapshotRestore measures the warm-start round trip: encode
 // a warm engine's result cache (plus the solver memo) to the versioned
 // snapshot format and restore it into a fresh engine — the work a

@@ -29,7 +29,8 @@ import (
 // cancelCheckEvery is how many breakpoints/samples the evaluator loops
 // process between cooperative context checks — frequent enough that a
 // cancelled evaluation stops within microseconds, rare enough that the
-// check cost vanishes against the per-point sort work.
+// check cost vanishes against 64 points' multiset updates (a copy of k
+// offsets and a binary search per event at each breakpoint).
 const cancelCheckEvery = 64
 
 // Errors returned by the evaluator.
@@ -51,6 +52,17 @@ type rayVisit struct {
 	// Offset is twice the sum of all earlier turning points of the robot
 	// across all rays.
 	Offset float64
+}
+
+// rayEvent is one visit of a ray's event stream: as a target on the ray
+// passes Turn, robot's arrival offset moves from tables[ray][robot][idx]
+// to the next entry of the table (+Inf past its end). The stream
+// stores table indices rather than offsets, so the "next entry" of an
+// old event stays right after Extend appends visits to the table.
+type rayEvent struct {
+	Turn  float64
+	robot int32
+	idx   int32
 }
 
 // Evaluation reports the exact worst case of a strategy.

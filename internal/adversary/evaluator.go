@@ -6,20 +6,32 @@
 // — so one table build serves the whole fault range of a strategy
 // (FRange evaluates every f in a single breakpoint pass).
 //
-// The kernel is allocation-free after construction: the per-ray
-// candidate map of the original implementation is a sorted, deduplicated
-// breakpoint slice built once, the per-breakpoint offset slices are
-// scratch buffers owned by the Evaluator, and the (f+1)-st smallest
-// offset comes from an in-place partial selection instead of a full
-// sort. Breakpoints are walked in increasing order, so each robot's
-// table position advances monotonically (amortized O(1) per breakpoint
-// instead of a binary search).
+// The query keeps the robots' arrival offsets as a sorted multiset and
+// updates it along the ray's event stream instead of rescanning the
+// tables at every breakpoint. The build's k-way merge records one event
+// per in-horizon visit, in turn order: as the target passes the visit's
+// turn, that robot's offset moves from its table entry to the next one
+// (+Inf past the end of the table). The breakpoints are exactly the
+// in-horizon turns, so no turn lies strictly between two consecutive
+// breakpoints x_i < x_{i+1}, and the right-limit multiset at x_i is the
+// attained multiset at x_{i+1}: L_i = A_{i+1}. A ray's walk therefore
+// sorts the k offsets at x = 1 once, and each breakpoint then costs a
+// copy of k values plus, per event at x_i, one binary search and a
+// short shift — in place of a rescan of k cursors and two partial
+// selections. The order statistic for f faults is element f of the
+// multiset, so every fault count reads it in O(1), and the values are
+// the ones any selection over the same offsets would return.
+//
+// The kernel is allocation-free after construction: the breakpoint and
+// event slices are built once, and the two multisets are scratch
+// buffers owned by the Evaluator.
 package adversary
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/strategy"
@@ -48,27 +60,36 @@ type Evaluator struct {
 	// breaks[ray] is the sorted, deduplicated candidate-point slice of
 	// the ray: x = 1 plus every turning point in [1, horizon).
 	breaks [][]float64
+	// events[ray] lists every visit of the ray with Turn < horizon
+	// (turns below 1 included) in turn order; see rayEvent.
+	events [][]rayEvent
 
-	// Scratch buffers (all length k), reused across breakpoints so the
-	// query loops allocate nothing. cursors doubles as the merge
-	// cursor scratch of the build and Extend passes.
-	cursors []int     // per-robot table position, monotone in x
-	att     []float64 // arrival offsets at x (Turn >= x)
-	lim     []float64 // arrival offsets just beyond x (Turn > x)
-	// sweep owns the placement-sweep scratch (selection buffer and
-	// candidate); sweepRay/sweepIdx are the Placement iteration state
-	// of the breakpoint walk.
-	sweep    sweeper
+	// Scratch buffers (all length k), reused so neither the merges nor
+	// the queries allocate: the merge state of the build and Extend
+	// passes, and the two offset multisets the breakpoint walk swaps.
+	cursors []int     // merge position per robot table
+	heads   []float64 // turn at the merge position per robot
+	att     []float64 // ascending arrival offsets at x (Turn >= x)
+	lim     []float64 // ascending arrival offsets just beyond x (Turn > x)
+	// nextEv is the ray's first event not yet applied to the multiset
+	// being advanced.
+	nextEv int
+	// cand is the candidate the sweep loops have NextCandidate fill;
+	// sweepRay/sweepIdx are the Placement iteration state of the
+	// breakpoint walk.
+	cand     Candidate
 	sweepRay int
 	sweepIdx int
 
-	// Build arena (see pool.go): flat backing buffers the tables and
-	// breakpoint slices are partitioned out of, the per-robot filter
-	// and resume state Extend continues from, and the pool bookkeeping.
+	// Build arena (see pool.go): flat backing buffers the tables,
+	// breakpoint and event slices are partitioned out of, the
+	// per-robot filter and resume state Extend continues from, and the
+	// pool bookkeeping.
 	roundsBuf []trajectory.Round
 	robotOff  []int
 	visitsBuf []rayVisit
 	breaksBuf []float64
+	eventsBuf []rayEvent
 	counts    []int
 	maxTurn   []float64 // k rows of m+1 running-maximum filter values
 	resume    []robotResume
@@ -143,74 +164,99 @@ func breakpointSlice(tables [][]rayVisit, horizon float64) []float64 {
 	return out[:w]
 }
 
-// resetCursors rewinds the per-robot table positions for a fresh
-// increasing walk over one ray's breakpoints.
-func (e *Evaluator) resetCursors() {
-	for i := range e.cursors {
-		e.cursors[i] = 0
+// startRay loads into a the ascending arrival offsets at x = 1 on the
+// ray — every robot's first table entry (+Inf for a robot that never
+// enters the ray), sorted once, then advanced past the turns below 1 —
+// and rewinds the ray's event cursor.
+func (e *Evaluator) startRay(ray int, a []float64) {
+	for r, t := range e.tables[ray] {
+		a[r] = math.Inf(1)
+		if len(t) > 0 {
+			a[r] = t[0].Offset
+		}
+	}
+	slices.Sort(a)
+	e.nextEv = 0
+	e.advance(ray, a, 1)
+}
+
+// advance applies to the ascending offsets a every pending event of the
+// ray with Turn < x, leaving in a the offsets at x: each robot's first
+// visit with Turn >= x. Successive calls on one ray must use
+// nondecreasing x (the event cursor only advances).
+func (e *Evaluator) advance(ray int, a []float64, x float64) {
+	evs, tables := e.events[ray], e.tables[ray]
+	for ; e.nextEv < len(evs) && evs[e.nextEv].Turn < x; e.nextEv++ {
+		ev := evs[e.nextEv]
+		t := tables[ev.robot]
+		next := math.Inf(1)
+		if i := int(ev.idx) + 1; i < len(t) {
+			next = t[i].Offset
+		}
+		replaceSorted(a, t[ev.idx].Offset, next)
 	}
 }
 
-// offsetsAt fills e.att and e.lim with every robot's arrival offset for
-// a target at x on the given ray: att[r] is the offset of robot r's
-// first excursion with Turn >= x, lim[r] with Turn > x (the right-limit
-// offset); +Inf when no such excursion exists. Successive calls must
-// use nondecreasing x (the cursors only advance).
-func (e *Evaluator) offsetsAt(ray int, x float64) {
-	tables := e.tables[ray]
-	for r, table := range tables {
-		c := e.cursors[r]
-		for c < len(table) && table[c].Turn < x {
-			c++
-		}
-		e.cursors[r] = c
-		if c == len(table) {
-			e.att[r] = math.Inf(1)
-			e.lim[r] = math.Inf(1)
-			continue
-		}
-		e.att[r] = table[c].Offset
-		if table[c].Turn == x {
-			if c+1 == len(table) {
-				e.lim[r] = math.Inf(1)
-			} else {
-				e.lim[r] = table[c+1].Offset
-			}
+// replaceSorted swaps one occurrence of old in the ascending multiset a
+// for v >= old: a binary search finds old, and the values between its
+// slot and v's shift down by one place. v >= old holds for every event:
+// a robot's offsets never decrease along its table, because every turn
+// a strategy emits is positive (trajectory.NewStar and the program VM
+// reject any other), so the prefix sums only grow.
+func replaceSorted(a []float64, old, v float64) {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] < old {
+			lo = mid + 1
 		} else {
-			e.lim[r] = e.att[r]
+			hi = mid
 		}
 	}
+	i := lo
+	for i+1 < len(a) && a[i+1] < v {
+		a[i] = a[i+1]
+		i++
+	}
+	a[i] = v
 }
 
 // Robots implements Placement: the number of searchers.
 func (e *Evaluator) Robots() int { return e.k }
 
-// ResetSweep implements Placement: rewind the breakpoint walk to ray 1
-// and rewind the monotone table cursors.
+// ResetSweep implements Placement: rewind the breakpoint walk to the
+// start of ray 1.
 func (e *Evaluator) ResetSweep() {
 	e.sweepRay, e.sweepIdx = 1, 0
-	e.resetCursors()
 }
 
 // NextCandidate implements Placement: the candidates are, ray by ray,
 // the sorted breakpoints of the ray (x = 1 plus every in-horizon
-// turning point), each exposing the attained and right-limit arrival
-// offsets from the visit tables. Advancing to the next ray rewinds the
-// cursors, exactly as the pre-Placement per-ray loops did.
+// turning point), each exposing the ascending attained and right-limit
+// arrival offsets. The limit multiset of one breakpoint is the
+// attained multiset of the next (L_i = A_{i+1}), so the two buffers
+// swap roles and only the events at the breakpoint are applied: every
+// event with Turn < x_{i+1}, or all that remain (they are all below
+// the horizon) at the ray's last breakpoint.
 func (e *Evaluator) NextCandidate(c *Candidate) bool {
-	for e.sweepRay <= e.m {
-		if e.sweepIdx < len(e.breaks[e.sweepRay]) {
-			b := e.breaks[e.sweepRay][e.sweepIdx]
-			e.sweepIdx++
-			e.offsetsAt(e.sweepRay, b)
-			c.Ray, c.X, c.Att, c.Lim = e.sweepRay, b, e.att, e.lim
-			return true
+	for ; e.sweepRay <= e.m; e.sweepRay, e.sweepIdx = e.sweepRay+1, 0 {
+		br := e.breaks[e.sweepRay]
+		if e.sweepIdx == len(br) {
+			continue
 		}
-		e.sweepRay++
-		e.sweepIdx = 0
-		if e.sweepRay <= e.m {
-			e.resetCursors()
+		if e.sweepIdx == 0 {
+			e.startRay(e.sweepRay, e.lim)
 		}
+		e.att, e.lim = e.lim, e.att
+		copy(e.lim, e.att)
+		next := e.horizon
+		if e.sweepIdx+1 < len(br) {
+			next = br[e.sweepIdx+1]
+		}
+		e.advance(e.sweepRay, e.lim, next)
+		c.Ray, c.X, c.Att, c.Lim = e.sweepRay, br[e.sweepIdx], e.att, e.lim
+		e.sweepIdx++
+		return true
 	}
 	return false
 }
@@ -231,22 +277,20 @@ func (e *Evaluator) checkFaults(faults int) error {
 
 // ExactRatio computes the exact supremum of tau(x)/x over x in
 // [1, horizon) on every ray for f crash faults, from the prebuilt
-// tables. The candidate set, arithmetic and results are identical to
-// the package-level ExactRatio; only the bookkeeping differs: the
-// Evaluator is itself a Placement, and the sweep (cancellation
-// cadence, scratch-buffer selection, running supremum) is the shared
-// supRatio loop of placement.go.
+// tables. The Evaluator is itself a Placement, and the sweep
+// (cancellation cadence, running supremum) is the shared supRatio loop
+// of placement.go.
 func (e *Evaluator) ExactRatio(ctx context.Context, faults int) (Evaluation, error) {
 	if err := e.checkFaults(faults); err != nil {
 		return Evaluation{}, err
 	}
-	return e.sweep.supRatio(ctx, e, faults)
+	return supRatio(ctx, e, &e.cand, faults)
 }
 
 // FRange evaluates ExactRatio for every fault count f in 0..maxF in a
-// single breakpoint pass: per candidate point the offsets are gathered
-// and fully ordered once, and the whole order-statistic vector updates
-// every fault count's running supremum. This is the cross-f table
+// single breakpoint pass: the offsets are kept fully ordered anyway, so
+// per candidate point the whole order-statistic vector updates every
+// fault count's running supremum. This is the cross-f table
 // reuse the per-f API cannot express — k fault counts for one table
 // build and one traversal.
 //
@@ -258,13 +302,14 @@ func (e *Evaluator) FRange(ctx context.Context, maxF int) ([]Evaluation, error) 
 	if err := e.checkFaults(maxF); err != nil {
 		return nil, err
 	}
-	return e.sweep.supRatios(ctx, e, maxF)
+	return supRatios(ctx, e, &e.cand, maxF)
 }
 
 // GridRatio estimates the worst ratio for f faults by sampling n
 // log-spaced target distances per ray in [1, horizon], from the
-// prebuilt tables. Same sample points and arithmetic as the
-// package-level GridRatio.
+// prebuilt tables: it walks the same event stream as ExactRatio,
+// applying the events with Turn < x before reading the order
+// statistic at each sample x.
 func (e *Evaluator) GridRatio(ctx context.Context, faults, n int) (float64, error) {
 	if n < 2 {
 		return 0, fmt.Errorf("%w: need a strategy and n >= 2", ErrBadParams)
@@ -275,7 +320,7 @@ func (e *Evaluator) GridRatio(ctx context.Context, faults, n int) (float64, erro
 	logH := math.Log(e.horizon)
 	worst := 0.0
 	for ray := 1; ray <= e.m; ray++ {
-		e.resetCursors()
+		e.startRay(ray, e.att)
 		for i := 0; i < n; i++ {
 			if i%cancelCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {
@@ -286,8 +331,8 @@ func (e *Evaluator) GridRatio(ctx context.Context, faults, n int) (float64, erro
 			if x >= e.horizon {
 				x = e.horizon * (1 - 1e-12)
 			}
-			e.offsetsAt(ray, x)
-			c := e.sweep.selectKth(e.att, faults)
+			e.advance(ray, e.att, x)
+			c := e.att[faults]
 			if math.IsInf(c, 1) {
 				return 0, fmt.Errorf("%w: ray %d, x = %g", ErrUncovered, ray, x)
 			}

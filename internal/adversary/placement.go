@@ -1,12 +1,18 @@
 // placement.go is the geometry-generic core of the adversary: a target
 // placement is anything the adversary can point at (a distance on a ray
 // of the star, a shoreline heading in the plane), and the sweep
-// plumbing — cooperative cancellation cadence, order-statistic
-// selection over the per-robot arrival measures, per-fault-count
+// plumbing — cooperative cancellation cadence and per-fault-count
 // running suprema — is shared by every geometry instead of forked per
 // adversary. The crash Evaluator's breakpoint machinery (evaluator.go)
 // and the planar ShorelineEvaluator (shoreline.go) are both Placements
 // driven by the same supRatio/supRatios loops.
+//
+// A Placement hands the loops its arrival measures already in
+// ascending order, so the (f+1)-st smallest measure — the detection
+// time against f crashes — is element f, read in O(1). How the order
+// is kept is the placement's business: the crash Evaluator maintains
+// its multiset incrementally along the ray's event stream, the
+// shoreline sorts its k hit times per candidate.
 package adversary
 
 import (
@@ -16,7 +22,7 @@ import (
 )
 
 // Candidate is one target placement the adversary may choose: a
-// geometric locator plus every robot's arrival measure there.
+// geometric locator plus the robots' arrival measures there.
 //
 // The locator reuses the Evaluation coordinates: Ray/X are the ray
 // index and distance for line placements; planar placements set Ray to
@@ -25,12 +31,13 @@ import (
 type Candidate struct {
 	Ray int
 	X   float64
-	// Att[r] is robot r's arrival measure with the target exactly at
-	// the candidate (+Inf when the robot never arrives within the
-	// evaluated window); Lim[r] is the right-limit measure just beyond
-	// it. Lim is nil for placements with no one-sided limit structure
-	// (the planar sweeps, whose candidate sets are finite kink points
-	// rather than interval endpoints).
+	// Att holds the robots' arrival measures with the target exactly at
+	// the candidate, in ascending order: Att[f] is the (f+1)-st
+	// smallest, +Inf once fewer than f+1 robots arrive within the
+	// evaluated window. Lim holds the right-limit measures just beyond
+	// the candidate, in the same order. Lim is nil for placements with
+	// no one-sided limit structure (the planar sweeps, whose candidate
+	// sets are finite kink points rather than interval endpoints).
 	Att, Lim []float64
 }
 
@@ -42,7 +49,7 @@ type Candidate struct {
 type Placement interface {
 	// Robots returns the number of robots (the length of Att/Lim).
 	Robots() int
-	// ResetSweep rewinds the sweep (and any monotone cursors) to the
+	// ResetSweep rewinds the sweep (and any incremental state) to the
 	// first candidate.
 	ResetSweep()
 	// NextCandidate advances to the next candidate, filling c; it
@@ -54,51 +61,6 @@ type Placement interface {
 	CandidateRatio(c *Candidate, v float64) float64
 }
 
-// sweeper owns the scratch state of one placement sweep: the selection
-// buffer for the order statistics and the candidate the placement
-// fills in place. Embedding it in an evaluator keeps the sweep loops
-// allocation-free (the allocation-pinned CI step counts on this).
-type sweeper struct {
-	sel  []float64 // selection scratch, length >= Robots()
-	cand Candidate
-}
-
-// selectKth returns the (f+1)-st smallest value of src via an in-place
-// partial selection over the scratch buffer — no allocation, and no
-// full sort: only the first f+1 positions are settled.
-func (w *sweeper) selectKth(src []float64, f int) float64 {
-	sel := w.sel[:len(src)]
-	copy(sel, src)
-	for i := 0; i <= f; i++ {
-		min := i
-		for j := i + 1; j < len(sel); j++ {
-			if sel[j] < sel[min] {
-				min = j
-			}
-		}
-		sel[i], sel[min] = sel[min], sel[i]
-	}
-	return sel[f]
-}
-
-// sortAll insertion-sorts src into the scratch buffer and returns it —
-// the full order statistic vector, so one pass serves every fault
-// count simultaneously (the FRange sweeps).
-func (w *sweeper) sortAll(src []float64) []float64 {
-	sel := w.sel[:len(src)]
-	copy(sel, src)
-	for i := 1; i < len(sel); i++ {
-		v := sel[i]
-		j := i - 1
-		for j >= 0 && sel[j] > v {
-			sel[j+1] = sel[j]
-			j--
-		}
-		sel[j+1] = v
-	}
-	return sel
-}
-
 // supRatio runs one full placement sweep for a single fault count: at
 // every candidate the (f+1)-st smallest arrival measure (attained,
 // then right-limit when the placement has one) updates the running
@@ -106,10 +68,13 @@ func (w *sweeper) sortAll(src []float64) []float64 {
 // not reached by f+1 robots — ErrUncovered; an infinite right-limit
 // measure only marks the end of the evaluated window and skips the
 // candidate, exactly as the original per-ray breakpoint loop did.
-func (w *sweeper) supRatio(ctx context.Context, p Placement, faults int) (Evaluation, error) {
+//
+// c is the caller-owned candidate the placement fills in place; keeping
+// it in the evaluator rather than on this frame keeps the sweep
+// allocation-free (the allocation-pinned CI step counts on this).
+func supRatio(ctx context.Context, p Placement, c *Candidate, faults int) (Evaluation, error) {
 	p.ResetSweep()
 	eval := Evaluation{WorstRatio: -1}
-	c := &w.cand
 	for p.NextCandidate(c) {
 		eval.Breakpoints++
 		if eval.Breakpoints%cancelCheckEvery == 0 {
@@ -117,7 +82,7 @@ func (w *sweeper) supRatio(ctx context.Context, p Placement, faults int) (Evalua
 				return Evaluation{}, err
 			}
 		}
-		cAtt := w.selectKth(c.Att, faults)
+		cAtt := c.Att[faults]
 		if math.IsInf(cAtt, 1) {
 			return Evaluation{}, fmt.Errorf("%w: ray %d, x = %g", ErrUncovered, c.Ray, c.X)
 		}
@@ -130,7 +95,7 @@ func (w *sweeper) supRatio(ctx context.Context, p Placement, faults int) (Evalua
 		if c.Lim == nil {
 			continue
 		}
-		cLim := w.selectKth(c.Lim, faults)
+		cLim := c.Lim[faults]
 		if math.IsInf(cLim, 1) {
 			continue
 		}
@@ -145,17 +110,15 @@ func (w *sweeper) supRatio(ctx context.Context, p Placement, faults int) (Evalua
 }
 
 // supRatios is the FRange form of supRatio: one sweep serves every
-// fault count 0..maxF by fully ordering the arrival measures per
-// candidate and updating each count's running supremum from the order
-// statistic vector.
-func (w *sweeper) supRatios(ctx context.Context, p Placement, maxF int) ([]Evaluation, error) {
+// fault count 0..maxF, each count's running supremum reading its own
+// element of the ordered arrival measures.
+func supRatios(ctx context.Context, p Placement, c *Candidate, maxF int) ([]Evaluation, error) {
 	evals := make([]Evaluation, maxF+1)
 	for f := range evals {
 		evals[f].WorstRatio = -1
 	}
 	p.ResetSweep()
 	checked := 0
-	c := &w.cand
 	for p.NextCandidate(c) {
 		checked++
 		if checked%cancelCheckEvery == 0 {
@@ -163,10 +126,9 @@ func (w *sweeper) supRatios(ctx context.Context, p Placement, maxF int) ([]Evalu
 				return nil, err
 			}
 		}
-		sorted := w.sortAll(c.Att)
 		for f := 0; f <= maxF; f++ {
 			evals[f].Breakpoints++
-			cAtt := sorted[f]
+			cAtt := c.Att[f]
 			if math.IsInf(cAtt, 1) {
 				return nil, fmt.Errorf("%w: ray %d, x = %g (fault count %d)", ErrUncovered, c.Ray, c.X, f)
 			}
@@ -180,9 +142,8 @@ func (w *sweeper) supRatios(ctx context.Context, p Placement, maxF int) ([]Evalu
 		if c.Lim == nil {
 			continue
 		}
-		sorted = w.sortAll(c.Lim)
 		for f := 0; f <= maxF; f++ {
-			cLim := sorted[f]
+			cLim := c.Lim[f]
 			if math.IsInf(cLim, 1) {
 				continue
 			}

@@ -11,10 +11,12 @@
 // recording offsets. Breakpoints are produced by a k-way merge of the
 // per-robot tables (each already sorted), replacing the
 // concatenate-sort-dedup of the reference implementation with a single
-// ordered pass. Both passes perform the same floating-point operations
-// in the same order as the reference visitTables/breakpointSlice, so
-// the built Evaluator is bit-for-bit identical to one built the naive
-// way — the equivalence tests pin this.
+// ordered pass; the same merge emits the ray's event stream, one entry
+// per visit below the horizon, which the queries walk (evaluator.go).
+// Both passes perform the same floating-point operations in the same
+// order as the reference visitTables/breakpointSlice, so the built
+// Evaluator is bit-for-bit identical to one built the naive way — the
+// equivalence tests pin this.
 //
 // Release returns an Evaluator — arena and all — to a process-wide
 // sync.Pool. In steady state a build therefore allocates nothing, which
@@ -110,30 +112,9 @@ func (e *Evaluator) Release() {
 // allocate once when it is not. Contents are unspecified after a
 // resize; the build passes overwrite every live position.
 
-func resizeInts(s []int, n int) []int {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeVisits(s []rayVisit, n int) []rayVisit {
-	if cap(s) < n {
-		return make([]rayVisit, n)
-	}
-	return s[:n]
-}
-
-func resizeResume(s []robotResume, n int) []robotResume {
-	if cap(s) < n {
-		return make([]robotResume, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -155,9 +136,10 @@ func resizeTables(t [][][]rayVisit, m, k int) [][][]rayVisit {
 	return t
 }
 
-func resizeBreaks(b [][]float64, m int) [][]float64 {
+// resizeRays returns a 1-based per-ray slice header table for m rays.
+func resizeRays[T any](b [][]T, m int) [][]T {
 	if cap(b) < m+1 {
-		return make([][]float64, m+1)
+		return make([][]T, m+1)
 	}
 	b = b[:m+1]
 	b[0] = nil
@@ -177,7 +159,7 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 
 	// Pass 0: generate every robot's excursions into the flat rounds
 	// buffer.
-	e.robotOff = resizeInts(e.robotOff, k+1)
+	e.robotOff = resize(e.robotOff, k+1)
 	rb := e.roundsBuf[:0]
 	var err error
 	for r := 0; r < k; r++ {
@@ -193,11 +175,11 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 
 	// Pass 1: run the running-maximum filter only to count survivors
 	// per (ray, robot), so the flat visit buffer partitions exactly.
-	e.counts = resizeInts(e.counts, (m+1)*k)
+	e.counts = resize(e.counts, (m+1)*k)
 	for i := range e.counts {
 		e.counts[i] = 0
 	}
-	e.maxTurn = resizeFloats(e.maxTurn, k*(m+1))
+	e.maxTurn = resize(e.maxTurn, k*(m+1))
 	for i := range e.maxTurn {
 		e.maxTurn[i] = 0
 	}
@@ -217,7 +199,7 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 	// final capacity. The capacity is clamped (three-index slicing) so
 	// a later Extend append migrates a table out of the arena instead
 	// of clobbering its neighbor.
-	e.visitsBuf = resizeVisits(e.visitsBuf, total)
+	e.visitsBuf = resize(e.visitsBuf, total)
 	e.tables = resizeTables(e.tables, m, k)
 	off := 0
 	for ray := 1; ray <= m; ray++ {
@@ -235,7 +217,7 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 	for i := range e.maxTurn {
 		e.maxTurn[i] = 0
 	}
-	e.resume = resizeResume(e.resume, k)
+	e.resume = resize(e.resume, k)
 	for r := 0; r < k; r++ {
 		mt := e.maxTurn[r*(m+1) : (r+1)*(m+1)]
 		rounds := rb[e.robotOff[r]:e.robotOff[r+1]]
@@ -259,60 +241,92 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 		}
 	}
 
-	// Breakpoints: per ray, a k-way merge of the robots' sorted turn
-	// columns (filtered to [1, horizon)) behind the leading x = 1,
-	// deduplicated against the previous emission — the same sequence
-	// breakpointSlice's concatenate-sort-dedup produces, in one pass.
-	e.breaksBuf = resizeFloats(e.breaksBuf, m+total)
-	e.breaks = resizeBreaks(e.breaks, m)
-	e.cursors = resizeInts(e.cursors, k)
-	w := 0
+	// Breakpoints and events: per ray, a k-way merge of the robots'
+	// sorted turn columns behind the leading x = 1 — the same
+	// breakpoint sequence breakpointSlice's concatenate-sort-dedup
+	// produces, in one pass. Each ray's slices take the rest of the
+	// arena as capacity while it merges and are clamped afterwards, so
+	// a later Extend append migrates them instead of clobbering the
+	// next ray's.
+	e.breaksBuf = resize(e.breaksBuf, m+total)
+	e.eventsBuf = resize(e.eventsBuf, total)
+	e.breaks = resizeRays(e.breaks, m)
+	e.events = resizeRays(e.events, m)
+	e.cursors = resize(e.cursors, k)
+	e.heads = resize(e.heads, k)
+	nb, ne := 0, 0
 	for ray := 1; ray <= m; ray++ {
-		w0 := w
-		e.breaksBuf[w] = 1
-		w++
-		tables := e.tables[ray]
-		for r, t := range tables {
-			c := 0
-			for c < len(t) && t[c].Turn < 1 {
-				c++
-			}
-			e.cursors[r] = c
-		}
-		for {
-			best := -1
-			var bt float64
-			for r, t := range tables {
-				if c := e.cursors[r]; c < len(t) {
-					if tv := t[c].Turn; best < 0 || tv < bt {
-						best, bt = r, tv
-					}
-				}
-			}
-			if best < 0 || bt >= horizon {
-				// Columns are sorted, so a minimum at or past the
-				// horizon means every remaining turn is too.
-				break
-			}
-			if bt != e.breaksBuf[w-1] {
-				e.breaksBuf[w] = bt
-				w++
-			}
-			e.cursors[best]++
-		}
-		e.breaks[ray] = e.breaksBuf[w0:w:w]
+		e.breaksBuf[nb] = 1
+		e.breaks[ray] = e.breaksBuf[nb : nb+1]
+		e.events[ray] = e.eventsBuf[ne:ne]
+		e.mergeRay(ray, 0, horizon)
+		br, ev := e.breaks[ray], e.events[ray]
+		e.breaks[ray], e.events[ray] = br[:len(br):len(br)], ev[:len(ev):len(ev)]
+		nb, ne = nb+len(br), ne+len(ev)
 	}
 
 	// Query scratch (all length k; reused across breakpoints so the
 	// query loops stay allocation-free).
-	e.att = resizeFloats(e.att, k)
-	e.lim = resizeFloats(e.lim, k)
-	e.sweep.sel = resizeFloats(e.sweep.sel, k)
+	e.att = resize(e.att, k)
+	e.lim = resize(e.lim, k)
 	return nil
 }
 
+// mergeRay appends to the ray's breakpoint and event slices every
+// table visit with from <= Turn < horizon, in turn order: a k-way
+// merge of the robots' sorted tables, scanning one head turn per robot
+// (horizon once a robot's column is spent). Every visit becomes an
+// event; a turn at or above 1 that differs from the last breakpoint
+// becomes a breakpoint too.
+func (e *Evaluator) mergeRay(ray int, from, horizon float64) {
+	tables, heads := e.tables[ray], e.heads
+	for r, t := range tables {
+		lo, hi := 0, len(t)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if t[mid].Turn >= from {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		e.cursors[r] = lo
+		heads[r] = horizon
+		if lo < len(t) && t[lo].Turn < horizon {
+			heads[r] = t[lo].Turn
+		}
+	}
+	br, ev := e.breaks[ray], e.events[ray]
+	last := br[len(br)-1]
+	for {
+		best, bt := 0, heads[0]
+		for r := 1; r < len(heads); r++ {
+			if heads[r] < bt {
+				best, bt = r, heads[r]
+			}
+		}
+		if bt >= horizon {
+			break
+		}
+		c := e.cursors[best]
+		ev = append(ev, rayEvent{Turn: bt, robot: int32(best), idx: int32(c)})
+		if bt >= 1 && bt != last {
+			br = append(br, bt)
+			last = bt
+		}
+		c++
+		e.cursors[best] = c
+		heads[best] = horizon
+		if t := tables[best]; c < len(t) && t[c].Turn < horizon {
+			heads[best] = t[c].Turn
+		}
+	}
+	e.breaks[ray], e.events[ray] = br, ev
+}
+
 // Extend grows the evaluation horizon in place. The extended visit
-// tables and breakpoint slices — and therefore every query answer —
+// tables, breakpoint and event slices — and therefore every query
+// answer —
 // are bit-for-bit identical to a fresh NewEvaluator at the new horizon
 // (property-tested), but the prefix is never recomputed or resorted:
 //
@@ -387,47 +401,16 @@ func (e *Evaluator) Extend(horizon float64) error {
 	}
 	e.roundsBuf = rb[:0]
 
-	// Append the new breakpoints: per ray, merge the tables' turn
-	// ranges in [old, horizon). That range covers both the suffix
+	// Append the new breakpoints and events: per ray, merge the tables'
+	// turn ranges in [old, horizon). That range covers both the suffix
 	// visits just appended and the old tables' overshoot turns the old
 	// horizon cutoff excluded; everything in it exceeds every existing
-	// breakpoint (all < old), so appending keeps the slice sorted.
+	// breakpoint and event turn (all < old), so appending keeps both
+	// slices sorted. Old events keep their table indices, so an old
+	// event whose "next entry" was past the end now finds the appended
+	// visit.
 	for ray := 1; ray <= e.m; ray++ {
-		tables := e.tables[ray]
-		for r, t := range tables {
-			lo, hi := 0, len(t)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if t[mid].Turn >= old {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			e.cursors[r] = lo
-		}
-		br := e.breaks[ray]
-		last := br[len(br)-1]
-		for {
-			best := -1
-			var bt float64
-			for r, t := range tables {
-				if c := e.cursors[r]; c < len(t) {
-					if tv := t[c].Turn; best < 0 || tv < bt {
-						best, bt = r, tv
-					}
-				}
-			}
-			if best < 0 || bt >= horizon {
-				break
-			}
-			if bt != last {
-				br = append(br, bt)
-				last = bt
-			}
-			e.cursors[best]++
-		}
-		e.breaks[ray] = br
+		e.mergeRay(ray, old, horizon)
 	}
 	e.horizon = horizon
 	kernelExtends.Add(1)

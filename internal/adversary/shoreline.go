@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,8 +46,8 @@ type ShorelineEvaluator struct {
 	paths    []*trajectory.Planar
 	headings []float64
 	cands    []float64 // sorted deduplicated candidate normal headings
-	att      []float64 // per-robot hit times at the current candidate
-	sweep    sweeper
+	att      []float64 // the robots' hit times at the current candidate, ascending
+	cand     Candidate
 	idx      int
 	horizon  float64
 	released bool
@@ -158,8 +159,7 @@ func (se *ShorelineEvaluator) build(headings []float64, horizon float64) error {
 		}
 	}
 	se.cands = se.cands[:w]
-	se.att = resizeFloats(se.att, k)
-	se.sweep.sel = resizeFloats(se.sweep.sel, k)
+	se.att = resize(se.att, k)
 	se.idx = 0
 	return nil
 }
@@ -179,8 +179,10 @@ func (se *ShorelineEvaluator) ResetSweep() { se.idx = 0 }
 
 // NextCandidate implements Placement: candidate i is the shoreline
 // with unit normal at heading cands[i] probed at distance 1; Att
-// carries each robot's hit time from the planar geometry (Planar
-// .FirstHitLine), +Inf for robots that never reach it. Shoreline
+// carries the robots' hit times from the planar geometry (Planar
+// .FirstHitLine, +Inf for robots that never reach it), sorted
+// ascending. Every candidate moves every hit time, so there is no
+// order to carry from one candidate to the next. Shoreline
 // candidates are isolated kink points, so there is no right-limit
 // structure (Lim = nil), and the locator sets Ray = 0 (the plane has
 // no rays) with X = the normal's heading in radians.
@@ -194,6 +196,7 @@ func (se *ShorelineEvaluator) NextCandidate(c *Candidate) bool {
 	for i, p := range se.paths {
 		se.att[i] = p.FirstHitLine(u, 1)
 	}
+	slices.Sort(se.att)
 	c.Ray, c.X, c.Att, c.Lim = 0, phi, se.att, nil
 	return true
 }
@@ -219,7 +222,7 @@ func (se *ShorelineEvaluator) ExactRatio(ctx context.Context, faults int) (Evalu
 	if err := se.checkFaults(faults); err != nil {
 		return Evaluation{}, err
 	}
-	return se.sweep.supRatio(ctx, se, faults)
+	return supRatio(ctx, se, &se.cand, faults)
 }
 
 // FRange evaluates ExactRatio for every fault count 0..maxF in a
@@ -229,7 +232,7 @@ func (se *ShorelineEvaluator) FRange(ctx context.Context, maxF int) ([]Evaluatio
 	if err := se.checkFaults(maxF); err != nil {
 		return nil, err
 	}
-	return se.sweep.supRatios(ctx, se, maxF)
+	return supRatios(ctx, se, &se.cand, maxF)
 }
 
 var (

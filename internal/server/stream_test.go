@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -102,12 +103,32 @@ func TestSweepNDJSONRowsMatchBatch(t *testing.T) {
 }
 
 // slowGrid is a sweep request expensive enough (serial engine, deep
-// horizon, kmax raised past the default cap) that a tight timeout
-// reliably lands mid-sweep even on fast hardware.
+// horizon, kmax raised past the default cap) that a tenth of its run
+// time still makes a whole-millisecond timeout.
 const (
-	slowGrid     = "/v1/sweep?m=2&kmax=24&horizon=1e8"
-	slowGridKMax = 24
+	slowGrid        = "/v1/sweep?m=2&kmax=48&horizon=1e8"
+	slowGridKMax    = 48
+	slowGridHorizon = 1e8
 )
+
+// slowGridBudget times one uncached serial run of the slow grid and
+// returns a timeout_ms of at most a tenth of it, so a request for the
+// grid exceeds its budget by construction, however fast the kernel
+// is. It fails the test when the grid runs too fast for a
+// whole-millisecond budget to keep that margin.
+func slowGridBudget(t *testing.T) int {
+	t.Helper()
+	start := time.Now()
+	if _, err := ComputeSweep(context.Background(), engine.New(1), engine.Grid(2, slowGridKMax), slowGridHorizon); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	budget := int(elapsed / (10 * time.Millisecond))
+	if budget < 1 {
+		t.Fatalf("a serial run of the slow grid took %v, too fast for a timeout_ms of at most a tenth of it; raise slowGridKMax", elapsed)
+	}
+	return budget
+}
 
 // TestSweepTimeoutStopsEngineWork is the worker-occupancy regression
 // test: a timed-out /v1/sweep must leave zero in-progress cells within
@@ -115,7 +136,8 @@ const (
 // and the engine must stop starting new cells the moment the request's
 // context fires.
 func TestSweepTimeoutStopsEngineWork(t *testing.T) {
-	eng := engine.New(1) // serial: the sweep takes tens of ms
+	budget := slowGridBudget(t)
+	eng := engine.New(1) // serial: the sweep takes ten budgets
 	ts := newTestServer(t, Config{Engine: eng, MaxKMax: slowGridKMax})
 	searchCells := 0
 	for _, c := range engine.Grid(2, slowGridKMax) {
@@ -123,7 +145,7 @@ func TestSweepTimeoutStopsEngineWork(t *testing.T) {
 			searchCells++
 		}
 	}
-	code, body := get(t, ts.URL+slowGrid+"&timeout_ms=10")
+	code, body := get(t, fmt.Sprintf("%s%s&timeout_ms=%d", ts.URL, slowGrid, budget))
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out sweep = %d (want 504): %s", code, body)
 	}
@@ -141,7 +163,7 @@ func TestSweepTimeoutStopsEngineWork(t *testing.T) {
 		t.Error("sweep never started — the test exercised nothing")
 	}
 	if int(st.Misses) >= searchCells {
-		t.Errorf("engine computed all %d cells despite the 10ms budget", searchCells)
+		t.Errorf("engine computed all %d cells despite the %dms budget", searchCells, budget)
 	}
 	// No new cells may start after the request is gone.
 	frozen := st.Misses
@@ -155,9 +177,10 @@ func TestSweepTimeoutStopsEngineWork(t *testing.T) {
 // tight budget emits a prefix of rows and a trailing truncation
 // comment instead of hanging or dying silently.
 func TestSweepNDJSONTruncatedOnTimeout(t *testing.T) {
+	budget := slowGridBudget(t)
 	eng := engine.New(1)
 	ts := newTestServer(t, Config{Engine: eng, Heartbeat: 200 * time.Microsecond, MaxKMax: slowGridKMax})
-	code, body := getWithHeader(t, ts.URL+slowGrid+"&timeout_ms=15", "Accept", "application/x-ndjson")
+	code, body := getWithHeader(t, fmt.Sprintf("%s%s&timeout_ms=%d", ts.URL, slowGrid, budget), "Accept", "application/x-ndjson")
 	if code != http.StatusOK {
 		t.Fatalf("streaming headers must be sent before the timeout can fire: %d", code)
 	}
