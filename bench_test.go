@@ -901,25 +901,29 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	b.ReportMetric(float64(restored), "restored-entries")
 }
 
-// BenchmarkWarmAlphaSolve measures the warm-started alpha* layer: one
-// pass over the Theorem-1 search-regime grid (k <= 12) through a fresh
-// solver, each cell's Newton solve seeded from the previous cell's
-// root. The memo is cold every iteration, so the number isolates the
-// solve path itself — the per-cell strategy-construction cost a sweep
-// amortizes through the shared solver.
-func BenchmarkWarmAlphaSolve(b *testing.B) {
-	var alpha float64
-	for i := 0; i < b.N; i++ {
-		sv := solver.New()
-		for f := 0; f <= 11; f++ {
-			for k := f + 1; k < 2*(f+1) && k <= 12; k++ {
-				a, err := sv.AlphaStar(2, k, f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				alpha = a
+// BenchmarkSolverStrategyHit measures the solver memo's hit path under
+// parallel load: every goroutine looks up warmed Theorem-1 cells
+// (k <= 12), so each op is one lookup under the solver's mutex. Run it
+// with -cpu=1,4,8 to see how the lock behaves under contention.
+func BenchmarkSolverStrategyHit(b *testing.B) {
+	sv := solver.New()
+	var cells [][3]int
+	for f := 0; f <= 11; f++ {
+		for k := f + 1; k < 2*(f+1) && k <= 12; k++ {
+			if _, err := sv.Strategy(2, k, f); err != nil {
+				b.Fatal(err)
 			}
+			cells = append(cells, [3]int{2, k, f})
 		}
 	}
-	b.ReportMetric(alpha, "last-alpha")
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			c := cells[i%len(cells)]
+			if _, err := sv.Strategy(c[0], c[1], c[2]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

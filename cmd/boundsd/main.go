@@ -32,11 +32,11 @@
 // listener closes.
 //
 // Warm starts: -snapshot PATH restores the engine result cache (and
-// the solver memo) from PATH at startup and writes it back atomically
-// on graceful shutdown; a missing, corrupt or schema-mismatched
-// snapshot is a logged cold start, never a failure. -precompute
-// additionally fills the cache with the Theorem-1 grid and the loadgen
-// sampler pools before the node reports ready. While warming, /readyz
+// the solver's golden-section bases) from PATH at startup and writes
+// it back atomically on graceful shutdown; a missing, corrupt or
+// schema-mismatched snapshot is a logged cold start, never a failure.
+// -precompute additionally fills the cache with the Theorem-1 grid and
+// the loadgen sampler pools before the node reports ready. While warming, /readyz
 // answers 503 (and /healthz 200) so load balancers hold traffic
 // without restarting the process:
 //

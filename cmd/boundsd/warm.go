@@ -106,9 +106,8 @@ func precomputeSpec() server.PrecomputeSpec {
 		spec.Requests["shoreline"] = append(spec.Requests["shoreline"],
 			registry.Request{M: 2, K: kf[0], F: kf[1], Horizon: simHorizon})
 	}
-	// Each evacuation verify warms the solver's strategy and horizon
-	// factor for its (k, f), which every pooled evacuation simulate
-	// reuses.
+	// Each evacuation verify warms the solver's strategy for its
+	// (k, f), which every pooled evacuation simulate reuses.
 	for _, f := range pools.EvacuationFs {
 		spec.Requests["evacuation-line"] = append(spec.Requests["evacuation-line"],
 			registry.Request{M: 2, K: 2*f + 1, F: f, Horizon: simHorizon})

@@ -325,6 +325,57 @@ func TestOptimalAlphaMinimizesRatio(t *testing.T) {
 	}
 }
 
+// TestOptimalAlphaIsSmallestRoot checks the closed form's bits against
+// an oracle that never calls math.Pow: the smallest float64 a with
+// a^k >= q/(q-k), where a^k is a product of k factors. On the Theorem-1
+// grid (m = 2, f <= 24) and an m-ray grid (3 <= m <= 8, f <= 4), the
+// two must be at most one ulp apart.
+func TestOptimalAlphaIsSmallestRoot(t *testing.T) {
+	pow := func(a float64, k int) float64 {
+		p := a
+		for i := 1; i < k; i++ {
+			p *= a
+		}
+		return p
+	}
+	check := func(m, k, f int) {
+		q := m * (f + 1)
+		closed, err := OptimalAlpha(q, k)
+		if err != nil {
+			t.Fatalf("OptimalAlpha(%d, %d): %v", q, k, err)
+		}
+		target := float64(q) / float64(q-k)
+		a := closed
+		for steps := 0; pow(a, k) >= target; steps++ {
+			if steps > 64 {
+				t.Fatalf("m=%d k=%d f=%d: no root below the closed form %x within 64 ulps", m, k, f, closed)
+			}
+			a = math.Nextafter(a, 1)
+		}
+		for steps := 0; pow(a, k) < target; steps++ {
+			if steps > 128 {
+				t.Fatalf("m=%d k=%d f=%d: no root above %x within 128 ulps", m, k, f, a)
+			}
+			a = math.Nextafter(a, math.Inf(1))
+		}
+		if d := int64(math.Float64bits(a)) - int64(math.Float64bits(closed)); d < -1 || d > 1 {
+			t.Fatalf("m=%d k=%d f=%d: closed form %x is %d ulps from the smallest root %x", m, k, f, closed, d, a)
+		}
+	}
+	for f := 0; f <= 24; f++ {
+		for k := f + 1; k < 2*(f+1); k++ {
+			check(2, k, f)
+		}
+	}
+	for m := 3; m <= 8; m++ {
+		for f := 0; f <= 4; f++ {
+			for k := f + 1; k < m*(f+1); k++ {
+				check(m, k, f)
+			}
+		}
+	}
+}
+
 func TestOptimalAlphaDomain(t *testing.T) {
 	if _, err := OptimalAlpha(2, 2); err == nil {
 		t.Error("OptimalAlpha(2,2) should fail")

@@ -64,12 +64,12 @@ type Engine struct {
 	workers  int
 	capacity int // max cached entries summed over shards; 0 = unbounded
 
-	// solver is the memoizing warm-start layer injected into every job
-	// execution's context (solver.From recovers it), so sweep cells,
-	// batch items and repeated requests share alpha* solves, strategy
-	// instances and golden-section bases. Engines default to the
-	// process-wide solver.Shared() — the memoized values are pure
-	// functions of their keys, so sharing across engines only helps.
+	// solver is the memo layer injected into every job execution's
+	// context (solver.From recovers it), so sweep cells, batch items and
+	// repeated requests share strategy instances and golden-section
+	// bases. Engines default to the process-wide solver.Shared(): the
+	// memoized values are pure functions of their keys, so sharing
+	// across engines only helps.
 	solver *solver.Solver
 
 	// compSem caps concurrently executing detached computations at the
@@ -274,12 +274,11 @@ type Stats struct {
 	Capacity int
 	// Shards is the number of independently locked cache shards.
 	Shards int
-	// Solver is the snapshot of the engine's memoizing solver layer:
-	// warm-start hits and misses per solve kind (alpha*, strategy,
-	// golden-section base, horizon factor) plus cumulative Newton
-	// iterations. The engine's solver defaults to the process-wide
-	// shared instance, so these counters may advance from other
-	// engines too.
+	// Solver is the snapshot of the engine's solver memos: hits,
+	// misses and resident entries of the strategy memo and the
+	// golden-section base memo. The engine's solver defaults to the
+	// process-wide shared instance, so these counters may advance from
+	// other engines too.
 	Solver solver.Stats
 	// Kernel is the snapshot of the adversary kernel's amortization
 	// counters: table builds, incremental horizon extensions, extend

@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"repro/internal/adversary"
-	"repro/internal/solver"
 	"repro/internal/strategy"
 	"repro/internal/trajectory"
 )
@@ -188,12 +187,7 @@ type evacuationEval struct {
 }
 
 func newEvacuationEval(ctx context.Context, k, f int) (*evacuationEval, error) {
-	sv := solver.From(ctx)
-	s, err := sv.Strategy(2, k, f)
-	if err != nil {
-		return nil, err
-	}
-	hf, err := sv.SimHorizonFactor(2, k, f)
+	s, hf, err := simSetup(ctx, 2, k, f)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
-	"repro/internal/solver"
 	"repro/internal/strategy"
 	"repro/internal/trajectory"
 )
@@ -134,12 +133,7 @@ func TestPlanarKeysCarryGeometry(t *testing.T) {
 // adversary the prefix sweep in evacuationEval.ratio claims to equal.
 func bruteForceEvac(t *testing.T, k, f int, dist float64) float64 {
 	t.Helper()
-	sv := solver.Shared()
-	s, err := sv.Strategy(2, k, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hf, err := sv.SimHorizonFactor(2, k, f)
+	s, hf, err := simSetup(context.Background(), 2, k, f)
 	if err != nil {
 		t.Fatal(err)
 	}

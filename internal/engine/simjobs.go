@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/bounds"
 	"repro/internal/byzantine"
 	"repro/internal/pfaulty"
 	"repro/internal/sim"
@@ -22,6 +23,22 @@ import (
 	"repro/internal/strategy"
 	"repro/internal/trajectory"
 )
+
+// simSetup returns the context solver's optimal strategy for (m, k, f)
+// and the trajectory-horizon multiple 2*lambda0(m,k,f) + 8 that the
+// simulation jobs materialize it to, generous enough that detection
+// always lands inside the materialized prefix.
+func simSetup(ctx context.Context, m, k, f int) (*strategy.CyclicExponential, float64, error) {
+	s, err := solver.From(ctx).Strategy(m, k, f)
+	if err != nil {
+		return nil, 0, err
+	}
+	lambda0, err := bounds.AMKF(m, k, f)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, 2*lambda0 + 8, nil
+}
 
 // SimulationRun simulates the optimal cyclic exponential strategy for
 // (M, K, F) against a target at distance Dist under the adversarial
@@ -45,12 +62,7 @@ func (j SimulationRun) Run(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	sv := solver.From(ctx)
-	s, err := sv.Strategy(j.M, j.K, j.F)
-	if err != nil {
-		return Result{}, err
-	}
-	hf, err := sv.SimHorizonFactor(j.M, j.K, j.F)
+	s, hf, err := simSetup(ctx, j.M, j.K, j.F)
 	if err != nil {
 		return Result{}, err
 	}
@@ -108,25 +120,18 @@ func (j PFaultyTrials) Run(ctx context.Context) (Result, error) {
 }
 
 // byzantineLineEval carries the per-(k, f) setup — the optimal line
-// strategy (numeric alpha* root finding) and the horizon factor — so
-// worst-over-grid jobs compute it once, not once per distance.
+// strategy and the horizon factor — so worst-over-grid jobs compute it
+// once, not once per distance.
 type byzantineLineEval struct {
 	s  *strategy.CyclicExponential
 	f  int
 	hf float64
 }
 
-// newByzantineLineEval builds the shared setup for (k, f), pulling the
-// strategy and the horizon factor (the trajectory-horizon multiple
-// 2*lambda0 + 8, generous enough that detection always lands inside the
-// materialized prefix) from the context's memoizing solver.
+// newByzantineLineEval builds the shared setup for (k, f) through
+// simSetup.
 func newByzantineLineEval(ctx context.Context, k, f int) (*byzantineLineEval, error) {
-	sv := solver.From(ctx)
-	s, err := sv.Strategy(2, k, f)
-	if err != nil {
-		return nil, err
-	}
-	hf, err := sv.SimHorizonFactor(2, k, f)
+	s, hf, err := simSetup(ctx, 2, k, f)
 	if err != nil {
 		return nil, err
 	}

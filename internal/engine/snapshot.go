@@ -1,8 +1,8 @@
 // snapshot.go is the engine cache's persistence codec: a versioned
 // JSON document carrying the memoized job results (fingerprint key +
-// Result) plus the solver's memo tables, written on boundsd's graceful
-// shutdown and restored at the next startup so a warm restart does not
-// cold-start the hot (m, k, f) grids.
+// Result) plus the solver's golden-section base memo, written on
+// boundsd's graceful shutdown and restored at the next startup so a
+// warm restart does not cold-start the hot (m, k, f) grids.
 //
 // The format is guarded by SnapshotSchema, a version string embedded
 // in the document. Readers reject any other version with
@@ -113,7 +113,7 @@ func snapshotable(res Result) bool {
 }
 
 // WriteSnapshot serializes the cache's completed, error-free entries
-// and the solver's memo tables to w as one versioned JSON document.
+// and the solver's base memo to w as one versioned JSON document.
 // Entries are sorted by key, so equal cache contents produce identical
 // bytes. In-flight computations are skipped (their waiters are
 // unaffected); so are memoized errors and non-finite results.

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/pfaulty"
 	"repro/internal/solver"
 	"repro/internal/strategy/program"
 )
@@ -36,11 +38,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	src.solver = solver.New()
 	warmEngine(t, src, 10)
 	// Warm the solver memo too, so the snapshot carries more than the
-	// cache: an alpha* solve (plus its strategy) and a golden-section
-	// base.
-	if _, err := src.solver.AlphaStar(4, 2, 1); err != nil {
-		t.Fatalf("AlphaStar: %v", err)
-	}
+	// cache: a golden-section base.
 	if _, _, err := src.solver.PFaultyBase(0.25); err != nil {
 		t.Fatalf("PFaultyBase: %v", err)
 	}
@@ -59,8 +57,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if st.Entries != 10 {
 		t.Fatalf("restored %d entries, want 10 (stats %+v)", st.Entries, st)
 	}
-	if st.SolverEntries == 0 {
-		t.Fatalf("restored no solver memo entries, want > 0 (stats %+v)", st)
+	if st.SolverEntries != 1 {
+		t.Fatalf("restored %d solver memo entries, want 1 (stats %+v)", st.SolverEntries, st)
 	}
 
 	// Replaying the same jobs must be all hits: zero executions.
@@ -104,8 +102,8 @@ func TestSnapshotSchemaMismatchFallsBackCold(t *testing.T) {
 	src := New(1)
 	src.solver = solver.New()
 	warmEngine(t, src, 3)
-	if _, err := src.solver.AlphaStar(4, 2, 1); err != nil {
-		t.Fatalf("AlphaStar: %v", err)
+	if _, _, err := src.solver.PFaultyBase(0.25); err != nil {
+		t.Fatalf("PFaultyBase: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := src.WriteSnapshot(&buf); err != nil {
@@ -131,9 +129,50 @@ func TestSnapshotSchemaMismatchFallsBackCold(t *testing.T) {
 		if size := dst.Stats().Size; size != 0 {
 			t.Fatalf("%s: stale restore left %d cache entries, want 0", schema, size)
 		}
-		if n := dst.solver.Export().Entries(); n != 0 {
+		if n := len(dst.solver.Export().Bases); n != 0 {
 			t.Fatalf("%s: stale restore imported %d solver memo entries, want 0", schema, n)
 		}
+	}
+}
+
+// TestSnapshotRestoresParentShapeV2 restores a v2 document in the
+// shape earlier builds wrote, whose solver memo also carried alpha*
+// keys, strategy keys and simulation horizon factors. Those tables are
+// no longer read; the cache entries and the golden-section bases must
+// still land.
+func TestSnapshotRestoresParentShapeV2(t *testing.T) {
+	base, worst, err := pfaulty.OptimalBase(0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := fmt.Sprintf(`{"schema":%q,`+
+		`"entries":[{"key":"job-00","result":{"value":0.5,"eval":{"worst_ratio":0,"worst_ray":0,"worst_x":0}}}],`+
+		`"solver":{"alphas":[{"m":2,"k":3,"f":1},{"m":4,"k":2,"f":1}],`+
+		`"strategies":[{"m":2,"k":3,"f":1}],`+
+		`"sim_horizon_factors":[{"m":2,"k":3,"f":1,"v":25.5}],`+
+		`"bases":[{"p":0.25,"base":%s,"worst":%s}]}}`+"\n",
+		SnapshotSchema, strconv.FormatFloat(base, 'g', -1, 64), strconv.FormatFloat(worst, 'g', -1, 64))
+
+	dst := New(1)
+	dst.solver = solver.New()
+	st, err := dst.ReadSnapshot(strings.NewReader(doc))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if st.Entries != 1 || st.SolverEntries != 1 {
+		t.Fatalf("restore stats %+v, want Entries=1 SolverEntries=1", st)
+	}
+	var runs atomic.Int64
+	res, err := dst.Run(context.Background(), countingJob{key: "job-00", value: -1, runs: &runs})
+	if err != nil || res.Value != 0.5 || runs.Load() != 0 {
+		t.Fatalf("restored job-00 = (%v, %v) after %d runs, want (0.5, nil) from cache", res.Value, err, runs.Load())
+	}
+	gotBase, gotWorst, err := dst.solver.PFaultyBase(0.25)
+	if err != nil || gotBase != base || gotWorst != worst {
+		t.Fatalf("restored base = (%v, %v, %v), want (%v, %v, nil)", gotBase, gotWorst, err, base, worst)
+	}
+	if ss := dst.solver.Stats(); ss.BaseHits != 1 || ss.BaseMisses != 0 {
+		t.Fatalf("restored base hit/miss = %d/%d, want 1/0", ss.BaseHits, ss.BaseMisses)
 	}
 }
 

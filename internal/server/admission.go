@@ -166,9 +166,6 @@ func (s *Server) writeComputeErr(w http.ResponseWriter, err error) {
 // after snapshot restore / precompute finish.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Ready reports the current readiness signal.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // handleReadyz is the readiness probe: 200 once warm-up (snapshot
 // restore, precompute) is done, 503 before. Liveness stays on
 // /healthz — a warming server is alive, just not ready for traffic.

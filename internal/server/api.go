@@ -357,14 +357,6 @@ type SimulateTable struct {
 // alongside a non-nil error. A cancelled ctx returns the completed
 // prefix with ctx's error.
 func ComputeSimulate(ctx context.Context, eng *engine.Engine, sc registry.Scenario, req registry.Request, points int) (*SimulateTable, error) {
-	return ComputeSimulateObserved(ctx, eng, sc, req, points, nil)
-}
-
-// ComputeSimulateObserved is ComputeSimulate with a per-row observer
-// invoked in emission (= input) order as each row finishes — the hook
-// the NDJSON stream and CLI progress share; it is what keeps streamed
-// rows byte-identical to batch rows.
-func ComputeSimulateObserved(ctx context.Context, eng *engine.Engine, sc registry.Scenario, req registry.Request, points int, observe func(SimRow)) (*SimulateTable, error) {
 	dists, jobs, err := simulateJobs(ctx, sc, req, points)
 	if err != nil {
 		return nil, err
@@ -380,13 +372,9 @@ func ComputeSimulateObserved(ctx context.Context, eng *engine.Engine, sc registr
 	}
 	var firstErr error
 	for jr := range eng.RunStream(ctx, jobs) {
-		row := simRowOf(sc, req, dists[jr.Index], jr)
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, simRowOf(sc, req, dists[jr.Index], jr))
 		if jr.Err != nil && firstErr == nil {
 			firstErr = jr.Err
-		}
-		if observe != nil {
-			observe(row)
 		}
 	}
 	if firstErr == nil && len(t.Rows) < points {

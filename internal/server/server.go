@@ -308,15 +308,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "boundsd_engine_dedup_total %d\n", st.Deduped)
 	fmt.Fprintf(w, "boundsd_engine_cancelled_runs_total %d\n", st.Cancelled)
 	fmt.Fprintf(w, "boundsd_engine_inflight_jobs %d\n", st.InFlight)
-	fmt.Fprintf(w, "boundsd_solver_alpha_hits_total %d\n", st.Solver.AlphaHits)
-	fmt.Fprintf(w, "boundsd_solver_alpha_misses_total %d\n", st.Solver.AlphaMisses)
 	fmt.Fprintf(w, "boundsd_solver_strategy_hits_total %d\n", st.Solver.StrategyHits)
 	fmt.Fprintf(w, "boundsd_solver_strategy_misses_total %d\n", st.Solver.StrategyMisses)
 	fmt.Fprintf(w, "boundsd_solver_base_hits_total %d\n", st.Solver.BaseHits)
 	fmt.Fprintf(w, "boundsd_solver_base_misses_total %d\n", st.Solver.BaseMisses)
-	fmt.Fprintf(w, "boundsd_solver_horizon_hits_total %d\n", st.Solver.HorizonHits)
-	fmt.Fprintf(w, "boundsd_solver_horizon_misses_total %d\n", st.Solver.HorizonMisses)
-	fmt.Fprintf(w, "boundsd_solver_newton_iterations_total %d\n", st.Solver.NewtonIterations)
+	fmt.Fprintf(w, "boundsd_solver_strategy_memo_size %d\n", st.Solver.StrategySize)
+	fmt.Fprintf(w, "boundsd_solver_base_memo_size %d\n", st.Solver.BaseSize)
 	fmt.Fprintf(w, "boundsd_kernel_builds_total %d\n", st.Kernel.Builds)
 	fmt.Fprintf(w, "boundsd_kernel_extends_total %d\n", st.Kernel.Extends)
 	fmt.Fprintf(w, "boundsd_kernel_extend_rebuilds_total %d\n", st.Kernel.ExtendRebuilds)

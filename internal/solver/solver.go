@@ -1,27 +1,24 @@
-// Package solver is the shared memoization and warm-start layer of the
-// compute pipeline: every root/argmin the pipeline solves repeatedly —
-// the optimal cyclic-exponential base alpha* = (q/(q-k))^(1/k) of the
-// appendix, the strategy object built from it, the simulation horizon
-// factor derived from lambda0, and the p-faulty golden-section base —
-// is solved once per parameter point and shared across sweep cells,
-// batch items and requests.
+// Package solver is the shared memoization layer of the compute
+// pipeline. It keeps the two results worth keeping across sweep
+// cells, batch items and requests:
 //
-// Two properties make the sharing safe:
+//   - the optimal cyclic exponential strategy of an (m, k, f) cell.
+//     strategy.CyclicExponential is immutable after construction, so
+//     one instance serves any number of concurrent evaluations and
+//     every caller of a cell shares one pointer;
+//   - the p-faulty base pfaulty.OptimalBase(p), a golden-section
+//     minimization and the one solve here with a real cost.
 //
-//   - Determinism of the memoized value. alpha* is found by a
-//     warm-started Newton iteration (seeded from the previously solved
-//     cell — adjacent sweep cells have nearby alphas, so the warm seed
-//     converges in a couple of steps where the cold seed needs several),
-//     polished to a seed-independent bit pattern, and then pinned to the
-//     closed-form bits of bounds.OptimalAlpha. Downstream cache keys and
-//     strategy fingerprints embed the exact alpha bits, so the memoized
-//     value must not depend on solve order; the closed-form pin
-//     guarantees it, and the Newton root is asserted (in tests) to land
-//     within an ulp of that pin.
+// The optimal base alpha* = (q/(q-k))^(1/k) is not memoized: it is
+// the one-Pow closed form bounds.OptimalAlpha, and the strategy
+// constructor computes it there. Nor is the simulation horizon factor
+// 2*lambda0 + 8, which costs little more than a lookup.
 //
-//   - Immutability of the memoized objects. strategy.CyclicExponential
-//     is stateless after construction, so one instance can serve any
-//     number of concurrent evaluations.
+// Both memos are keyed by request parameters, so each has a fixed
+// capacity. A miss inserts only while the memo is below it; past the
+// cap the result is computed, returned and not kept. Whatever fills a
+// memo first stays resident, which is why boundsd's startup
+// precompute warms the pooled keys before it reports ready.
 //
 // A Solver travels through context (With/From), so engine jobs and
 // registry scenario constructors pick up the engine's solver without
@@ -37,9 +34,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bounds"
 	"repro/internal/pfaulty"
 	"repro/internal/strategy"
+)
+
+const (
+	// strategyCapacity bounds the strategy memo. The Theorem-1 and
+	// m-ray grids of the experiments are a few hundred cells.
+	strategyCapacity = 4096
+	// baseCapacity bounds the p-faulty base memo.
+	baseCapacity = 1024
 )
 
 // triple keys the (m, k, f) parameter point of a search problem.
@@ -50,38 +54,23 @@ type baseVal struct{ base, worst float64 }
 
 // Solver memoizes the pipeline's repeated solves. The zero value is not
 // usable; construct with New or use the process-wide Shared instance. A
-// Solver is safe for concurrent use: lookups and (rare) miss-path
-// solves serialize on one mutex, which doubles as per-solver
-// singleflight — two goroutines missing on the same key still solve it
-// once.
+// Solver is safe for concurrent use: lookups serialize on one mutex,
+// and misses solve outside it.
 type Solver struct {
 	mu     sync.Mutex
-	alphas map[triple]float64
 	strats map[triple]*strategy.CyclicExponential
-	simHF  map[triple]float64
 	bases  map[float64]baseVal
 
-	// seed is the most recently solved alpha*, used to warm-start the
-	// next cell's Newton iteration; guarded by mu.
-	seed float64
-
-	alphaHits      atomic.Int64
-	alphaMisses    atomic.Int64
 	strategyHits   atomic.Int64
 	strategyMisses atomic.Int64
 	baseHits       atomic.Int64
 	baseMisses     atomic.Int64
-	horizonHits    atomic.Int64
-	horizonMisses  atomic.Int64
-	newtonIters    atomic.Int64
 }
 
 // New returns an empty Solver.
 func New() *Solver {
 	return &Solver{
-		alphas: make(map[triple]float64),
 		strats: make(map[triple]*strategy.CyclicExponential),
-		simHF:  make(map[triple]float64),
 		bases:  make(map[float64]baseVal),
 	}
 }
@@ -112,152 +101,38 @@ func From(ctx context.Context) *Solver {
 	return shared
 }
 
-// Stats is a snapshot of a Solver's memoization counters. Hits count
-// lookups served from the memo; misses count lookups that had to solve.
+// Stats is a snapshot of a Solver's memo counters and sizes. Hits count
+// lookups served from a memo; misses count lookups that had to solve.
 type Stats struct {
-	// AlphaHits / AlphaMisses count AlphaStar lookups — the warm-start
-	// root finder's memo.
-	AlphaHits, AlphaMisses int64
 	// StrategyHits / StrategyMisses count Strategy lookups.
 	StrategyHits, StrategyMisses int64
 	// BaseHits / BaseMisses count PFaultyBase lookups (each miss is one
 	// golden-section minimization).
 	BaseHits, BaseMisses int64
-	// HorizonHits / HorizonMisses count SimHorizonFactor lookups.
-	HorizonHits, HorizonMisses int64
-	// NewtonIterations is the cumulative Newton step count across all
-	// alpha* solves — the quantity warm starting shrinks.
-	NewtonIterations int64
+	// StrategySize / BaseSize are the memos' current entry counts.
+	StrategySize, BaseSize int
 }
 
-// Hits returns the total memo hits across all solve kinds.
-func (st Stats) Hits() int64 {
-	return st.AlphaHits + st.StrategyHits + st.BaseHits + st.HorizonHits
-}
-
-// Misses returns the total memo misses across all solve kinds.
-func (st Stats) Misses() int64 {
-	return st.AlphaMisses + st.StrategyMisses + st.BaseMisses + st.HorizonMisses
-}
-
-// Stats returns a snapshot of the solver's counters.
+// Stats returns a snapshot of the solver's counters and memo sizes.
 func (s *Solver) Stats() Stats {
-	return Stats{
-		AlphaHits:        s.alphaHits.Load(),
-		AlphaMisses:      s.alphaMisses.Load(),
-		StrategyHits:     s.strategyHits.Load(),
-		StrategyMisses:   s.strategyMisses.Load(),
-		BaseHits:         s.baseHits.Load(),
-		BaseMisses:       s.baseMisses.Load(),
-		HorizonHits:      s.horizonHits.Load(),
-		HorizonMisses:    s.horizonMisses.Load(),
-		NewtonIterations: s.newtonIters.Load(),
-	}
-}
-
-// powInt returns a^n for small integer n >= 0 by repeated
-// multiplication — the deterministic power the Newton iteration and its
-// bit-level polish share, so the polished root is a pure function of
-// (q, k) and not of the floating quirks of a transcendental pow.
-func powInt(a float64, n int) float64 {
-	p := 1.0
-	for ; n > 0; n >>= 1 {
-		if n&1 == 1 {
-			p *= a
-		}
-		a *= a
-	}
-	return p
-}
-
-// SolveAlphaStar solves a^k = q/(q-k) for a > 1 by Newton's method from
-// the given seed and returns the root together with the iteration count.
-// A seed <= 1 (or non-finite) selects the cold first-order seed
-// 1 + ln(q/(q-k))/k. The returned root is polished to the smallest
-// float64 a with powInt(a, k) >= q/(q-k), which is a pure function of
-// (q, k): every seed — warm or cold — lands on the same bits. Requires
-// 1 <= k < q.
-func SolveAlphaStar(q, k int, seed float64) (float64, int, error) {
-	if k < 1 || q <= k {
-		// Match the closed form's domain (and its error) exactly.
-		_, err := bounds.OptimalAlpha(q, k)
-		return 0, 0, err
-	}
-	target := float64(q) / float64(q-k)
-	a := seed
-	if !(a > 1) || math.IsInf(a, 0) || math.IsNaN(a) {
-		a = 1 + math.Log(target)/float64(k)
-	}
-	iters := 0
-	kf := float64(k)
-	for ; iters < 64; iters++ {
-		// Newton on g(a) = a^k - target: a <- a - g(a)/(k a^(k-1)).
-		prev := powInt(a, k-1)
-		next := a - (a*prev-target)/(kf*prev)
-		if !(next > 1) {
-			// A wild seed overshot below the domain; restart cold.
-			next = 1 + math.Log(target)/kf
-		}
-		if math.Abs(next-a) <= 2*(math.Nextafter(a, math.Inf(1))-a) {
-			a = next
-			iters++
-			break
-		}
-		a = next
-	}
-	// Bit-level polish: walk to the smallest float with a^k >= target.
-	// Newton leaves a within a few ulps, so the walk is a handful of
-	// powInt calls and erases every trace of the seed.
-	for powInt(a, k) >= target {
-		a = math.Nextafter(a, 1)
-	}
-	for powInt(a, k) < target {
-		a = math.Nextafter(a, math.Inf(1))
-	}
-	return a, iters, nil
-}
-
-// AlphaStar returns the optimal base alpha* for the (m, k, f) search
-// problem, memoized. On a miss the warm-started Newton solve runs
-// (seeded from the previously solved cell) and the memoized value is
-// pinned to the closed-form bits of bounds.OptimalAlpha — the canonical
-// rounding every downstream fingerprint and cache key already embeds —
-// so the memo's content is independent of the order cells are solved
-// in. Requires the search-regime domain 1 <= k < q = m(f+1).
-func (s *Solver) AlphaStar(m, k, f int) (float64, error) {
-	q := m * (f + 1)
-	key := triple{m, k, f}
 	s.mu.Lock()
-	if a, ok := s.alphas[key]; ok {
-		s.mu.Unlock()
-		s.alphaHits.Add(1)
-		return a, nil
-	}
-	root, iters, err := SolveAlphaStar(q, k, s.seed)
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	s.newtonIters.Add(int64(iters))
-	// Canonical rounding: the closed form and the polished Newton root
-	// agree to within an ulp; the closed-form bits are what strategy
-	// fingerprints embed, so they are what the memo must hold.
-	a, err := bounds.OptimalAlpha(q, k)
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	s.alphas[key] = a
-	s.seed = root
+	strats, bases := len(s.strats), len(s.bases)
 	s.mu.Unlock()
-	s.alphaMisses.Add(1)
-	return a, nil
+	return Stats{
+		StrategyHits:   s.strategyHits.Load(),
+		StrategyMisses: s.strategyMisses.Load(),
+		BaseHits:       s.baseHits.Load(),
+		BaseMisses:     s.baseMisses.Load(),
+		StrategySize:   strats,
+		BaseSize:       bases,
+	}
 }
 
 // Strategy returns the optimal cyclic exponential strategy for
-// (m, k, f), memoized. The instance is immutable and shared: callers
-// across goroutines receive the same pointer. Parameters outside the
-// search regime fail with the constructor's error.
+// (m, k, f), memoized. The instance is immutable; callers across
+// goroutines receive the same pointer while the cell is resident.
+// Parameters outside the search regime fail with the constructor's
+// error.
 func (s *Solver) Strategy(m, k, f int) (*strategy.CyclicExponential, error) {
 	key := triple{m, k, f}
 	s.mu.Lock()
@@ -267,9 +142,6 @@ func (s *Solver) Strategy(m, k, f int) (*strategy.CyclicExponential, error) {
 		return st, nil
 	}
 	s.mu.Unlock()
-	// The constructor re-derives alpha* from the closed form; it is the
-	// same bits AlphaStar memoizes (asserted in tests), and going
-	// through the constructor keeps its regime validation authoritative.
 	st, err := strategy.NewCyclicExponential(m, k, f)
 	if err != nil {
 		return nil, err
@@ -279,39 +151,12 @@ func (s *Solver) Strategy(m, k, f int) (*strategy.CyclicExponential, error) {
 		// A concurrent miss beat us; keep the resident instance so every
 		// caller shares one pointer.
 		st = prev
-	} else {
+	} else if len(s.strats) < strategyCapacity {
 		s.strats[key] = st
-		if _, ok := s.alphas[key]; !ok {
-			s.alphas[key] = st.Alpha()
-			s.seed = st.Alpha()
-		}
 	}
 	s.mu.Unlock()
 	s.strategyMisses.Add(1)
 	return st, nil
-}
-
-// SimHorizonFactor returns the simulation trajectory-horizon multiple
-// 2*lambda0(m,k,f) + 8 used by the simulation jobs, memoized.
-func (s *Solver) SimHorizonFactor(m, k, f int) (float64, error) {
-	key := triple{m, k, f}
-	s.mu.Lock()
-	if hf, ok := s.simHF[key]; ok {
-		s.mu.Unlock()
-		s.horizonHits.Add(1)
-		return hf, nil
-	}
-	s.mu.Unlock()
-	lambda0, err := bounds.AMKF(m, k, f)
-	if err != nil {
-		return 0, err
-	}
-	hf := 2*lambda0 + 8
-	s.mu.Lock()
-	s.simHF[key] = hf
-	s.mu.Unlock()
-	s.horizonMisses.Add(1)
-	return hf, nil
 }
 
 // PFaultyBase returns pfaulty.OptimalBase(p) — the golden-section
@@ -331,33 +176,24 @@ func (s *Solver) PFaultyBase(p float64) (base, worst float64, err error) {
 		return 0, 0, err
 	}
 	s.mu.Lock()
-	s.bases[p] = baseVal{base: base, worst: worst}
+	s.insertBase(p, baseVal{base: base, worst: worst})
 	s.mu.Unlock()
 	s.baseMisses.Add(1)
 	return base, worst, nil
 }
 
-// TripleMemo is one (m, k, f) parameter point in an exported Memo; the
-// alpha*/strategy memos carry only the key (the values are recomputed
-// on import from the closed form, which is cheap and cannot be stale).
-type TripleMemo struct {
-	M int `json:"m"`
-	K int `json:"k"`
-	F int `json:"f"`
-}
-
-// TripleValueMemo is an exported (m, k, f) -> value memo entry (the
-// simulation horizon factor).
-type TripleValueMemo struct {
-	M int     `json:"m"`
-	K int     `json:"k"`
-	F int     `json:"f"`
-	V float64 `json:"v"`
+// insertBase stores v under p unless p is resident or the memo is
+// full, and reports whether it did. The caller holds mu.
+func (s *Solver) insertBase(p float64, v baseVal) bool {
+	if _, ok := s.bases[p]; ok || len(s.bases) >= baseCapacity {
+		return false
+	}
+	s.bases[p] = v
+	return true
 }
 
 // BaseMemo is one exported golden-section minimization result of
-// PFaultyBase: the expensive solve whose value IS carried (re-running
-// the minimization is what the import exists to skip).
+// PFaultyBase.
 type BaseMemo struct {
 	P     float64 `json:"p"`
 	Base  float64 `json:"base"`
@@ -365,130 +201,43 @@ type BaseMemo struct {
 }
 
 // Memo is the serializable content of a Solver: what an engine cache
-// snapshot carries so a restarted process skips the warm-up solves
-// (Newton polishing, strategy materialization, golden-section
-// minimization). Entries are sorted by key so an export is a
-// deterministic function of the memo's content.
+// snapshot carries so a restarted process skips the golden-section
+// minimizations. Strategies are not carried: rebuilding one costs
+// about 240 ns. Bases are sorted by p, so an export is a deterministic
+// function of the memo's content.
 type Memo struct {
-	Alphas     []TripleMemo      `json:"alphas,omitempty"`
-	Strategies []TripleMemo      `json:"strategies,omitempty"`
-	SimHF      []TripleValueMemo `json:"sim_horizon_factors,omitempty"`
-	Bases      []BaseMemo        `json:"bases,omitempty"`
+	Bases []BaseMemo `json:"bases,omitempty"`
 }
 
-// Entries is the total entry count across the memo's tables.
-func (m Memo) Entries() int {
-	return len(m.Alphas) + len(m.Strategies) + len(m.SimHF) + len(m.Bases)
-}
-
-// sortTriples orders key triples lexicographically.
-func sortTriples(ts []TripleMemo) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.M != b.M {
-			return a.M < b.M
-		}
-		if a.K != b.K {
-			return a.K < b.K
-		}
-		return a.F < b.F
-	})
-}
-
-// Export snapshots the solver's memo tables. Alpha and strategy entries
-// export keys only; horizon factors and golden-section bases export
-// their values.
+// Export snapshots the solver's base memo.
 func (s *Solver) Export() Memo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var m Memo
-	for key := range s.alphas {
-		m.Alphas = append(m.Alphas, TripleMemo{M: key.m, K: key.k, F: key.f})
-	}
-	for key := range s.strats {
-		m.Strategies = append(m.Strategies, TripleMemo{M: key.m, K: key.k, F: key.f})
-	}
-	for key, v := range s.simHF {
-		m.SimHF = append(m.SimHF, TripleValueMemo{M: key.m, K: key.k, F: key.f, V: v})
-	}
 	for p, v := range s.bases {
 		m.Bases = append(m.Bases, BaseMemo{P: p, Base: v.base, Worst: v.worst})
 	}
-	sortTriples(m.Alphas)
-	sortTriples(m.Strategies)
-	sort.Slice(m.SimHF, func(i, j int) bool {
-		a, b := m.SimHF[i], m.SimHF[j]
-		if a.M != b.M {
-			return a.M < b.M
-		}
-		if a.K != b.K {
-			return a.K < b.K
-		}
-		return a.F < b.F
-	})
 	sort.Slice(m.Bases, func(i, j int) bool { return m.Bases[i].P < m.Bases[j].P })
 	return m
 }
 
-// Import merges an exported memo into the solver and reports how many
-// entries landed. Alphas are recomputed from the closed form (the
-// canonical bits every fingerprint embeds — importing skips only the
-// Newton solve, so a corrupt snapshot cannot plant a wrong alpha) and
-// strategies are rebuilt through their constructor; horizon factors
-// and bases import their values after a sanity check. Invalid entries
-// are skipped, never fatal: a snapshot is an optimization, not a
-// source of truth. Imports do not advance the hit/miss counters.
+// Import merges an exported memo into the solver, up to the memo's
+// capacity, and reports how many entries landed. Entries that fail a
+// sanity check are skipped, never fatal: a snapshot is an
+// optimization, not a source of truth. Resident keys keep their
+// values, and imports do not advance the hit/miss counters.
 func (s *Solver) Import(m Memo) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	imported := 0
-	for _, t := range m.Alphas {
-		a, err := bounds.OptimalAlpha(t.M*(t.F+1), t.K)
-		if err != nil {
-			continue
-		}
-		key := triple{t.M, t.K, t.F}
-		s.mu.Lock()
-		if _, ok := s.alphas[key]; !ok {
-			s.alphas[key] = a
-			imported++
-		}
-		s.mu.Unlock()
-	}
-	for _, t := range m.Strategies {
-		st, err := strategy.NewCyclicExponential(t.M, t.K, t.F)
-		if err != nil {
-			continue
-		}
-		key := triple{t.M, t.K, t.F}
-		s.mu.Lock()
-		if _, ok := s.strats[key]; !ok {
-			s.strats[key] = st
-			imported++
-		}
-		s.mu.Unlock()
-	}
-	for _, t := range m.SimHF {
-		if !(t.V > 0) || math.IsInf(t.V, 0) {
-			continue
-		}
-		key := triple{t.M, t.K, t.F}
-		s.mu.Lock()
-		if _, ok := s.simHF[key]; !ok {
-			s.simHF[key] = t.V
-			imported++
-		}
-		s.mu.Unlock()
-	}
 	for _, b := range m.Bases {
 		if !(b.P > 0 && b.P < 1) || !(b.Base > 1) || !(b.Worst > 0) ||
 			math.IsInf(b.Base, 0) || math.IsInf(b.Worst, 0) {
 			continue
 		}
-		s.mu.Lock()
-		if _, ok := s.bases[b.P]; !ok {
-			s.bases[b.P] = baseVal{base: b.Base, worst: b.Worst}
+		if s.insertBase(b.P, baseVal{base: b.Base, worst: b.Worst}) {
 			imported++
 		}
-		s.mu.Unlock()
 	}
 	return imported
 }

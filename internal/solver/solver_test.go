@@ -22,77 +22,42 @@ func theorem1Grid() [][2]int {
 	return grid
 }
 
-// ulpsApart returns the number of representable float64 values strictly
-// between a and b (0 when equal).
-func ulpsApart(a, b float64) int {
-	if a == b {
-		return 0
-	}
-	if b < a {
-		a, b = b, a
-	}
-	n := 0
-	for a < b && n <= 16 {
-		a = math.Nextafter(a, math.Inf(1))
-		n++
-	}
-	return n - 1
-}
-
-// TestSolveAlphaStarSeedIndependent: on the Theorem-1 grid, the
-// warm-started Newton solve must land on exactly the same bits as the
-// cold-started one — the seed controls the iteration count, never the
-// root — and the root must sit within an ulp of the closed form.
-func TestSolveAlphaStarSeedIndependent(t *testing.T) {
-	prev := 0.0
-	for _, kf := range theorem1Grid() {
-		k, f := kf[0], kf[1]
-		q := 2 * (f + 1)
-		cold, coldIters, err := SolveAlphaStar(q, k, 0)
-		if err != nil {
-			t.Fatalf("SolveAlphaStar(%d, %d, cold): %v", q, k, err)
+// searchTriples returns n distinct search-regime (m, k, f) triples.
+func searchTriples(n int) [][3]int {
+	var out [][3]int
+	for m := 2; ; m++ {
+		for f := 0; f <= 8; f++ {
+			for k := f + 1; k < m*(f+1); k++ {
+				if len(out) == n {
+					return out
+				}
+				out = append(out, [3]int{m, k, f})
+			}
 		}
-		warm, warmIters, err := SolveAlphaStar(q, k, prev)
-		if err != nil {
-			t.Fatalf("SolveAlphaStar(%d, %d, warm): %v", q, k, err)
-		}
-		if cold != warm {
-			t.Fatalf("q=%d k=%d: cold root %x != warm root %x", q, k, cold, warm)
-		}
-		if coldIters <= 0 || warmIters <= 0 {
-			t.Fatalf("q=%d k=%d: nonpositive iteration counts %d, %d", q, k, coldIters, warmIters)
-		}
-		closed, err := bounds.OptimalAlpha(q, k)
-		if err != nil {
-			t.Fatalf("OptimalAlpha(%d, %d): %v", q, k, err)
-		}
-		if d := ulpsApart(cold, closed); d > 1 {
-			t.Fatalf("q=%d k=%d: Newton root %x is %d ulps from closed form %x", q, k, cold, d, closed)
-		}
-		prev = warm
 	}
 }
 
 // TestAlphaStarOrderIndependent: two solvers fed the Theorem-1 grid in
-// opposite orders (so their warm seeds differ at every cell) must
-// memoize identical values — and exactly the closed-form bits.
+// opposite orders must memoize strategies with identical alpha* bits —
+// exactly the closed-form bits every fingerprint and cache key embeds.
 func TestAlphaStarOrderIndependent(t *testing.T) {
 	grid := theorem1Grid()
 	fwd, bwd := New(), New()
 	got := make(map[[2]int]float64, len(grid))
 	for _, kf := range grid {
-		a, err := fwd.AlphaStar(2, kf[0], kf[1])
+		st, err := fwd.Strategy(2, kf[0], kf[1])
 		if err != nil {
-			t.Fatalf("forward AlphaStar(2, %d, %d): %v", kf[0], kf[1], err)
+			t.Fatalf("forward Strategy(2, %d, %d): %v", kf[0], kf[1], err)
 		}
-		got[kf] = a
+		got[kf] = st.Alpha()
 	}
 	for i := len(grid) - 1; i >= 0; i-- {
 		kf := grid[i]
-		a, err := bwd.AlphaStar(2, kf[0], kf[1])
+		st, err := bwd.Strategy(2, kf[0], kf[1])
 		if err != nil {
-			t.Fatalf("backward AlphaStar(2, %d, %d): %v", kf[0], kf[1], err)
+			t.Fatalf("backward Strategy(2, %d, %d): %v", kf[0], kf[1], err)
 		}
+		a := st.Alpha()
 		if a != got[kf] {
 			t.Fatalf("k=%d f=%d: forward-order alpha %x != backward-order alpha %x", kf[0], kf[1], got[kf], a)
 		}
@@ -106,20 +71,17 @@ func TestAlphaStarOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestAlphaStarDomainErrors: out-of-domain parameters fail like the
-// closed form.
+// TestAlphaStarDomainErrors: parameters outside the search regime fail
+// and leave nothing in the memo.
 func TestAlphaStarDomainErrors(t *testing.T) {
 	s := New()
-	for _, mkf := range [][3]int{{1, 1, 0}, {2, 0, 0}, {2, 5, 3}} {
-		if _, err := s.AlphaStar(mkf[0], mkf[1], mkf[2]); err == nil {
-			// q <= k or k < 1 must be rejected ({2,5,3} has q=8>k: valid).
-			if q := mkf[0] * (mkf[2] + 1); q <= mkf[1] || mkf[1] < 1 {
-				t.Fatalf("AlphaStar(%v) succeeded, want domain error", mkf)
-			}
+	for _, mkf := range [][3]int{{1, 1, 0}, {2, 0, 0}, {2, 4, 1}, {0, 1, 0}, {2, 1, -1}} {
+		if _, err := s.Strategy(mkf[0], mkf[1], mkf[2]); err == nil {
+			t.Fatalf("Strategy(%v) succeeded, want domain error", mkf)
 		}
 	}
-	if _, err := s.AlphaStar(1, 1, 0); err == nil {
-		t.Fatal("AlphaStar(1,1,0) succeeded, want error (q = k)")
+	if st := s.Stats(); st.StrategySize != 0 || st.StrategyMisses != 0 {
+		t.Fatalf("failed lookups left size %d, misses %d; want 0, 0", st.StrategySize, st.StrategyMisses)
 	}
 }
 
@@ -150,8 +112,38 @@ func TestStrategyMemoized(t *testing.T) {
 		t.Fatal("Strategy(2,4,1) succeeded, want out-of-regime error")
 	}
 	stats := s.Stats()
-	if stats.StrategyHits != 1 || stats.StrategyMisses != 1 {
-		t.Fatalf("strategy hit/miss = %d/%d, want 1/1", stats.StrategyHits, stats.StrategyMisses)
+	if stats.StrategyHits != 1 || stats.StrategyMisses != 1 || stats.StrategySize != 1 {
+		t.Fatalf("strategy hit/miss/size = %d/%d/%d, want 1/1/1",
+			stats.StrategyHits, stats.StrategyMisses, stats.StrategySize)
+	}
+}
+
+// TestStrategyMemoCapped: cap+N distinct cells leave the memo at its
+// cap; a cell past the cap is still answered correctly, and the
+// resident cells keep sharing one pointer.
+func TestStrategyMemoCapped(t *testing.T) {
+	s := New()
+	cells := searchTriples(strategyCapacity + 16)
+	for _, c := range cells {
+		st, err := s.Strategy(c[0], c[1], c[2])
+		if err != nil {
+			t.Fatalf("Strategy(%v): %v", c, err)
+		}
+		closed, err := bounds.OptimalAlpha(c[0]*(c[2]+1), c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Alpha() != closed {
+			t.Fatalf("Strategy(%v) alpha %x, closed form %x", c, st.Alpha(), closed)
+		}
+	}
+	if size := s.Stats().StrategySize; size != strategyCapacity {
+		t.Fatalf("strategy memo size %d after %d cells, want the cap %d", size, len(cells), strategyCapacity)
+	}
+	first, _ := s.Strategy(cells[0][0], cells[0][1], cells[0][2])
+	again, _ := s.Strategy(cells[0][0], cells[0][1], cells[0][2])
+	if first != again {
+		t.Fatal("resident cell no longer shares one instance")
 	}
 }
 
@@ -174,31 +166,35 @@ func TestPFaultyBaseMemoized(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := s.Stats()
-	if stats.BaseHits != 1 || stats.BaseMisses != 1 {
-		t.Fatalf("base hit/miss = %d/%d, want 1/1", stats.BaseHits, stats.BaseMisses)
+	if stats.BaseHits != 1 || stats.BaseMisses != 1 || stats.BaseSize != 1 {
+		t.Fatalf("base hit/miss/size = %d/%d/%d, want 1/1/1", stats.BaseHits, stats.BaseMisses, stats.BaseSize)
 	}
 }
 
-// TestSimHorizonFactorMemoized: 2*lambda0 + 8 with a hit on repeat.
-func TestSimHorizonFactorMemoized(t *testing.T) {
+// TestBaseMemoCapped: cap+N distinct probabilities leave the memo at
+// its cap, and every answer, memoized or not, equals
+// pfaulty.OptimalBase.
+func TestBaseMemoCapped(t *testing.T) {
 	s := New()
-	hf, err := s.SimHorizonFactor(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lambda0, err := bounds.AMKF(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hf != 2*lambda0+8 {
-		t.Fatalf("SimHorizonFactor = %x, want %x", hf, 2*lambda0+8)
-	}
-	if _, err := s.SimHorizonFactor(2, 3, 1); err != nil {
-		t.Fatal(err)
+	n := baseCapacity + 16
+	for i := 0; i < n; i++ {
+		p := 0.05 + 0.45*float64(i)/float64(n)
+		base, worst, err := s.PFaultyBase(p)
+		if err != nil {
+			t.Fatalf("PFaultyBase(%v): %v", p, err)
+		}
+		rb, rw, err := pfaulty.OptimalBase(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base != rb || worst != rw {
+			t.Fatalf("PFaultyBase(%v) = (%x, %x), reference (%x, %x)", p, base, worst, rb, rw)
+		}
 	}
 	stats := s.Stats()
-	if stats.HorizonHits != 1 || stats.HorizonMisses != 1 {
-		t.Fatalf("horizon hit/miss = %d/%d, want 1/1", stats.HorizonHits, stats.HorizonMisses)
+	if stats.BaseSize != baseCapacity || stats.BaseMisses != int64(n) {
+		t.Fatalf("base memo size %d after %d misses, want the cap %d after %d",
+			stats.BaseSize, stats.BaseMisses, baseCapacity, n)
 	}
 }
 
@@ -218,35 +214,12 @@ func TestContextPlumbing(t *testing.T) {
 	}
 }
 
-// TestStatsAggregates: Hits/Misses sum the per-kind counters.
-func TestStatsAggregates(t *testing.T) {
-	st := Stats{
-		AlphaHits: 1, StrategyHits: 2, BaseHits: 3, HorizonHits: 4,
-		AlphaMisses: 5, StrategyMisses: 6, BaseMisses: 7, HorizonMisses: 8,
-	}
-	if st.Hits() != 10 {
-		t.Fatalf("Hits() = %d, want 10", st.Hits())
-	}
-	if st.Misses() != 26 {
-		t.Fatalf("Misses() = %d, want 26", st.Misses())
-	}
-}
-
 // TestExportImportRoundTrip warms a solver, exports its memo, imports
 // it into a fresh solver, and checks the fresh solver serves the same
-// values without re-solving (hit counters advance, miss counters do
-// not).
+// bases without re-solving.
 func TestExportImportRoundTrip(t *testing.T) {
 	warm := New()
-	wantAlpha, err := warm.AlphaStar(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := warm.Strategy(2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	wantHF, err := warm.SimHorizonFactor(2, 3, 1)
-	if err != nil {
 		t.Fatal(err)
 	}
 	wantBase, wantWorst, err := warm.PFaultyBase(0.25)
@@ -255,35 +228,16 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 
 	memo := warm.Export()
-	if got := memo.Entries(); got != 4 {
-		t.Fatalf("Export().Entries() = %d, want 4 (alpha, strategy, simHF, base)", got)
+	if got := len(memo.Bases); got != 1 {
+		t.Fatalf("Export() carries %d bases, want 1", got)
 	}
 
 	cold := New()
-	if got := cold.Import(memo); got != 4 {
-		t.Fatalf("Import = %d entries, want 4", got)
+	if got := cold.Import(memo); got != 1 {
+		t.Fatalf("Import = %d entries, want 1", got)
 	}
-	st0 := cold.Stats()
-	if st0.Hits() != 0 || st0.Misses() != 0 {
-		t.Fatalf("import advanced counters: %+v", st0)
-	}
-
-	alpha, err := cold.AlphaStar(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alpha != wantAlpha {
-		t.Errorf("imported alpha = %v, want %v", alpha, wantAlpha)
-	}
-	if _, err := cold.Strategy(2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	hf, err := cold.SimHorizonFactor(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hf != wantHF {
-		t.Errorf("imported simHF = %v, want %v", hf, wantHF)
+	if st := cold.Stats(); st.BaseHits != 0 || st.BaseMisses != 0 {
+		t.Fatalf("import advanced counters: %+v", st)
 	}
 	base, worst, err := cold.PFaultyBase(0.25)
 	if err != nil {
@@ -292,12 +246,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if base != wantBase || worst != wantWorst {
 		t.Errorf("imported base = (%v, %v), want (%v, %v)", base, worst, wantBase, wantWorst)
 	}
-	st := cold.Stats()
-	if st.Misses() != 0 {
-		t.Errorf("warm solver re-solved after import: %d misses", st.Misses())
-	}
-	if st.Hits() != 4 {
-		t.Errorf("warm solver hits = %d, want 4", st.Hits())
+	if st := cold.Stats(); st.BaseHits != 1 || st.BaseMisses != 0 {
+		t.Errorf("imported base hit/miss = %d/%d, want 1/0", st.BaseHits, st.BaseMisses)
 	}
 }
 
@@ -305,23 +255,23 @@ func TestExportImportRoundTrip(t *testing.T) {
 // exports of equally-warmed solvers must be identical (snapshots diff
 // cleanly).
 func TestExportDeterministicOrder(t *testing.T) {
-	build := func(order [][3]int) Memo {
+	build := func(ps []float64) Memo {
 		s := New()
-		for _, tr := range order {
-			if _, err := s.AlphaStar(tr[0], tr[1], tr[2]); err != nil {
+		for _, p := range ps {
+			if _, _, err := s.PFaultyBase(p); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return s.Export()
 	}
-	a := build([][3]int{{2, 3, 1}, {2, 2, 1}, {3, 4, 1}})
-	b := build([][3]int{{3, 4, 1}, {2, 3, 1}, {2, 2, 1}})
-	if len(a.Alphas) != 3 || len(b.Alphas) != 3 {
-		t.Fatalf("exports carry %d/%d alphas, want 3", len(a.Alphas), len(b.Alphas))
+	a := build([]float64{0.25, 0.1, 0.4})
+	b := build([]float64{0.4, 0.25, 0.1})
+	if len(a.Bases) != 3 || len(b.Bases) != 3 {
+		t.Fatalf("exports carry %d/%d bases, want 3", len(a.Bases), len(b.Bases))
 	}
-	for i := range a.Alphas {
-		if a.Alphas[i] != b.Alphas[i] {
-			t.Errorf("alpha order differs at %d: %+v vs %+v", i, a.Alphas[i], b.Alphas[i])
+	for i := range a.Bases {
+		if a.Bases[i] != b.Bases[i] {
+			t.Errorf("base order differs at %d: %+v vs %+v", i, a.Bases[i], b.Bases[i])
 		}
 	}
 }
@@ -331,16 +281,30 @@ func TestExportDeterministicOrder(t *testing.T) {
 func TestImportSkipsInvalidEntries(t *testing.T) {
 	s := New()
 	got := s.Import(Memo{
-		Alphas:     []TripleMemo{{M: 0, K: 0, F: -1}, {M: 2, K: 9, F: 0}}, // invalid domain / k >= q
-		Strategies: []TripleMemo{{M: 1, K: 5, F: 9}},
-		SimHF:      []TripleValueMemo{{M: 2, K: 3, F: 1, V: -4}, {M: 2, K: 3, F: 1, V: math.Inf(1)}},
-		Bases:      []BaseMemo{{P: 1.5, Base: 3, Worst: 5}, {P: 0.25, Base: 0.5, Worst: 5}, {P: 0.25, Base: 3, Worst: math.Inf(1)}},
+		Bases: []BaseMemo{{P: 1.5, Base: 3, Worst: 5}, {P: 0.25, Base: 0.5, Worst: 5}, {P: 0.25, Base: 3, Worst: math.Inf(1)}},
 	})
 	if got != 0 {
 		t.Errorf("Import accepted %d invalid entries", got)
 	}
-	if n := s.Export().Entries(); n != 0 {
+	if n := len(s.Export().Bases); n != 0 {
 		t.Errorf("invalid import left %d entries resident", n)
+	}
+}
+
+// TestImportObeysCap: an import larger than the base memo's capacity
+// fills it to the cap and no further.
+func TestImportObeysCap(t *testing.T) {
+	n := baseCapacity + 16
+	var m Memo
+	for i := 0; i < n; i++ {
+		m.Bases = append(m.Bases, BaseMemo{P: float64(i+1) / float64(n+1), Base: 3, Worst: 5})
+	}
+	s := New()
+	if got := s.Import(m); got != baseCapacity {
+		t.Fatalf("Import landed %d entries, want the cap %d", got, baseCapacity)
+	}
+	if size := s.Stats().BaseSize; size != baseCapacity {
+		t.Fatalf("base memo size %d after import, want the cap %d", size, baseCapacity)
 	}
 }
 

@@ -47,7 +47,6 @@ func Compile(src string) (*Program, error) {
 		return nil, err
 	}
 	p := &Program{
-		source: src,
 		body:   body,
 		locals: len(c.slots),
 		nodes:  c.nodes,

@@ -101,15 +101,11 @@ var inputNames = [numInputSlots]string{"r", "m", "k", "f", "alpha", "horizon"}
 // Program is a compiled, immutable strategy script. It is safe for
 // concurrent use; per-run state lives in pooled VMs.
 type Program struct {
-	source string
 	body   []stmt
 	locals int // total slots including inputs
 	nodes  int
 	hash   string
 }
-
-// Source returns the original script source.
-func (p *Program) Source() string { return p.source }
 
 // Hash returns the hex SHA-256 content hash of the canonical IR. Two
 // scripts that differ only in whitespace, comments, or variable names

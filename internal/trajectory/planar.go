@@ -131,9 +131,6 @@ func newPlanarTimed(pts []Vec, seg, cum []float64) *Planar {
 	return &Planar{pts: pts, seg: seg, cum: cum}
 }
 
-// NumPoints returns the number of waypoints.
-func (p *Planar) NumPoints() int { return len(p.pts) }
-
 // PointAt returns the i-th waypoint (0-based).
 func (p *Planar) PointAt(i int) Vec { return p.pts[i] }
 
