@@ -648,6 +648,33 @@ func BenchmarkSimulationJob(b *testing.B) {
 	b.ReportMetric(mc, "pfaulty-mc-ratio")
 }
 
+// BenchmarkPFaultyTrials measures the p-faulty Monte-Carlo sampler at
+// the shape of one montecarlo-flood point: 20,000 samples at each of
+// three fault probabilities spanning its p range, run as engine jobs
+// without the engine around them.
+func BenchmarkPFaultyTrials(b *testing.B) {
+	var jobs []engine.PFaultyTrials
+	for _, p := range []float64{0.05, 0.275, 0.5} {
+		base, _, err := pfaulty.OptimalBase(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs = append(jobs, engine.PFaultyTrials{Base: base, P: p, X: 50, Samples: 20000, Seed: 7})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			res, err := j.Run(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !(res.Value >= 1) {
+				b.Fatalf("implausible ratio %g at p=%g", res.Value, j.P)
+			}
+		}
+	}
+}
+
 // BenchmarkShorelineSim measures the planar simulation hot path: one
 // shoreline heading sweep (k planar rays against the 64-point
 // orientation grid plus the exact extremes) and one exact planar

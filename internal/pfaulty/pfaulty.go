@@ -209,13 +209,80 @@ func passTimes(star *trajectory.Star, x float64) []float64 {
 	return times
 }
 
+// The sampler draws the detecting pass by inverse transform,
+// n = 1+int(math.Log(1-u)/logP) with u = rng.Float64(), but reads n from
+// a table instead of taking a logarithm per sample. rand.Float64 builds
+// u = float64(v)/2^63 from one v = rng.Int63(), so the top passBits bits
+// of v name a bucket of u-width 2^-passBits (both ends included: the
+// float64 conversion can round up to the next bucket's first value).
+// Exact arithmetic steps n from j to j+1 at the threshold
+// u_j = 1-p^j = -math.Expm1(j*logP). A bucket that lies more than
+// passDelta from every threshold holds the n of its whole range; any
+// other bucket holds 0 and the sample computes the expression itself.
+//
+// Why a table entry equals the computed expression in every bit: with
+// l = logP and g(u) = ln(1-u)/l, the rounding of 1-u, math.Log and the
+// division move g by at most (2^-53 + 1.5*2^-52*|ln(1-u)|)/|l|, below
+// 2^-48/|l| because every non-zero bucket has 1-u >= 2^-passBits. The
+// rounded product j*l, math.Expm1 and the widening move each threshold
+// by under 2^-51. Since g' >= 1/|l|, a u more than passDelta = 2^-40
+// from every threshold has g more than (2^-40 - 2^-51)/|l| from every
+// integer, about 250 times the rounding error, so int() of the
+// computed quotient equals int(g), the table's n.
+const (
+	passBits  = 12
+	passDelta = 0x1p-40
+	// maxTablePass is the largest pass a uint8 table entry holds; later
+	// passes, and passes beyond the materialized ones, take the log.
+	maxTablePass = 254
+	// minTableSamples is the sample count from which filling the table
+	// pays: a fill costs about 3 µs for p <= 0.5, as much as some 150
+	// logarithms, and more as p nears 1. Below it the table stays 0 and
+	// every draw takes the log.
+	minTableSamples = 256
+)
+
+// fillPassTable sets table[k] to the pass n <= maxPass that
+// 1+int(math.Log(1-u)/logP) gives for every u of bucket k, and leaves
+// 0 in every bucket that touches a widened threshold or holds a later
+// pass. The last bucket always stays 0: its u can round to 1, which
+// rand.Float64 redraws. table must be zero on entry.
+func fillPassTable(table *[1 << passBits]uint8, logP float64, maxPass int) {
+	const scale = 1 << passBits // bucket k spans [k, k+1]/scale
+	last := len(table) - 1
+	from := 0 // first bucket above threshold n-1, widened
+	for n := 1; n <= maxPass && from < last; n++ {
+		t := -math.Expm1(float64(n) * logP)
+		// Bucket k lies below threshold n, widened, when
+		// k+1 < (t-passDelta)*scale, and above it when
+		// k > (t+passDelta)*scale. Scaling by a power of two is exact.
+		to := min(int(math.Ceil((t-passDelta)*scale))-1, last)
+		for k := from; k < to; k++ {
+			table[k] = uint8(n)
+		}
+		from = int(math.Floor((t+passDelta)*scale)) + 1
+	}
+}
+
+// logPass is the inverse-transform expression the table stands in
+// for, on the draw v: u = float64(v)/2^63, redrawn as rand.Float64
+// redraws when it rounds to 1.
+func logPass(rng *rand.Rand, v int64, logP float64) int {
+	u := float64(v) / (1 << 63)
+	for u == 1 {
+		u = float64(rng.Int63()) / (1 << 63)
+	}
+	return 1 + int(math.Log(1-u)/logP)
+}
+
 // MonteCarloRatio estimates the expected competitive ratio for a target
 // at distance x by simulating the per-pass detection coin over the
 // materialized trajectory (see passTimes for the tangency convention).
 // The caller supplies the rng for reproducibility (the engine job
-// seeds it deterministically). The sample loop checks ctx every 64
-// samples. Cancellation does not disturb determinism — a run that
-// completes consumes exactly the same rng stream regardless of ctx.
+// seeds it deterministically). Each sample consumes the rng exactly as
+// one rng.Float64 does. The sample loop checks ctx every 64 samples.
+// Cancellation does not disturb determinism — a run that completes
+// consumes exactly the same rng stream regardless of ctx.
 func MonteCarloRatio(ctx context.Context, b, p, x float64, samples int, rng *rand.Rand) (float64, error) {
 	if err := validate(b, p); err != nil {
 		return 0, err
@@ -231,7 +298,15 @@ func MonteCarloRatio(ctx context.Context, b, p, x float64, samples int, rng *ran
 	if len(visits) == 0 {
 		return 0, fmt.Errorf("pfaulty: trajectory never reaches %g", x)
 	}
+	// The ratio of each pass, divided once instead of once per sample.
+	for i := range visits {
+		visits[i] /= x
+	}
 	logP := math.Log(p)
+	var table [1 << passBits]uint8
+	if samples >= minTableSamples {
+		fillPassTable(&table, logP, min(maxTablePass, len(visits)))
+	}
 	var acc numeric.Kahan
 	for s := 0; s < samples; s++ {
 		if s%64 == 0 {
@@ -240,15 +315,18 @@ func MonteCarloRatio(ctx context.Context, b, p, x float64, samples int, rng *ran
 			}
 		}
 		// The detecting pass is geometric on {1, 2, ...} with success
-		// probability 1-p; inverse-transform sampling keeps the rng
-		// consumption at one draw per sample.
-		n := 1 + int(math.Log(1-rng.Float64())/logP)
+		// probability 1-p.
+		v := rng.Int63()
+		n := int(table[v>>(63-passBits)])
+		if n == 0 {
+			n = logPass(rng, v, logP)
+		}
 		if n > len(visits) {
 			// p^len(visits) < tailProb: astronomically unlikely, but
 			// truncating to the last pass would bias the mean down.
 			return 0, fmt.Errorf("pfaulty: sample needed pass %d of %d materialized (p too close to 1 for the horizon)", n, len(visits))
 		}
-		acc.Add(visits[n-1] / x)
+		acc.Add(visits[n-1])
 	}
 	return acc.Value() / float64(samples), nil
 }
