@@ -675,6 +675,40 @@ func BenchmarkPFaultyTrials(b *testing.B) {
 	}
 }
 
+// BenchmarkPFaultySimulateAnswer measures one p-faulty simulate answer
+// at the shape of a montecarlo-flood request: 48 log-grid points to
+// 1e4 at 20,000 samples each, through engine.RunStream on a fresh
+// one-worker engine per iteration, so every point misses the cache and
+// the answer's points share one sampling pass. BenchmarkPFaultyTrials
+// is the one-point guard.
+func BenchmarkPFaultySimulateAnswer(b *testing.B) {
+	const p = 0.275
+	base, _, err := pfaulty.OptimalBase(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var jobs []engine.Job
+	for _, x := range engine.LogGrid(1e4, 48) {
+		jobs = append(jobs, engine.PFaultyTrials{Base: base, P: p, X: x, Samples: 20000, Seed: 7})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for jr := range engine.New(1).RunStream(context.Background(), jobs) {
+			if jr.Err != nil {
+				b.Fatal(jr.Err)
+			}
+			if !(jr.Result.Value >= 1) {
+				b.Fatalf("implausible ratio %g at x=%g", jr.Result.Value, jobs[jr.Index].(engine.PFaultyTrials).X)
+			}
+			n++
+		}
+		if n != len(jobs) {
+			b.Fatalf("stream emitted %d of %d points", n, len(jobs))
+		}
+	}
+}
+
 // BenchmarkShorelineSim measures the planar simulation hot path: one
 // shoreline heading sweep (k planar rays against the 64-point
 // orientation grid plus the exact extremes) and one exact planar

@@ -365,6 +365,16 @@ func (e *Engine) Run(ctx context.Context, j Job) (Result, error) {
 	return e.wait(ctx, en)
 }
 
+// resident reports whether key has a completed or live in-flight cache
+// entry, so that a Run of it would not start a computation.
+func (e *Engine) resident(key string) bool {
+	sh := e.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	en, ok := sh.cache[key]
+	return ok && !en.abandoned
+}
+
 // wait blocks until the entry's computation completes or ctx is
 // cancelled. A caller abandoning the last reference cancels the
 // computation itself.

@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/bounds"
 	"repro/internal/byzantine"
@@ -116,7 +118,112 @@ func (j PFaultyTrials) Key() string {
 func (j PFaultyTrials) Run(ctx context.Context) (Result, error) {
 	rng := rand.New(rand.NewSource(j.Seed))
 	v, err := pfaulty.MonteCarloRatio(ctx, j.Base, j.P, j.X, j.Samples, rng)
-	return Result{Value: v, Samples: j.Samples, Seed: j.Seed, Clamped: j.Clamped}, err
+	return j.result(v), err
+}
+
+// result wraps the sampled value with the job's sampling metadata.
+func (j PFaultyTrials) result(v float64) Result {
+	return Result{Value: v, Samples: j.Samples, Seed: j.Seed, Clamped: j.Clamped}
+}
+
+// curveKey is what the PFaultyTrials of one simulate answer share:
+// every field but the distance, floats by their bits (the key prints
+// -0 and 0 apart).
+type curveKey struct {
+	base, p uint64
+	samples int
+	seed    int64
+	clamped bool
+}
+
+func (j PFaultyTrials) curveKey() curveKey {
+	return curveKey{math.Float64bits(j.Base), math.Float64bits(j.P), j.Samples, j.Seed, j.Clamped}
+}
+
+// pfaultyCurve is one stream's shared evaluation of linked PFaultyTrials
+// distances: the first linked job to run samples every distance with
+// pfaulty.MonteCarloCurve, from the seeded draw sequence each lone job
+// draws, and the others return their value. A pass cut short
+// by its job's cancellation keeps nothing, so the next linked job
+// recomputes under its own ctx.
+type pfaultyCurve struct {
+	job  PFaultyTrials // the shared fields; X is unused
+	xs   []float64
+	mu   sync.Mutex
+	vals []float64
+	errs []error // nil until a pass completes
+}
+
+// ratio returns the value of distance xs[i], sampling the curve first
+// if no pass has completed.
+func (c *pfaultyCurve) ratio(ctx context.Context, i int) (float64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.errs == nil {
+		if err := ctx.Err(); err != nil {
+			return 0, err // a cancelled job starts no pass
+		}
+		j := c.job
+		vals, errs := pfaulty.MonteCarloCurve(ctx, j.Base, j.P, c.xs, j.Samples, j.Seed)
+		if ctx.Err() != nil {
+			return vals[i], errs[i] // cut short: keep nothing
+		}
+		c.vals, c.errs = vals, errs
+	}
+	return c.vals[i], c.errs[i]
+}
+
+// linkedPFaulty is a PFaultyTrials whose Run reads its distance from a
+// stream's shared curve. It keeps the PFaultyTrials key, so it caches
+// and deduplicates exactly as the lone job does.
+type linkedPFaulty struct {
+	PFaultyTrials
+	curve *pfaultyCurve
+	i     int
+}
+
+// Run implements Job.
+func (j linkedPFaulty) Run(ctx context.Context) (Result, error) {
+	v, err := j.curve.ratio(ctx, j.i)
+	return j.result(v), err
+}
+
+// linkPFaulty returns jobs with every PFaultyTrials that is neither
+// cached nor in flight, and shares its curveKey with another such job,
+// linked to one pfaultyCurve over their distances. Without two such
+// jobs it returns jobs itself.
+func (e *Engine) linkPFaulty(jobs []Job) []Job {
+	var groups map[curveKey][]int
+	for i, j := range jobs {
+		pj, ok := j.(PFaultyTrials)
+		if !ok || e.resident(pj.Key()) {
+			continue
+		}
+		if groups == nil {
+			groups = make(map[curveKey][]int)
+		}
+		k := pj.curveKey()
+		groups[k] = append(groups[k], i)
+	}
+	var linked []Job
+	for _, idx := range groups {
+		if len(idx) < 2 {
+			continue
+		}
+		if linked == nil {
+			linked = slices.Clone(jobs)
+		}
+		c := &pfaultyCurve{job: jobs[idx[0]].(PFaultyTrials), xs: make([]float64, len(idx))}
+		for n, i := range idx {
+			pj := jobs[i].(PFaultyTrials)
+			c.xs[n] = pj.X
+			linked[i] = linkedPFaulty{PFaultyTrials: pj, curve: c, i: n}
+		}
+	}
+	if linked == nil {
+		return jobs
+	}
+	return linked
 }
 
 // byzantineLineEval carries the per-(k, f) setup — the optimal line
@@ -281,6 +388,7 @@ func LogGrid(horizon float64, n int) []float64 {
 var (
 	_ Job = SimulationRun{}
 	_ Job = PFaultyTrials{}
+	_ Job = linkedPFaulty{}
 	_ Job = ByzantineLineSim{}
 	_ Job = ByzantineLineWorst{}
 )

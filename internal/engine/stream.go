@@ -135,7 +135,15 @@ type JobResult struct {
 // going. Cancelling ctx stops the stream cooperatively and closes the
 // channel after the completed contiguous prefix. The channel is always
 // closed; consumers must drain it (or cancel ctx).
+//
+// The stream's uncached PFaultyTrials jobs that differ only in their
+// distance are linked to one evaluation that lives as long as the
+// stream: the first of them to run samples every linked distance from
+// the one draw sequence they all share, and the others return their
+// value. Each still runs, caches and reports as its lone job would,
+// bit for bit.
 func (e *Engine) RunStream(ctx context.Context, jobs []Job) <-chan JobResult {
+	jobs = e.linkPFaulty(jobs)
 	return streamOrdered(ctx, e.workers, len(jobs), func(ctx context.Context, i int) (JobResult, bool) {
 		res, err := e.Run(ctx, jobs[i])
 		if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {

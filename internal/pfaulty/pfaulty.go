@@ -282,37 +282,113 @@ func logPass(rng *rand.Rand, v int64, logP float64) int {
 // seeds it deterministically). Each sample consumes the rng exactly as
 // one rng.Float64 does. The sample loop checks ctx every 64 samples.
 // Cancellation does not disturb determinism — a run that completes
-// consumes exactly the same rng stream regardless of ctx.
+// consumes exactly the same rng stream regardless of ctx. It is the
+// one-distance case of the sampler MonteCarloCurve runs.
 func MonteCarloRatio(ctx context.Context, b, p, x float64, samples int, rng *rand.Rand) (float64, error) {
-	if err := validate(b, p); err != nil {
-		return 0, err
-	}
-	if !(x >= 1) || samples < 1 || rng == nil {
-		return 0, fmt.Errorf("%w: x %g, samples %d", ErrBadParams, x, samples)
-	}
-	star, err := Trajectory(b, x, visitsFor(p))
+	r, err := passRatios(b, p, x, samples, rng)
 	if err != nil {
 		return 0, err
 	}
+	errs := make([]error, 1)
+	v := sampleRatios(ctx, p, [][]float64{r}, errs, samples, rng)
+	return v[0], errs[0]
+}
+
+// curveFloats bounds the pass ratios one MonteCarloCurve run holds
+// (2 MiB, and as much again in their pass-major copy). Distances near
+// p = 1 need thousands of passes each.
+const curveFloats = 1 << 18
+
+// MonteCarloCurve returns, for every distance of xs, the value and the
+// error of MonteCarloRatio with a fresh rand.NewSource(seed), in every
+// bit. It draws the samples once for all distances: each sample's pass
+// n is read once and tₙ(x)/x is added to one compensated sum per
+// distance, in sample order, so each distance gets the lone call's
+// draws and adds. A distance whose samples need more passes than it
+// materialized fails alone; the others keep sampling. A cancelled ctx
+// fails every distance still sampling with ctx's error. Distances whose
+// ratios outgrow curveFloats are sampled in further runs, each from its
+// own fresh source.
+func MonteCarloCurve(ctx context.Context, b, p float64, xs []float64, samples int, seed int64) ([]float64, []error) {
+	vals := make([]float64, 0, len(xs))
+	errs := make([]error, len(xs))
+	for lo := 0; lo < len(xs); {
+		rng := rand.New(rand.NewSource(seed))
+		var ratios [][]float64
+		for held := 0; lo+len(ratios) < len(xs) && held < curveFloats; {
+			i := lo + len(ratios)
+			r, err := passRatios(b, p, xs[i], samples, rng)
+			ratios, errs[i] = append(ratios, r), err
+			held += len(r)
+		}
+		vals = append(vals, sampleRatios(ctx, p, ratios, errs[lo:lo+len(ratios)], samples, rng)...)
+		lo += len(ratios)
+	}
+	return vals, errs
+}
+
+// passRatios checks one distance's inputs and returns the ratio tₙ/x
+// of each materialized pass, divided once instead of once per sample.
+func passRatios(b, p, x float64, samples int, rng *rand.Rand) ([]float64, error) {
+	if err := validate(b, p); err != nil {
+		return nil, err
+	}
+	if !(x >= 1) || samples < 1 || rng == nil {
+		return nil, fmt.Errorf("%w: x %g, samples %d", ErrBadParams, x, samples)
+	}
+	star, err := Trajectory(b, x, visitsFor(p))
+	if err != nil {
+		return nil, err
+	}
 	visits := passTimes(star, x)
 	if len(visits) == 0 {
-		return 0, fmt.Errorf("pfaulty: trajectory never reaches %g", x)
+		return nil, fmt.Errorf("pfaulty: trajectory never reaches %g", x)
 	}
-	// The ratio of each pass, divided once instead of once per sample.
 	for i := range visits {
 		visits[i] /= x
+	}
+	return visits, nil
+}
+
+// sampleRatios is the sampler of MonteCarloRatio and MonteCarloCurve:
+// ratios[k][n-1] is distance k's ratio at pass n, and every distance
+// whose errs[k] is nil on entry gets its mean over the same samples
+// draws of rng. Distance k fails on the first sample whose pass exceeds
+// len(ratios[k]), as a lone run would stop there. It returns the means
+// and sets the errors in errs.
+func sampleRatios(ctx context.Context, p float64, ratios [][]float64, errs []error, samples int, rng *rand.Rand) []float64 {
+	d := len(ratios)
+	sums := make([]float64, d)
+	minLen := shortestLive(ratios, errs)
+	if minLen == 0 {
+		return sums
+	}
+	maxLen := 0
+	for _, r := range ratios {
+		maxLen = max(maxLen, len(r))
+	}
+	// Pass-major rows: row n-1 holds every distance's ratio at pass n,
+	// so one sample's adds read one contiguous row and the d
+	// independent sums overlap instead of each waiting on its last add.
+	// A distance shorter than the row is padded with 0; its sum is
+	// dropped once a sample reaches the padding, and so is the sum of a
+	// distance that failed before sampling.
+	rows := make([]float64, maxLen*d)
+	for k, r := range ratios {
+		for n, v := range r {
+			rows[n*d+k] = v
+		}
 	}
 	logP := math.Log(p)
 	var table [1 << passBits]uint8
 	if samples >= minTableSamples {
-		fillPassTable(&table, logP, min(maxTablePass, len(visits)))
+		fillPassTable(&table, logP, min(maxTablePass, maxLen))
 	}
-	var acc numeric.Kahan
+	accs := make([]numeric.Kahan, d)
+	var acc numeric.Kahan // accs[0] when d == 1: through the slice, that loop runs a third slower
 	for s := 0; s < samples; s++ {
-		if s%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
+		if s%64 == 0 && failAll(ctx, errs) {
+			return sums
 		}
 		// The detecting pass is geometric on {1, 2, ...} with success
 		// probability 1-p.
@@ -321,12 +397,79 @@ func MonteCarloRatio(ctx context.Context, b, p, x float64, samples int, rng *ran
 		if n == 0 {
 			n = logPass(rng, v, logP)
 		}
-		if n > len(visits) {
-			// p^len(visits) < tailProb: astronomically unlikely, but
-			// truncating to the last pass would bias the mean down.
-			return 0, fmt.Errorf("pfaulty: sample needed pass %d of %d materialized (p too close to 1 for the horizon)", n, len(visits))
+		if n > minLen && failPass(ratios, errs, n, &minLen) {
+			return sums
 		}
-		acc.Add(visits[n-1])
+		if d > 1 {
+			addRow(accs, rows, n)
+			continue
+		}
+		acc.Add(rows[n-1])
 	}
-	return acc.Value() / float64(samples), nil
+	if d == 1 {
+		accs[0] = acc
+	}
+	for k := range accs {
+		if errs[k] == nil {
+			sums[k] = accs[k].Value() / float64(samples)
+		}
+	}
+	return sums
+}
+
+// addRow adds row n-1 of the pass-major rows to accs, entry k to
+// accs[k]. It stays out of line: inlined, its loop state is carried
+// around the one-distance loop too, which then runs some 4% slower.
+//
+//go:noinline
+func addRow(accs []numeric.Kahan, rows []float64, n int) {
+	d := len(accs)
+	row := rows[(n-1)*d : n*d]
+	accs = accs[:len(row)]
+	for k, r := range row {
+		accs[k].Add(r)
+	}
+}
+
+// failAll fails every live distance with ctx's error once ctx is done,
+// and reports whether it was.
+func failAll(ctx context.Context, errs []error) bool {
+	err := ctx.Err()
+	if err == nil {
+		return false
+	}
+	for k := range errs {
+		if errs[k] == nil {
+			errs[k] = err
+		}
+	}
+	return true
+}
+
+// failPass fails every live distance with fewer than n passes, sets
+// *minLen to shortestLive, and reports whether none is left. minLen is
+// passed by address so that the sample loop reads it from memory
+// instead of carrying it in a register around every draw.
+func failPass(ratios [][]float64, errs []error, n int, minLen *int) bool {
+	for k, r := range ratios {
+		if errs[k] == nil && n > len(r) {
+			// p^len(r) < tailProb: astronomically unlikely, but
+			// truncating to the last pass would bias the mean down.
+			errs[k] = fmt.Errorf("pfaulty: sample needed pass %d of %d materialized (p too close to 1 for the horizon)", n, len(r))
+		}
+	}
+	*minLen = shortestLive(ratios, errs)
+	return *minLen == 0
+}
+
+// shortestLive returns the fewest passes among the distances that have
+// not failed, or 0 when all have.
+func shortestLive(ratios [][]float64, errs []error) int {
+	shortest := 0
+	for k, r := range ratios {
+		if errs[k] == nil && (shortest == 0 || len(r) < shortest) {
+			shortest = len(r)
+		}
+	}
+	return shortest
 }

@@ -29,6 +29,12 @@ func referenceMonteCarloRatio(ctx context.Context, b, p, x float64, samples int,
 	if len(visits) == 0 {
 		return 0, fmt.Errorf("pfaulty: trajectory never reaches %g", x)
 	}
+	return referenceSample(ctx, p, x, visits, samples, rng)
+}
+
+// referenceSample is referenceMonteCarloRatio's sample loop over the
+// given pass times of a target at x.
+func referenceSample(ctx context.Context, p, x float64, visits []float64, samples int, rng *rand.Rand) (float64, error) {
 	logP := math.Log(p)
 	var acc numeric.Kahan
 	for s := 0; s < samples; s++ {

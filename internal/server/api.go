@@ -25,13 +25,26 @@ import (
 // carrying struct tell the two apart where it matters.
 type Float float64
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. It writes the bytes
+// json.Marshal(float64) writes, by encoding/json's rules, without
+// re-entering the encoder: the shortest 'f' form, or 'e' below 1e-6
+// and from 1e21 on with a one-digit negative exponent unpadded.
 func (f Float) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return []byte("null"), nil
 	}
-	return json.Marshal(v)
+	format := byte('f')
+	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(make([]byte, 0, 24), v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		// e-09 -> e-9
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler (null -> NaN).
