@@ -31,7 +31,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/solver"
 	"repro/internal/strategy"
-	"repro/internal/turncost"
 )
 
 // BenchmarkE01Theorem1Table regenerates the Theorem 1 table: closed-form
@@ -379,18 +378,18 @@ func BenchmarkAblationGridVsExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	jobs := []engine.Job{
-		engine.ExactRatio{Strategy: s, Faults: 1, Horizon: 1e4},
-		engine.GridRatio{Strategy: s, Faults: 1, Horizon: 1e4, N: 500},
-	}
 	var exact, grid float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := engine.New(0).RunBatch(context.Background(), jobs)
+		ev, err := adversary.ExactRatio(context.Background(), s, 1, 1e4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		exact, grid = results[0].Value, results[1].Value
+		grid, err = adversary.GridRatio(context.Background(), s, 1, 1e4, 500)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exact = ev.WorstRatio
 		if grid > exact {
 			b.Fatal("grid must not exceed exact")
 		}
@@ -491,29 +490,6 @@ func BenchmarkE13MonteCarloBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(mean, "mc-expected-ratio")
-}
-
-// BenchmarkE14TurnCost (extension; the paper's reference [15]) optimizes
-// the geometric strategy under a per-turn cost and reports the degraded
-// ratio.
-func BenchmarkE14TurnCost(b *testing.B) {
-	var free, costly float64
-	for i := 0; i < b.N; i++ {
-		_, r0, err := turncost.Optimize(0, 1e4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, r2, err := turncost.Optimize(2, 1e4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		free, costly = r0, r2
-		if costly < free {
-			b.Fatal("turn cost cannot help")
-		}
-	}
-	b.ReportMetric(free, "ratio-cost0")
-	b.ReportMetric(costly, "ratio-cost2")
 }
 
 // BenchmarkAblationBigVsFloat compares the exact rational kernel with
@@ -846,40 +822,6 @@ func BenchmarkBatchEndpoint(b *testing.B) {
 			b.Fatalf("batch = %d", resp.StatusCode)
 		}
 	}
-}
-
-// BenchmarkEvaluatorExtend measures the incremental-horizon kernel: an
-// Evaluator built at h answers each doubled horizon by appending the
-// new suffix (Extend) instead of rebuilding its tables, versus which
-// the rebuild path pays the full construction per doubling. This is
-// the per-doubling cost of adversary.ConvergenceCheck; the regression
-// gate (cmd/benchdiff vs BENCH_baseline.json) watches it.
-func BenchmarkEvaluatorExtend(b *testing.B) {
-	s, err := strategy.NewCyclicExponential(2, 5, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		ev, err := adversary.NewEvaluator(s, 1e3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, h := range []float64{2e3, 4e3, 8e3, 16e3} {
-			if err := ev.Extend(h); err != nil {
-				b.Fatal(err)
-			}
-			res, err := ev.ExactRatio(ctx, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res.WorstRatio
-		}
-		ev.Release()
-	}
-	b.ReportMetric(4, "doublings-per-build")
-	b.ReportMetric(last, "ratio-at-16k")
 }
 
 // BenchmarkExactRatioSweepCells measures the kernel layer in the shape

@@ -56,9 +56,7 @@ type rayVisit struct {
 
 // rayEvent is one visit of a ray's event stream: as a target on the ray
 // passes Turn, robot's arrival offset moves from tables[ray][robot][idx]
-// to the next entry of the table (+Inf past its end). The stream
-// stores table indices rather than offsets, so the "next entry" of an
-// old event stays right after Extend appends visits to the table.
+// to the next entry of the table (+Inf past its end).
 type rayEvent struct {
 	Turn  float64
 	robot int32
@@ -156,49 +154,4 @@ func GridRatio(ctx context.Context, s strategy.Strategy, faults int, horizon flo
 	}
 	defer e.Release()
 	return e.GridRatio(ctx, faults, n)
-}
-
-// ConvergenceCheck evaluates ExactRatio over doubling horizons and reports
-// the successive worst ratios, so callers can confirm that the strategy's
-// ratio has reached its log-periodic steady state (exponential strategies'
-// ratio functions are periodic in log x, so the windowed supremum
-// stabilizes once the window spans a full period).
-//
-// The doublings share one Evaluator grown in place (Evaluator.Extend):
-// each step appends only the new horizon window's rounds and
-// breakpoints instead of rebuilding — and re-querying — the whole
-// prefix from scratch. The reported ratios are identical to the
-// rebuild-per-horizon path (Extend is bit-for-bit equivalent to a
-// fresh build).
-func ConvergenceCheck(s strategy.Strategy, faults int, baseHorizon float64, doublings int) ([]float64, error) {
-	if doublings < 1 {
-		return nil, fmt.Errorf("%w: doublings = %d", ErrBadParams, doublings)
-	}
-	if s == nil {
-		return nil, fmt.Errorf("%w: nil strategy", ErrBadParams)
-	}
-	if faults < 0 || faults >= s.K() {
-		return nil, fmt.Errorf("%w: %d faults with %d robots", ErrBadParams, faults, s.K())
-	}
-	e, err := NewEvaluator(s, baseHorizon)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Release()
-	out := make([]float64, 0, doublings)
-	h := baseHorizon
-	for i := 0; i < doublings; i++ {
-		if i > 0 {
-			if err := e.Extend(h); err != nil {
-				return nil, err
-			}
-		}
-		ev, err := e.ExactRatio(context.Background(), faults)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev.WorstRatio)
-		h *= 2
-	}
-	return out, nil
 }

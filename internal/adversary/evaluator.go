@@ -39,8 +39,7 @@ import (
 )
 
 // Evaluator answers worst-case ratio queries for one (strategy, horizon)
-// pair from tables built exactly once. Construct with NewEvaluator; a
-// built Evaluator can grow its horizon in place with Extend, and
+// pair from tables built exactly once. Construct with NewEvaluator;
 // Release recycles its buffers through the kernel pool (see pool.go).
 //
 // An Evaluator owns scratch buffers and is therefore NOT safe for
@@ -53,9 +52,8 @@ type Evaluator struct {
 	m, k    int
 
 	// tables[ray][robot] is the increasing (turn, offset) table of the
-	// robot's first-reaching excursions on the ray. Each table is a
-	// capacity-clamped window into visitsBuf until an Extend append
-	// migrates it out.
+	// robot's first-reaching excursions on the ray, a window into
+	// visitsBuf.
 	tables [][][]rayVisit
 	// breaks[ray] is the sorted, deduplicated candidate-point slice of
 	// the ray: x = 1 plus every turning point in [1, horizon).
@@ -65,8 +63,8 @@ type Evaluator struct {
 	events [][]rayEvent
 
 	// Scratch buffers (all length k), reused so neither the merges nor
-	// the queries allocate: the merge state of the build and Extend
-	// passes, and the two offset multisets the breakpoint walk swaps.
+	// the queries allocate: the merge state of the build, and the two
+	// offset multisets the breakpoint walk swaps.
 	cursors []int     // merge position per robot table
 	heads   []float64 // turn at the merge position per robot
 	att     []float64 // ascending arrival offsets at x (Turn >= x)
@@ -83,8 +81,7 @@ type Evaluator struct {
 
 	// Build arena (see pool.go): flat backing buffers the tables,
 	// breakpoint and event slices are partitioned out of, the
-	// per-robot filter and resume state Extend continues from, and the
-	// pool bookkeeping.
+	// per-robot filter state, and the pool bookkeeping.
 	roundsBuf []trajectory.Round
 	robotOff  []int
 	visitsBuf []rayVisit
@@ -92,7 +89,6 @@ type Evaluator struct {
 	eventsBuf []rayEvent
 	counts    []int
 	maxTurn   []float64 // k rows of m+1 running-maximum filter values
-	resume    []robotResume
 	released  bool
 }
 
@@ -220,9 +216,6 @@ func replaceSorted(a []float64, old, v float64) {
 	}
 	a[i] = v
 }
-
-// Robots implements Placement: the number of searchers.
-func (e *Evaluator) Robots() int { return e.k }
 
 // ResetSweep implements Placement: rewind the breakpoint walk to the
 // start of ray 1.

@@ -2,7 +2,7 @@
 // adversary computed straight from the package doc, with no state
 // carried from one candidate point to the next. The other kernel tests
 // compare the kernel's own paths with each other (Evaluator vs package
-// functions, FRange vs per-f queries, Extend vs a fresh build), so a bug
+// functions, FRange vs per-f queries, pooled vs reference build), so a bug
 // those paths share passes them all; this one does not.
 package adversary
 
@@ -157,12 +157,9 @@ func checkEvaluator(t *testing.T, label string, e *Evaluator, f int) {
 }
 
 // checkAgainstReference checks s at fault count f on a fresh evaluator
-// per horizon, and on one evaluator grown through the horizons (in
-// increasing order) by Extend.
+// per horizon.
 func checkAgainstReference(t *testing.T, s strategy.Strategy, f int, horizons []float64) {
 	t.Helper()
-	var grown *Evaluator
-	defer func() { grown.Release() }()
 	for _, h := range horizons {
 		e, err := NewEvaluator(s, h)
 		if err != nil {
@@ -170,16 +167,6 @@ func checkAgainstReference(t *testing.T, s strategy.Strategy, f int, horizons []
 		}
 		checkEvaluator(t, s.Name(), e, f)
 		e.Release()
-		if grown == nil {
-			if grown, err = NewEvaluator(s, h); err != nil {
-				t.Fatalf("NewEvaluator(%s, %g): %v", s.Name(), h, err)
-			}
-			continue
-		}
-		if err := grown.Extend(h); err != nil {
-			t.Fatalf("Extend(%s, %g): %v", s.Name(), h, err)
-		}
-		checkEvaluator(t, s.Name()+" extended", grown, f)
 	}
 }
 
@@ -270,7 +257,7 @@ var fuzzHorizons = [8]float64{1.5, 2, 3, 7.5, 16, 50, 100, 1e3}
 // checks the kernel against the reference on it: byte 0 picks m <= 4,
 // byte 1 k <= 6, byte 2 the fault count, byte 3 the horizon, and every
 // later pair of bytes one round (robot; ray and turn). The evaluator is
-// checked fresh, and grown by Extend from the smallest horizon.
+// checked fresh at the smallest fuzzed horizon and at the drawn one.
 //
 // CI runs this for a short -fuzztime as a smoke gate; `go test -fuzz
 // FuzzExactRatioMatchesReference ./internal/adversary` explores further.

@@ -47,8 +47,6 @@ type Candidate struct {
 // backing arrays; the slices a NextCandidate call exposes remain valid
 // only until the next call.
 type Placement interface {
-	// Robots returns the number of robots (the length of Att/Lim).
-	Robots() int
 	// ResetSweep rewinds the sweep (and any incremental state) to the
 	// first candidate.
 	ResetSweep()

@@ -1,8 +1,6 @@
 // pool.go is the amortization layer of the adversary kernel: Evaluator
 // construction, previously a fresh-allocation affair per (strategy,
-// horizon), now draws every backing buffer from a recycled arena, and
-// a built Evaluator can grow its horizon in place (Extend) instead of
-// being rebuilt from scratch.
+// horizon), now draws every backing buffer from a recycled arena.
 //
 // The build is a two-pass partition over flat buffers: pass one runs
 // the running-maximum visit filter only to count survivors per
@@ -26,7 +24,6 @@ package adversary
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -35,25 +32,16 @@ import (
 
 // Kernel counters (process-wide, like the pool itself).
 var (
-	kernelBuilds         atomic.Int64
-	kernelExtends        atomic.Int64
-	kernelExtendRebuilds atomic.Int64
-	kernelPoolReuses     atomic.Int64
+	kernelBuilds     atomic.Int64
+	kernelPoolReuses atomic.Int64
 )
 
 // KernelStats is a snapshot of the adversary kernel's amortization
 // counters. The counters are process-wide: the evaluator pool is shared
 // by every engine in the process.
 type KernelStats struct {
-	// Builds counts full table builds (fresh evaluators plus Extend
-	// calls that had to fall back to a rebuild).
+	// Builds counts table builds, one per constructed evaluator.
 	Builds int64
-	// Extends counts incremental horizon extensions that reused the
-	// prefix tables.
-	Extends int64
-	// ExtendRebuilds counts Extend calls that detected a non-prefix
-	// strategy (or an out-of-order visit) and rebuilt instead.
-	ExtendRebuilds int64
 	// PoolReuses counts evaluator constructions served from the pool —
 	// builds that recycled a previous evaluator's buffers.
 	PoolReuses int64
@@ -62,21 +50,9 @@ type KernelStats struct {
 // ReadKernelStats returns a snapshot of the kernel counters.
 func ReadKernelStats() KernelStats {
 	return KernelStats{
-		Builds:         kernelBuilds.Load(),
-		Extends:        kernelExtends.Load(),
-		ExtendRebuilds: kernelExtendRebuilds.Load(),
-		PoolReuses:     kernelPoolReuses.Load(),
+		Builds:     kernelBuilds.Load(),
+		PoolReuses: kernelPoolReuses.Load(),
 	}
-}
-
-// robotResume is the per-robot state a build leaves behind so Extend
-// can continue the excursion walk where it stopped: how many rounds
-// were consumed, the last consumed turning point (a cheap prefix-
-// stability check), and the running offset accumulator.
-type robotResume struct {
-	rounds   int
-	lastTurn float64
-	prefix   float64
 }
 
 // evalPool recycles Evaluators with all their backing buffers.
@@ -196,9 +172,7 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 	}
 
 	// Partition: each table gets a zero-length slice of exactly its
-	// final capacity. The capacity is clamped (three-index slicing) so
-	// a later Extend append migrates a table out of the arena instead
-	// of clobbering its neighbor.
+	// final capacity.
 	e.visitsBuf = resize(e.visitsBuf, total)
 	e.tables = resizeTables(e.tables, m, k)
 	off := 0
@@ -212,17 +186,14 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 
 	// Pass 2: the identical iteration again, now recording offsets —
 	// same floating-point operations in the same order as the
-	// reference visitTables — and capturing the per-robot resume state
-	// Extend continues from.
+	// reference visitTables.
 	for i := range e.maxTurn {
 		e.maxTurn[i] = 0
 	}
-	e.resume = resize(e.resume, k)
 	for r := 0; r < k; r++ {
 		mt := e.maxTurn[r*(m+1) : (r+1)*(m+1)]
-		rounds := rb[e.robotOff[r]:e.robotOff[r+1]]
 		prefix := 0.0
-		for _, rd := range rounds {
+		for _, rd := range rb[e.robotOff[r]:e.robotOff[r+1]] {
 			if rd.Turn > mt[rd.Ray] {
 				mt[rd.Ray] = rd.Turn
 				e.tables[rd.Ray][r] = append(e.tables[rd.Ray][r], rayVisit{
@@ -232,22 +203,13 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 			}
 			prefix += rd.Turn
 		}
-		res := &e.resume[r]
-		res.rounds = len(rounds)
-		res.prefix = prefix
-		res.lastTurn = 0
-		if len(rounds) > 0 {
-			res.lastTurn = rounds[len(rounds)-1].Turn
-		}
 	}
 
 	// Breakpoints and events: per ray, a k-way merge of the robots'
 	// sorted turn columns behind the leading x = 1 — the same
 	// breakpoint sequence breakpointSlice's concatenate-sort-dedup
 	// produces, in one pass. Each ray's slices take the rest of the
-	// arena as capacity while it merges and are clamped afterwards, so
-	// a later Extend append migrates them instead of clobbering the
-	// next ray's.
+	// arena as capacity while it merges.
 	e.breaksBuf = resize(e.breaksBuf, m+total)
 	e.eventsBuf = resize(e.eventsBuf, total)
 	e.breaks = resizeRays(e.breaks, m)
@@ -259,10 +221,8 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 		e.breaksBuf[nb] = 1
 		e.breaks[ray] = e.breaksBuf[nb : nb+1]
 		e.events[ray] = e.eventsBuf[ne:ne]
-		e.mergeRay(ray, 0, horizon)
-		br, ev := e.breaks[ray], e.events[ray]
-		e.breaks[ray], e.events[ray] = br[:len(br):len(br)], ev[:len(ev):len(ev)]
-		nb, ne = nb+len(br), ne+len(ev)
+		e.mergeRay(ray, horizon)
+		nb, ne = nb+len(e.breaks[ray]), ne+len(e.events[ray])
 	}
 
 	// Query scratch (all length k; reused across breakpoints so the
@@ -273,27 +233,18 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 }
 
 // mergeRay appends to the ray's breakpoint and event slices every
-// table visit with from <= Turn < horizon, in turn order: a k-way
-// merge of the robots' sorted tables, scanning one head turn per robot
-// (horizon once a robot's column is spent). Every visit becomes an
-// event; a turn at or above 1 that differs from the last breakpoint
-// becomes a breakpoint too.
-func (e *Evaluator) mergeRay(ray int, from, horizon float64) {
+// table visit with Turn < horizon, in turn order: a k-way merge of the
+// robots' sorted tables, scanning one head turn per robot (horizon
+// once a robot's column is spent). Every visit becomes an event; a
+// turn at or above 1 that differs from the last breakpoint becomes a
+// breakpoint too.
+func (e *Evaluator) mergeRay(ray int, horizon float64) {
 	tables, heads := e.tables[ray], e.heads
 	for r, t := range tables {
-		lo, hi := 0, len(t)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if t[mid].Turn >= from {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		e.cursors[r] = lo
+		e.cursors[r] = 0
 		heads[r] = horizon
-		if lo < len(t) && t[lo].Turn < horizon {
-			heads[r] = t[lo].Turn
+		if len(t) > 0 && t[0].Turn < horizon {
+			heads[r] = t[0].Turn
 		}
 	}
 	br, ev := e.breaks[ray], e.events[ray]
@@ -322,105 +273,4 @@ func (e *Evaluator) mergeRay(ray int, from, horizon float64) {
 		}
 	}
 	e.breaks[ray], e.events[ray] = br, ev
-}
-
-// Extend grows the evaluation horizon in place. The extended visit
-// tables, breakpoint and event slices — and therefore every query
-// answer —
-// are bit-for-bit identical to a fresh NewEvaluator at the new horizon
-// (property-tested), but the prefix is never recomputed or resorted:
-//
-//   - Per robot, the excursion chain for a smaller horizon is a
-//     bit-exact prefix of the chain for a larger one (see
-//     strategy.CyclicExponential.AppendRounds), so the running-maximum
-//     filter and offset accumulator resume from the stored per-robot
-//     state and only the suffix rounds are consumed.
-//   - Per ray, every new candidate point is at or above the old
-//     horizon while every existing breakpoint is below it, so the new
-//     points (including old-table turns in [oldHorizon, horizon) that
-//     the old cutoff excluded) merge onto the end of the slice.
-//
-// A strategy whose excursions do not extend prefix-stably is detected
-// by the resume-state check (or a new visit below the old horizon) and
-// answered with a full rebuild at the new horizon — still correct,
-// just not incremental. Shrinking the horizon is an error; extending
-// to the same horizon is a no-op.
-func (e *Evaluator) Extend(horizon float64) error {
-	if !(horizon > 1) || math.IsInf(horizon, 0) || math.IsNaN(horizon) {
-		return fmt.Errorf("%w: horizon %g (want finite > 1)", ErrBadParams, horizon)
-	}
-	if horizon < e.horizon {
-		return fmt.Errorf("%w: cannot shrink horizon %g to %g", ErrBadParams, e.horizon, horizon)
-	}
-	if horizon == e.horizon {
-		return nil
-	}
-	old := e.horizon
-
-	// Consume each robot's suffix rounds through its resumed filter
-	// state, appending survivors to the tables. A table append always
-	// copies out of the arena (capacity is clamped to length), so
-	// neighbors in the flat buffer are never overwritten.
-	rb := e.roundsBuf[:0]
-	for r := 0; r < e.k; r++ {
-		var err error
-		rb, err = e.s.AppendRounds(rb[:0], r, horizon)
-		if err != nil {
-			e.roundsBuf = rb[:0]
-			return fmt.Errorf("adversary: robot %d: %w", r, err)
-		}
-		res := &e.resume[r]
-		if len(rb) < res.rounds || (res.rounds > 0 && rb[res.rounds-1].Turn != res.lastTurn) {
-			// Not a prefix extension of what was built; start over.
-			e.roundsBuf = rb[:0]
-			return e.rebuild(horizon)
-		}
-		mt := e.maxTurn[r*(e.m+1) : (r+1)*(e.m+1)]
-		prefix := res.prefix
-		for _, rd := range rb[res.rounds:] {
-			if rd.Turn > mt[rd.Ray] {
-				if rd.Turn < old {
-					// A surviving visit below the old horizon would
-					// need a breakpoint inserted mid-slice; bail out.
-					e.roundsBuf = rb[:0]
-					return e.rebuild(horizon)
-				}
-				mt[rd.Ray] = rd.Turn
-				e.tables[rd.Ray][r] = append(e.tables[rd.Ray][r], rayVisit{
-					Turn:   rd.Turn,
-					Offset: 2 * prefix,
-				})
-			}
-			prefix += rd.Turn
-		}
-		res.prefix = prefix
-		res.rounds = len(rb)
-		if len(rb) > 0 {
-			res.lastTurn = rb[len(rb)-1].Turn
-		}
-	}
-	e.roundsBuf = rb[:0]
-
-	// Append the new breakpoints and events: per ray, merge the tables'
-	// turn ranges in [old, horizon). That range covers both the suffix
-	// visits just appended and the old tables' overshoot turns the old
-	// horizon cutoff excluded; everything in it exceeds every existing
-	// breakpoint and event turn (all < old), so appending keeps both
-	// slices sorted. Old events keep their table indices, so an old
-	// event whose "next entry" was past the end now finds the appended
-	// visit.
-	for ray := 1; ray <= e.m; ray++ {
-		e.mergeRay(ray, old, horizon)
-	}
-	e.horizon = horizon
-	kernelExtends.Add(1)
-	return nil
-}
-
-// rebuild is Extend's escape hatch: discard every incremental structure
-// and rebuild at the new horizon. Partial appends a bailing Extend left
-// behind are overwritten wholesale by the build passes.
-func (e *Evaluator) rebuild(horizon float64) error {
-	kernelExtendRebuilds.Add(1)
-	return e.build(e.s, horizon)
 }

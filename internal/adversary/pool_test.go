@@ -1,14 +1,11 @@
-// extend_test.go pins the amortization layer of the kernel: the pooled
+// pool_test.go pins the amortization layer of the kernel: the pooled
 // arena build must be bit-for-bit identical to the reference
-// construction (visitTables + breakpointSlice), and Extend must be
-// bit-for-bit identical to a fresh build at the extended horizon,
-// across random strategies and horizon chains.
+// construction (visitTables + breakpointSlice), recycled arenas
+// included, and a steady-state build must allocate nothing.
 package adversary
 
 import (
 	"context"
-	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/strategy"
@@ -67,7 +64,7 @@ func requireSameShape(t *testing.T, label string, e *Evaluator, tables [][][]ray
 
 // testStrategies returns a diverse strategy set: cyclic exponentials
 // across the regime, the ray-split baseline, and a FixedRounds list
-// (whose AppendRounds ignores the horizon — the Extend overshoot path).
+// (whose AppendRounds ignores the horizon, so its tables overshoot it).
 func testStrategies(t *testing.T) []strategy.Strategy {
 	t.Helper()
 	var out []strategy.Strategy
@@ -113,105 +110,8 @@ func TestPooledBuildMatchesReference(t *testing.T) {
 	}
 }
 
-// TestExtendMatchesFreshBuild is the Extend property test: across
-// random strategies and random increasing horizon chains, an evaluator
-// grown by Extend must match a freshly built one bit-for-bit — tables,
-// breakpoints, and every query answer.
-func TestExtendMatchesFreshBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	strategies := testStrategies(t)
-	for trial := 0; trial < 60; trial++ {
-		s := strategies[rng.Intn(len(strategies))]
-		h := 1.5 + rng.Float64()*20
-		e, err := NewEvaluator(s, h)
-		if err != nil {
-			t.Fatalf("trial %d: NewEvaluator(%s, %g): %v", trial, s.Name(), h, err)
-		}
-		steps := 1 + rng.Intn(3)
-		for step := 0; step < steps; step++ {
-			h *= 1 + rng.Float64()*math.Pow(10, float64(rng.Intn(3)))
-			if err := e.Extend(h); err != nil {
-				t.Fatalf("trial %d: Extend(%g): %v", trial, h, err)
-			}
-			tables, breaks := referenceEvaluator(t, s, h)
-			requireSameShape(t, s.Name(), e, tables, breaks)
-
-			fresh, err := NewEvaluator(s, h)
-			if err != nil {
-				t.Fatalf("trial %d: fresh NewEvaluator(%s, %g): %v", trial, s.Name(), h, err)
-			}
-			maxF := s.K() - 1
-			if maxF > 3 {
-				maxF = 3
-			}
-			for f := 0; f <= maxF; f++ {
-				got, gerr := e.ExactRatio(context.Background(), f)
-				want, werr := fresh.ExactRatio(context.Background(), f)
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("trial %d f=%d: extended err %v, fresh err %v", trial, f, gerr, werr)
-				}
-				if gerr == nil && got != want {
-					t.Fatalf("trial %d f=%d: extended %+v, fresh %+v", trial, f, got, want)
-				}
-			}
-			fresh.Release()
-		}
-		e.Release()
-	}
-}
-
-// TestExtendSameAndInvalidHorizons: extending to the same horizon is a
-// no-op; shrinking or invalid horizons are rejected.
-func TestExtendSameAndInvalidHorizons(t *testing.T) {
-	s, err := strategy.NewCyclicExponential(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEvaluator(s, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Release()
-	if err := e.Extend(100); err != nil {
-		t.Fatalf("Extend to same horizon: %v", err)
-	}
-	for _, h := range []float64{50, 1, 0.5, -3, math.Inf(1), math.NaN()} {
-		if err := e.Extend(h); err == nil {
-			t.Fatalf("Extend(%g) succeeded, want error", h)
-		}
-	}
-	if e.Horizon() != 100 {
-		t.Fatalf("horizon mutated to %g by rejected Extend", e.Horizon())
-	}
-}
-
-// TestConvergenceCheckMatchesRebuilds: the Extend-based
-// ConvergenceCheck must report exactly the ratios of per-horizon
-// rebuilds.
-func TestConvergenceCheckMatchesRebuilds(t *testing.T) {
-	s, err := strategy.NewCyclicExponential(2, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ConvergenceCheck(s, 2, 50, 4)
-	if err != nil {
-		t.Fatalf("ConvergenceCheck: %v", err)
-	}
-	h := 50.0
-	for i, g := range got {
-		ev, err := ExactRatio(context.Background(), s, 2, h)
-		if err != nil {
-			t.Fatalf("ExactRatio at %g: %v", h, err)
-		}
-		if g != ev.WorstRatio {
-			t.Fatalf("doubling %d: ConvergenceCheck %v, rebuild %v", i, g, ev.WorstRatio)
-		}
-		h *= 2
-	}
-}
-
-// TestKernelCountersMove: builds, extends and pool reuses must be
-// observable through ReadKernelStats.
+// TestKernelCountersMove: builds and pool reuses must be observable
+// through ReadKernelStats.
 func TestKernelCountersMove(t *testing.T) {
 	s, err := strategy.NewCyclicExponential(2, 3, 1)
 	if err != nil {
@@ -220,9 +120,6 @@ func TestKernelCountersMove(t *testing.T) {
 	before := ReadKernelStats()
 	e, err := NewEvaluator(s, 100)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Extend(200); err != nil {
 		t.Fatal(err)
 	}
 	e.Release()
@@ -234,9 +131,6 @@ func TestKernelCountersMove(t *testing.T) {
 	after := ReadKernelStats()
 	if after.Builds <= before.Builds {
 		t.Errorf("Builds did not advance: %d -> %d", before.Builds, after.Builds)
-	}
-	if after.Extends <= before.Extends {
-		t.Errorf("Extends did not advance: %d -> %d", before.Extends, after.Extends)
 	}
 	// Pool reuse is best-effort (a GC can empty the pool), so only
 	// check it never goes backwards.

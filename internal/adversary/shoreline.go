@@ -167,13 +167,6 @@ func (se *ShorelineEvaluator) build(headings []float64, horizon float64) error {
 // Horizon returns the evaluation horizon (ray length).
 func (se *ShorelineEvaluator) Horizon() float64 { return se.horizon }
 
-// Candidates returns the number of candidate shoreline headings one
-// sweep examines.
-func (se *ShorelineEvaluator) Candidates() int { return len(se.cands) }
-
-// Robots implements Placement.
-func (se *ShorelineEvaluator) Robots() int { return len(se.paths) }
-
 // ResetSweep implements Placement.
 func (se *ShorelineEvaluator) ResetSweep() { se.idx = 0 }
 

@@ -224,14 +224,6 @@ func Lemma5Delta(mu, s, k float64) (float64, error) {
 	return math.Exp(lg), nil
 }
 
-// ByzantineLB returns the paper's lower bound for Byzantine-type faulty
-// robots obtained by transfer from the crash-type bound: B(k,f) >= A(k,f).
-// It returns the same values as AKF (the transfer is an inequality; the
-// crash value is the best lower bound the paper provides).
-func ByzantineLB(k, f int) (float64, error) {
-	return AKF(k, f)
-}
-
 // B31Improved returns the paper's improved bound B(3,1) >= (8/3)*4^(1/3)+1
 // (~5.2333), quoted in the introduction against the prior bound 3.93.
 func B31Improved() float64 {
@@ -250,31 +242,6 @@ func SingleRobotMRays(m int) (float64, error) {
 		return 0, fmt.Errorf("%w: SingleRobotMRays requires m >= 2, got %d", ErrInvalidParams, m)
 	}
 	return RhoForm(float64(m))
-}
-
-// InvertRho returns the rho > 1 whose RhoForm value equals lambda, i.e. it
-// inverts the bound formula. RhoForm is strictly increasing on (1, inf)
-// with infimum 3 as rho -> 1+, so lambda must exceed 3.
-func InvertRho(lambda float64) (float64, error) {
-	if lambda <= 3 {
-		return 0, fmt.Errorf("%w: InvertRho requires lambda > 3, got %g", ErrInvalidParams, lambda)
-	}
-	f := func(rho float64) float64 {
-		v, err := RhoForm(rho)
-		if err != nil {
-			return math.NaN()
-		}
-		return v - lambda
-	}
-	lo := 1 + 1e-12
-	hi := 2.0
-	for f(hi) < 0 {
-		hi *= 2
-		if hi > 1e9 {
-			return 0, fmt.Errorf("%w: InvertRho(%g) out of range", ErrInvalidParams, lambda)
-		}
-	}
-	return numeric.Bisect(f, lo, hi, 1e-13, 400)
 }
 
 // HighPrecision holds certified enclosures for the bound values of a search

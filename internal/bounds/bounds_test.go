@@ -475,38 +475,19 @@ func TestLemma5DeltaThreshold(t *testing.T) {
 }
 
 func TestByzantineImprovement(t *testing.T) {
-	lb, err := ByzantineLB(3, 1)
+	// B(3,1) >= A(3,1) by transfer from the crash-type bound.
+	lb, err := AKF(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !numeric.EqualWithin(lb, B31Improved(), 1e-13) {
-		t.Errorf("ByzantineLB(3,1) = %.15g, want B31Improved = %.15g", lb, B31Improved())
+		t.Errorf("AKF(3,1) = %.15g, want B31Improved = %.15g", lb, B31Improved())
 	}
 	if !(B31Improved() > B31Prior) {
 		t.Errorf("improved bound %.6g should exceed prior %.6g", B31Improved(), B31Prior)
 	}
 	if math.Abs(B31Improved()-5.2333) > 0.001 {
 		t.Errorf("B31Improved = %.6g, expected ~5.2333", B31Improved())
-	}
-}
-
-func TestInvertRho(t *testing.T) {
-	// Round trip: rho -> lambda -> rho.
-	for _, rho := range []float64{1.2, 4.0 / 3.0, 1.7, 2, 3, 5} {
-		lambda, err := RhoForm(rho)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := InvertRho(lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !numeric.EqualWithin(back, rho, 1e-9) {
-			t.Errorf("InvertRho(RhoForm(%g)) = %.12g", rho, back)
-		}
-	}
-	if _, err := InvertRho(2.5); err == nil {
-		t.Error("InvertRho below 3 should fail")
 	}
 }
 

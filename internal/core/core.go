@@ -98,22 +98,6 @@ func (fm FaultModel) String() string {
 	}
 }
 
-// ModelByName maps a registry scenario name onto the FaultModel enum —
-// the hook for library callers that parse a "-model"-style string into
-// Problem.Fault. (The CLIs work with registry.Scenario values directly
-// and resolve names via registry.Get.)
-func ModelByName(name string) (FaultModel, error) {
-	for _, fm := range []FaultModel{Crash, Byzantine, Probabilistic, PFaultyHalfline, ByzantineLine} {
-		if fm.String() == name {
-			if _, err := registry.Get(name); err != nil {
-				return 0, fmt.Errorf("core: %w", err)
-			}
-			return fm, nil
-		}
-	}
-	return 0, fmt.Errorf("core: %w: %q (have %v)", registry.ErrUnknownScenario, name, registry.Names())
-}
-
 // Problem is a faulty-robot search instance. The zero value of Fault means
 // Crash.
 type Problem struct {

@@ -245,22 +245,6 @@ func TestEndToEndGrid(t *testing.T) {
 	}
 }
 
-func TestModelByName(t *testing.T) {
-	for name, want := range map[string]FaultModel{
-		"crash":         Crash,
-		"byzantine":     Byzantine,
-		"probabilistic": Probabilistic,
-	} {
-		got, err := ModelByName(name)
-		if err != nil || got != want {
-			t.Errorf("ModelByName(%q) = (%v, %v), want %v", name, got, err, want)
-		}
-	}
-	if _, err := ModelByName("martian"); err == nil {
-		t.Error("ModelByName must reject unknown scenarios")
-	}
-}
-
 func TestProblemScenarioResolution(t *testing.T) {
 	sc, err := (Problem{M: 2, K: 3, F: 1}).Scenario()
 	if err != nil || sc.Name != "crash" {

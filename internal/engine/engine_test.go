@@ -268,15 +268,15 @@ func TestExactAndGridRatioJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := eng.Run(context.Background(), GridRatio{Strategy: s, Faults: 1, Horizon: 1e4, N: 300})
+	direct, err := adversary.ExactRatio(context.Background(), s, 1, 1e4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grid.Value > exact.Value {
-		t.Errorf("grid estimate %g exceeds exact supremum %g", grid.Value, exact.Value)
+	if exact.Value != direct.WorstRatio {
+		t.Errorf("job ratio %g vs direct %g", exact.Value, direct.WorstRatio)
 	}
-	if eng.CacheSize() != 2 {
-		t.Errorf("CacheSize = %d, want 2 distinct keys", eng.CacheSize())
+	if eng.CacheSize() != 1 {
+		t.Errorf("CacheSize = %d, want 1 key", eng.CacheSize())
 	}
 }
 

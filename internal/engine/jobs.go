@@ -116,30 +116,6 @@ func (j FRangeRatio) Run(ctx context.Context) (Result, error) {
 	return Result{Value: last.WorstRatio, Eval: last, Evals: evals}, nil
 }
 
-// GridRatio evaluates the log-spaced grid estimate of the worst-case
-// ratio (adversary.GridRatio) — the underestimating cross-check used by
-// the grid-vs-exact ablation.
-type GridRatio struct {
-	Strategy strategy.Strategy
-	Faults   int
-	Horizon  float64
-	N        int
-}
-
-// Key implements Job.
-func (j GridRatio) Key() string {
-	if j.Strategy == nil {
-		return ""
-	}
-	return fmt.Sprintf("grid|%s|f=%d|h=%g|n=%d", j.Strategy.Fingerprint(), j.Faults, j.Horizon, j.N)
-}
-
-// Run implements Job.
-func (j GridRatio) Run(ctx context.Context) (Result, error) {
-	v, err := adversary.GridRatio(ctx, j.Strategy, j.Faults, j.Horizon, j.N)
-	return Result{Value: v}, err
-}
-
 // VerifyUpper measures the exact worst-case ratio of the optimal cyclic
 // exponential strategy for (M, K, F) — the executable Theorem 6 upper
 // bound, as a cacheable job. It is the unit of work Sweep fans out.
@@ -208,7 +184,6 @@ func (j RandomizedTrials) Run(ctx context.Context) (Result, error) {
 var (
 	_ Job = ExactRatio{}
 	_ Job = FRangeRatio{}
-	_ Job = GridRatio{}
 	_ Job = VerifyUpper{}
 	_ Job = RandomizedTrials{}
 )

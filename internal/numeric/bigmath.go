@@ -8,118 +8,12 @@ import (
 
 // The math/big package ships arbitrary-precision arithmetic but no
 // elementary functions, which is exactly the "weak numeric tooling" gate for
-// verifying the paper's bounds to many digits. This file supplies Exp, Log
-// and Pow on big.Float (argument reduction + Taylor/atanh series), exact
-// big.Rat evaluation of the integer bound kernels q^q/((q-k)^(q-k) k^k), and
+// verifying the paper's bounds to many digits. This file supplies exact
+// big.Rat evaluation of the integer bound kernels q^q/((q-k)^(q-k) k^k) and
 // certified k-th roots of rationals (Newton iteration followed by an exact
 // one-ulp enclosure check).
 
 const guardBits = 48
-
-// BigLog2 returns ln 2 to prec bits, via the rapidly converging series
-// ln 2 = 2*atanh(1/3) = 2*(1/3 + (1/3)^3/3 + (1/3)^5/5 + ...).
-func BigLog2(prec uint) *big.Float {
-	work := prec + guardBits
-	third := new(big.Float).SetPrec(work).Quo(big.NewFloat(1).SetPrec(work), big.NewFloat(3).SetPrec(work))
-	res := atanhSeries(third, work)
-	res.Mul(res, big.NewFloat(2).SetPrec(work))
-	return res.SetPrec(prec)
-}
-
-// atanhSeries returns atanh(z) = z + z^3/3 + z^5/5 + ... for |z| < 1,
-// evaluated at working precision work. Convergence is geometric with ratio
-// z^2, so |z| <= 1/3 gives ~3.17 bits per term.
-func atanhSeries(z *big.Float, work uint) *big.Float {
-	if z.Sign() == 0 {
-		// atanh(0) = 0; the generic loop below cannot make progress on a
-		// zero term (MantExp of zero is 0, so the magnitude-based stop
-		// never fires).
-		return new(big.Float).SetPrec(work)
-	}
-	var (
-		sum  = new(big.Float).SetPrec(work).Set(z)
-		term = new(big.Float).SetPrec(work).Set(z)
-		z2   = new(big.Float).SetPrec(work).Mul(z, z)
-		tmp  = new(big.Float).SetPrec(work)
-	)
-	for n := 3; ; n += 2 {
-		term.Mul(term, z2)
-		tmp.Quo(term, big.NewFloat(float64(n)).SetPrec(work))
-		if tmp.Sign() == 0 || tmp.MantExp(nil) < sum.MantExp(nil)-int(work) {
-			break
-		}
-		sum.Add(sum, tmp)
-	}
-	return sum
-}
-
-// BigLog returns ln x for x > 0 to the precision of x (or prec if larger).
-// It reduces x = m * 2^e with m in [1, 2), then uses
-// ln m = 2*atanh((m-1)/(m+1)) with (m-1)/(m+1) in [0, 1/3).
-func BigLog(x *big.Float, prec uint) (*big.Float, error) {
-	if x.Sign() <= 0 {
-		return nil, fmt.Errorf("%w: BigLog of non-positive value %v", ErrInvalidDomain, x)
-	}
-	work := prec + guardBits
-	mant := new(big.Float).SetPrec(work)
-	exp := x.MantExp(mant) // x = mant * 2^exp, mant in [0.5, 1)
-	// Shift mantissa into [1, 2) so the atanh argument is small.
-	mant.Mul(mant, big.NewFloat(2).SetPrec(work))
-	exp--
-	var (
-		one  = big.NewFloat(1).SetPrec(work)
-		num  = new(big.Float).SetPrec(work).Sub(mant, one)
-		den  = new(big.Float).SetPrec(work).Add(mant, one)
-		z    = new(big.Float).SetPrec(work).Quo(num, den)
-		lnM  = atanhSeries(z, work)
-		res  = new(big.Float).SetPrec(work)
-		ln2E = new(big.Float).SetPrec(work).Mul(BigLog2(work), big.NewFloat(float64(exp)).SetPrec(work))
-	)
-	lnM.Mul(lnM, big.NewFloat(2).SetPrec(work))
-	res.Add(lnM, ln2E)
-	return res.SetPrec(prec), nil
-}
-
-// BigExp returns e^x to prec bits. It reduces x = n*ln2 + r with
-// |r| <= ln2/2, computes e^r by Taylor series, and scales by 2^n.
-func BigExp(x *big.Float, prec uint) *big.Float {
-	work := prec + guardBits
-	ln2 := BigLog2(work)
-	// n = round(x / ln2)
-	q := new(big.Float).SetPrec(work).Quo(x, ln2)
-	qf, _ := q.Float64()
-	n := int(math.Round(qf))
-	r := new(big.Float).SetPrec(work).Mul(ln2, big.NewFloat(float64(n)).SetPrec(work))
-	r.Sub(new(big.Float).SetPrec(work).Set(x), r)
-	// Taylor: e^r = sum r^i / i!
-	var (
-		sum  = big.NewFloat(1).SetPrec(work)
-		term = big.NewFloat(1).SetPrec(work)
-	)
-	for i := 1; ; i++ {
-		term.Mul(term, r)
-		term.Quo(term, big.NewFloat(float64(i)).SetPrec(work))
-		if term.Sign() == 0 || term.MantExp(nil) < sum.MantExp(nil)-int(work) {
-			break
-		}
-		sum.Add(sum, term)
-	}
-	// SetMantExp(z, e) sets z to value(z) * 2^e, i.e. this multiplies the
-	// partial sum by 2^n in place.
-	sum.SetMantExp(sum, n)
-	return sum.SetPrec(prec)
-}
-
-// BigPow returns x^y = exp(y * ln x) for x > 0, to prec bits.
-func BigPow(x, y *big.Float, prec uint) (*big.Float, error) {
-	work := prec + guardBits
-	lx, err := BigLog(x, work)
-	if err != nil {
-		return nil, err
-	}
-	prod := new(big.Float).SetPrec(work).Mul(y, lx)
-	return BigExp(prod, work).SetPrec(prec), nil
-}
 
 // RatPowInt returns r^n for a rational r and integer n >= 0, exactly.
 func RatPowInt(r *big.Rat, n int) (*big.Rat, error) {

@@ -8,90 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestBigLog2MatchesMath(t *testing.T) {
-	got, _ := BigLog2(64).Float64()
-	if !EqualWithin(got, math.Ln2, 1e-15) {
-		t.Errorf("BigLog2 = %.17g, want %.17g", got, math.Ln2)
-	}
-}
-
-func TestBigLog2HighPrecision(t *testing.T) {
-	// ln 2 to 50 decimal digits: 0.69314718055994530941723212145817656807550013436026
-	want := "0.6931471805599453094172321214581765680755001343603"
-	got := BigLog2(200).Text('f', 49)
-	if got != want {
-		t.Errorf("BigLog2(200) = %s, want %s", got, want)
-	}
-}
-
-func TestBigLogMatchesMath(t *testing.T) {
-	for _, x := range []float64{0.001, 0.5, 1, 2, math.E, 10, 12345.678, 1e300} {
-		bf := new(big.Float).SetPrec(96).SetFloat64(x)
-		got, err := BigLog(bf, 96)
-		if err != nil {
-			t.Fatalf("BigLog(%g): %v", x, err)
-		}
-		gf, _ := got.Float64()
-		if !EqualWithin(gf, math.Log(x), 1e-14) {
-			t.Errorf("BigLog(%g) = %.17g, want %.17g", x, gf, math.Log(x))
-		}
-	}
-}
-
-func TestBigLogDomain(t *testing.T) {
-	if _, err := BigLog(big.NewFloat(0), 64); err == nil {
-		t.Error("BigLog(0) should fail")
-	}
-	if _, err := BigLog(big.NewFloat(-3), 64); err == nil {
-		t.Error("BigLog(-3) should fail")
-	}
-}
-
-func TestBigExpMatchesMath(t *testing.T) {
-	for _, x := range []float64{-20, -1, 0, 0.5, 1, 2, 10, 100} {
-		bf := new(big.Float).SetPrec(96).SetFloat64(x)
-		got, _ := BigExp(bf, 96).Float64()
-		if !EqualWithin(got, math.Exp(x), 1e-14) {
-			t.Errorf("BigExp(%g) = %.17g, want %.17g", x, got, math.Exp(x))
-		}
-	}
-}
-
-func TestBigExpLogRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := rng.Float64()*200 + 0.001
-		bf := new(big.Float).SetPrec(128).SetFloat64(x)
-		lg, err := BigLog(bf, 128)
-		if err != nil {
-			return false
-		}
-		back, _ := BigExp(lg, 128).Float64()
-		return EqualWithin(back, x, 1e-13)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBigPowMatchesMath(t *testing.T) {
-	tests := []struct{ x, y float64 }{
-		{2, 10}, {3, 0.5}, {10, -2}, {1.5, 7.25}, {math.E, 1},
-	}
-	for _, tt := range tests {
-		bx := new(big.Float).SetPrec(96).SetFloat64(tt.x)
-		by := new(big.Float).SetPrec(96).SetFloat64(tt.y)
-		got, err := BigPow(bx, by, 96)
-		if err != nil {
-			t.Fatalf("BigPow(%g,%g): %v", tt.x, tt.y, err)
-		}
-		gf, _ := got.Float64()
-		if !EqualWithin(gf, math.Pow(tt.x, tt.y), 1e-13) {
-			t.Errorf("BigPow(%g,%g) = %.17g, want %.17g", tt.x, tt.y, gf, math.Pow(tt.x, tt.y))
-		}
-	}
-}
-
 func TestRatPowInt(t *testing.T) {
 	r := big.NewRat(3, 2)
 	p, err := RatPowInt(r, 4)

@@ -1,9 +1,9 @@
 // Package numeric provides the numerical substrate for the faultysearch
-// library: compensated summation, robust root finding and minimization,
-// log-space evaluation of the power ratios that appear in the bounds of
-// Kupavskii–Welzl (PODC 2018), arbitrary-precision elementary functions on
-// math/big floats, exact rational evaluation of the bound kernels, and a
-// small directed-rounding interval arithmetic.
+// library: compensated summation, golden-section minimization, log-space
+// evaluation of the power ratios that appear in the bounds of
+// Kupavskii–Welzl (PODC 2018), exact rational evaluation of the bound
+// kernels with certified arbitrary-precision roots, and a small
+// directed-rounding interval arithmetic.
 //
 // The paper's bounds are algebraic expressions such as
 //
@@ -24,9 +24,6 @@ import (
 
 // Common errors returned by the solvers.
 var (
-	// ErrNoBracket is returned when a bracketing method is given an
-	// interval on which the function does not change sign.
-	ErrNoBracket = errors.New("numeric: interval does not bracket a root")
 	// ErrNoConverge is returned when an iterative method exhausts its
 	// iteration budget without meeting the requested tolerance.
 	ErrNoConverge = errors.New("numeric: iteration did not converge")
@@ -56,18 +53,6 @@ func (k *Kahan) Add(x float64) {
 // Value returns the current compensated sum.
 func (k *Kahan) Value() float64 { return k.sum }
 
-// Reset clears the accumulator back to zero.
-func (k *Kahan) Reset() { k.sum, k.c = 0, 0 }
-
-// SumKahan returns the compensated sum of xs.
-func SumKahan(xs []float64) float64 {
-	var acc Kahan
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	return acc.Value()
-}
-
 // EqualWithin reports whether a and b agree to within an absolute tolerance
 // tol OR a relative tolerance tol (whichever is looser), the usual mixed
 // criterion for comparing quantities of unknown magnitude.
@@ -94,14 +79,6 @@ func XLogX(x float64) float64 {
 	default:
 		return x * math.Log(x)
 	}
-}
-
-// XPowX returns x^x = exp(x log x) with the continuous extension 1 at x = 0.
-func XPowX(x float64) float64 {
-	if x < 0 {
-		return math.NaN()
-	}
-	return math.Exp(XLogX(x))
 }
 
 // LogPowRatio returns log of (a^a / (b^b * c^c))^(1/c) evaluated entirely in
@@ -144,39 +121,4 @@ func NextDown(x float64) float64 {
 		return x
 	}
 	return math.Nextafter(x, math.Inf(-1))
-}
-
-// Clamp returns x restricted to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
-}
-
-// GeomSum returns t * (r^n - 1) / (r - 1), the sum t + t*r + ... + t*r^(n-1),
-// computed stably for r close to 1 (falls back to n*t at r == 1).
-func GeomSum(t, r float64, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if r == 1 {
-		return t * float64(n)
-	}
-	return t * (math.Pow(r, float64(n)) - 1) / (r - 1)
-}
-
-// LogSumExp returns log(exp(a) + exp(b)) without overflow.
-func LogSumExp(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	if math.IsInf(a, -1) {
-		return a
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }

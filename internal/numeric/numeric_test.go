@@ -28,19 +28,13 @@ func TestKahanCompensates(t *testing.T) {
 	}
 }
 
-func TestKahanReset(t *testing.T) {
-	var acc Kahan
-	acc.Add(5)
-	acc.Reset()
-	if acc.Value() != 0 {
-		t.Errorf("after Reset, Value = %g, want 0", acc.Value())
-	}
-}
-
 func TestSumKahanMatchesExact(t *testing.T) {
-	xs := []float64{1, 2, 3, 4.5, -2.5}
-	if got := SumKahan(xs); got != 8 {
-		t.Errorf("SumKahan = %g, want 8", got)
+	var acc Kahan
+	for _, x := range []float64{1, 2, 3, 4.5, -2.5} {
+		acc.Add(x)
+	}
+	if got := acc.Value(); got != 8 {
+		t.Errorf("Kahan sum = %g, want 8", got)
 	}
 }
 
@@ -82,23 +76,6 @@ func TestXLogX(t *testing.T) {
 	}
 	if !math.IsNaN(XLogX(-1)) {
 		t.Error("XLogX(-1) should be NaN")
-	}
-}
-
-func TestXPowX(t *testing.T) {
-	tests := []struct {
-		x, want float64
-	}{
-		{0, 1},
-		{1, 1},
-		{2, 4},
-		{3, 27},
-		{0.5, math.Sqrt(0.5)},
-	}
-	for _, tt := range tests {
-		if got := XPowX(tt.x); !EqualWithin(got, tt.want, 1e-14) {
-			t.Errorf("XPowX(%g) = %g, want %g", tt.x, got, tt.want)
-		}
 	}
 }
 
@@ -176,48 +153,6 @@ func TestNextUpDown(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	tests := []struct{ x, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-	}
-	for _, tt := range tests {
-		if got := Clamp(tt.x, tt.lo, tt.hi); got != tt.want {
-			t.Errorf("Clamp(%g,%g,%g) = %g, want %g", tt.x, tt.lo, tt.hi, got, tt.want)
-		}
-	}
-}
-
-func TestGeomSum(t *testing.T) {
-	tests := []struct {
-		t0, r float64
-		n     int
-		want  float64
-	}{
-		{1, 2, 4, 15},    // 1+2+4+8
-		{3, 1, 5, 15},    // 3*5
-		{2, 0.5, 3, 3.5}, // 2+1+0.5
-		{1, 2, 0, 0},
-	}
-	for _, tt := range tests {
-		if got := GeomSum(tt.t0, tt.r, tt.n); !EqualWithin(got, tt.want, 1e-12) {
-			t.Errorf("GeomSum(%g,%g,%d) = %g, want %g", tt.t0, tt.r, tt.n, got, tt.want)
-		}
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp(math.Log(3), math.Log(4))
-	if !EqualWithin(got, math.Log(7), 1e-14) {
-		t.Errorf("LogSumExp(log 3, log 4) = %g, want log 7 = %g", got, math.Log(7))
-	}
-	// No overflow for large arguments.
-	if got := LogSumExp(1000, 1000); !EqualWithin(got, 1000+math.Ln2, 1e-12) {
-		t.Errorf("LogSumExp(1000,1000) = %g, want %g", got, 1000+math.Ln2)
-	}
-}
-
 func TestQuickKahanAtLeastAsAccurate(t *testing.T) {
 	// Property: for random positive inputs, the Kahan sum is within a few
 	// ulps of a float64 reference computed via sorted summation.
@@ -228,7 +163,11 @@ func TestQuickKahanAtLeastAsAccurate(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.Float64() * math.Pow(10, float64(rng.Intn(12)-6))
 		}
-		got := SumKahan(xs)
+		var acc Kahan
+		for _, x := range xs {
+			acc.Add(x)
+		}
+		got := acc.Value()
 		// High-precision reference via pairwise summation of sorted values.
 		ref := pairwiseSum(xs)
 		return EqualWithin(got, ref, 1e-12)
@@ -247,15 +186,4 @@ func pairwiseSum(xs []float64) float64 {
 	}
 	mid := len(xs) / 2
 	return pairwiseSum(xs[:mid]) + pairwiseSum(xs[mid:])
-}
-
-func TestQuickLogSumExpCommutes(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 700)
-		b = math.Mod(b, 700)
-		return LogSumExp(a, b) == LogSumExp(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }

@@ -1,145 +1,7 @@
 package numeric
 
-import (
-	"fmt"
-	"math"
-)
-
 // Func is a scalar function of one real variable.
 type Func func(float64) float64
-
-// Bisect finds a root of f on [a, b] by bisection. f(a) and f(b) must have
-// opposite signs. The iteration stops when the bracket width drops below tol
-// or after maxIter halvings, whichever comes first; the midpoint of the
-// final bracket is returned. Bisection is the workhorse for inverting the
-// monotone bound formulas (e.g. recovering rho from a target lambda).
-func Bisect(f Func, a, b, tol float64, maxIter int) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < maxIter; i++ {
-		mid := a + (b-a)/2
-		if b-a <= tol || mid == a || mid == b {
-			return mid, nil
-		}
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = mid, fm
-		} else {
-			b = mid
-		}
-	}
-	return a + (b-a)/2, nil
-}
-
-// Brent finds a root of f on the bracketing interval [a, b] using Brent's
-// method (inverse quadratic interpolation with bisection fallback). It
-// converges superlinearly on smooth functions while retaining bisection's
-// robustness guarantee.
-func Brent(f Func, a, b, tol float64, maxIter int) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	c, fc := b, fb
-	var d, e float64
-	for i := 0; i < maxIter; i++ {
-		if (fb > 0 && fc > 0) || (fb < 0 && fc < 0) {
-			// Rename a as c so that [b, c] brackets the root.
-			c, fc = a, fa
-			d = b - a
-			e = d
-		}
-		if math.Abs(fc) < math.Abs(fb) {
-			a, b, c = b, c, b
-			fa, fb, fc = fb, fc, fb
-		}
-		tol1 := 2*machEps*math.Abs(b) + tol/2
-		xm := (c - b) / 2
-		if math.Abs(xm) <= tol1 || fb == 0 {
-			return b, nil
-		}
-		if math.Abs(e) >= tol1 && math.Abs(fa) > math.Abs(fb) {
-			// Attempt inverse quadratic interpolation.
-			s := fb / fa
-			var p, q float64
-			if a == c {
-				p = 2 * xm * s
-				q = 1 - s
-			} else {
-				qq := fa / fc
-				r := fb / fc
-				p = s * (2*xm*qq*(qq-r) - (b-a)*(r-1))
-				q = (qq - 1) * (r - 1) * (s - 1)
-			}
-			if p > 0 {
-				q = -q
-			}
-			p = math.Abs(p)
-			min1 := 3*xm*q - math.Abs(tol1*q)
-			min2 := math.Abs(e * q)
-			if 2*p < math.Min(min1, min2) {
-				e, d = d, p/q
-			} else {
-				d = xm
-				e = d
-			}
-		} else {
-			d = xm
-			e = d
-		}
-		a, fa = b, fb
-		if math.Abs(d) > tol1 {
-			b += d
-		} else {
-			b += math.Copysign(tol1, xm)
-		}
-		fb = f(b)
-	}
-	return b, fmt.Errorf("%w: Brent after %d iterations", ErrNoConverge, maxIter)
-}
-
-const machEps = 2.220446049250313e-16
-
-// Newton finds a root of f near x0 using Newton–Raphson with derivative df.
-// It fails (rather than diverging silently) if the derivative vanishes or
-// the iteration does not settle within maxIter steps.
-func Newton(f, df Func, x0, tol float64, maxIter int) (float64, error) {
-	x := x0
-	for i := 0; i < maxIter; i++ {
-		fx := f(x)
-		if fx == 0 {
-			return x, nil
-		}
-		d := df(x)
-		if d == 0 {
-			return 0, fmt.Errorf("%w: Newton derivative vanished at %g", ErrNoConverge, x)
-		}
-		step := fx / d
-		x1 := x - step
-		if math.Abs(x1-x) <= tol*(1+math.Abs(x1)) {
-			return x1, nil
-		}
-		x = x1
-	}
-	return 0, fmt.Errorf("%w: Newton after %d iterations", ErrNoConverge, maxIter)
-}
 
 // GoldenSection minimizes a unimodal function f on [a, b] by golden-section
 // search, returning the abscissa of the minimum. It needs no derivatives and
@@ -168,31 +30,4 @@ func GoldenSection(f Func, a, b, tol float64, maxIter int) (float64, error) {
 		}
 	}
 	return a + (b-a)/2, nil
-}
-
-// FindBracket expands an initial interval [a, b] geometrically until f
-// changes sign across it, returning the bracketing pair. It gives the root
-// finders a valid starting bracket when the caller only knows a seed point.
-func FindBracket(f Func, a, b float64, maxExpand int) (lo, hi float64, err error) {
-	if a == b {
-		b = a + 1
-	}
-	if b < a {
-		a, b = b, a
-	}
-	fa, fb := f(a), f(b)
-	for i := 0; i < maxExpand; i++ {
-		if math.Signbit(fa) != math.Signbit(fb) || fa == 0 || fb == 0 {
-			return a, b, nil
-		}
-		w := b - a
-		if math.Abs(fa) < math.Abs(fb) {
-			a -= w
-			fa = f(a)
-		} else {
-			b += w
-			fb = f(b)
-		}
-	}
-	return 0, 0, fmt.Errorf("%w: no sign change after %d expansions", ErrNoBracket, maxExpand)
 }

@@ -1,101 +1,9 @@
 package numeric
 
 import (
-	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestBisectFindsSqrt2(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(f, 0, 2, 1e-12, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWithin(root, math.Sqrt2, 1e-10) {
-		t.Errorf("Bisect sqrt(2) = %.15g, want %.15g", root, math.Sqrt2)
-	}
-}
-
-func TestBisectExactEndpoint(t *testing.T) {
-	f := func(x float64) float64 { return x - 1 }
-	root, err := Bisect(f, 1, 5, 1e-12, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root != 1 {
-		t.Errorf("Bisect with root at endpoint = %g, want 1", root)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-12, 100); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("expected ErrNoBracket, got %v", err)
-	}
-}
-
-func TestBrentFindsCosRoot(t *testing.T) {
-	root, err := Brent(math.Cos, 1, 2, 1e-14, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWithin(root, math.Pi/2, 1e-12) {
-		t.Errorf("Brent cos root = %.15g, want %.15g", root, math.Pi/2)
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return 1 + x*x }
-	if _, err := Brent(f, -3, 3, 1e-12, 100); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("expected ErrNoBracket, got %v", err)
-	}
-}
-
-func TestBrentMatchesBisect(t *testing.T) {
-	// The bound-inversion function used in practice: recover rho from
-	// lambda via 2*rho^rho/(rho-1)^(rho-1) + 1 - lambda = 0.
-	target := 9.0
-	f := func(rho float64) float64 {
-		return 2*math.Exp(XLogX(rho)-XLogX(rho-1)) + 1 - target
-	}
-	brent, err := Brent(f, 1.0001, 2, 1e-13, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bisect, err := Bisect(f, 1.0001, 2, 1e-13, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWithin(brent, bisect, 1e-9) {
-		t.Errorf("Brent %.15g and Bisect %.15g disagree", brent, bisect)
-	}
-	// lambda = 9 corresponds to the cow-path rho = 2.
-	if !EqualWithin(brent, 2, 1e-9) {
-		t.Errorf("rho for lambda=9 is %.15g, want 2", brent)
-	}
-}
-
-func TestNewtonCubeRoot(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 27 }
-	df := func(x float64) float64 { return 3 * x * x }
-	root, err := Newton(f, df, 2, 1e-14, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWithin(root, 3, 1e-12) {
-		t.Errorf("Newton cube root of 27 = %.15g, want 3", root)
-	}
-}
-
-func TestNewtonZeroDerivative(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	df := func(x float64) float64 { return 2 * x }
-	if _, err := Newton(f, df, 0, 1e-12, 50); !errors.Is(err, ErrNoConverge) {
-		t.Errorf("expected ErrNoConverge on vanishing derivative, got %v", err)
-	}
-}
 
 func TestGoldenSectionParabola(t *testing.T) {
 	f := func(x float64) float64 { return (x - 3) * (x - 3) }
@@ -116,57 +24,5 @@ func TestGoldenSectionReversedInterval(t *testing.T) {
 	}
 	if !EqualWithin(min, 1, 1e-8) {
 		t.Errorf("GoldenSection min on reversed interval = %.12g, want 1", min)
-	}
-}
-
-func TestFindBracketExpands(t *testing.T) {
-	f := func(x float64) float64 { return x - 100 }
-	lo, hi, err := FindBracket(f, 0, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(f(lo) <= 0 && f(hi) >= 0) {
-		t.Errorf("FindBracket returned non-bracketing [%g, %g]", lo, hi)
-	}
-}
-
-func TestFindBracketFailure(t *testing.T) {
-	f := func(x float64) float64 { return 1.0 }
-	if _, _, err := FindBracket(f, 0, 1, 8); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("expected ErrNoBracket for constant function, got %v", err)
-	}
-}
-
-func TestQuickBrentSolvesRandomLinear(t *testing.T) {
-	// Property: Brent recovers the root of a*x + b exactly for random
-	// well-conditioned coefficients.
-	f := func(a, b float64) bool {
-		a = 0.5 + math.Abs(math.Mod(a, 10))
-		b = math.Mod(b, 100)
-		root, err := Brent(func(x float64) float64 { return a*x + b }, -1000, 1000, 1e-13, 200)
-		if err != nil {
-			return false
-		}
-		return EqualWithin(root, -b/a, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickBisectMonotone(t *testing.T) {
-	// Property: for the strictly increasing x^3 + x, bisection recovers
-	// the unique root of x^3 + x - c for random targets c.
-	f := func(c float64) bool {
-		c = math.Mod(c, 1000)
-		g := func(x float64) float64 { return x*x*x + x - c }
-		root, err := Bisect(g, -11, 11, 1e-12, 300)
-		if err != nil {
-			return false
-		}
-		return math.Abs(g(root)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

@@ -164,13 +164,3 @@ func MonteCarloRatio(ctx context.Context, b, x float64, samples int, rng *rand.R
 // DeterministicFloor is the deterministic optimum the randomization beats:
 // the cow-path constant 9 (A(2,1,0) = rho-form at rho = 2).
 const DeterministicFloor = 9.0
-
-// Advantage returns the multiplicative gain of the optimal randomized
-// strategy over the deterministic optimum (~9/4.5911 ~ 1.96).
-func Advantage() (float64, error) {
-	_, ratio, err := OptimalBase()
-	if err != nil {
-		return 0, err
-	}
-	return DeterministicFloor / ratio, nil
-}

@@ -271,13 +271,6 @@ func (r *Registry) Get(name string) (Scenario, error) {
 	return s, nil
 }
 
-// Names returns the registered names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
-
 func (r *Registry) namesLocked() []string {
 	names := make([]string, 0, len(r.scenarios))
 	for name := range r.scenarios {
@@ -327,9 +320,6 @@ func Default() *Registry { return defaultRegistry }
 
 // Get resolves a name in the default registry.
 func Get(name string) (Scenario, error) { return defaultRegistry.Get(name) }
-
-// Names lists the default registry.
-func Names() []string { return defaultRegistry.Names() }
 
 // SimulatableNames lists the default registry's simulatable scenarios.
 func SimulatableNames() []string { return defaultRegistry.SimulatableNames() }

@@ -13,13 +13,16 @@ import (
 
 func TestDefaultHasBuiltins(t *testing.T) {
 	want := []string{"byzantine", "byzantine-line", "crash", "evacuation-line", "pfaulty-halfline", "probabilistic", "shoreline"}
-	got := Names()
+	var got []string
+	for _, s := range Default().All() {
+		got = append(got, s.Name)
+	}
 	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+		t.Fatalf("All() names = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Names()[%d] = %q, want %q", i, got[i], want[i])
+			t.Errorf("All()[%d].Name = %q, want %q", i, got[i], want[i])
 		}
 	}
 	for _, s := range Default().All() {
@@ -178,14 +181,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 					UpperBound: func(m, k, f int) (float64, error) { return 1, nil },
 					VerifyJob:  func(ctx context.Context, req Request) (engine.Job, error) { return nil, ErrNotVerifiable },
 				})
-				r.Names()
 				r.Get(string(rune('a' + g)))
 				r.All()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := len(r.Names()); n != 8 {
+	if n := len(r.All()); n != 8 {
 		t.Errorf("expected 8 scenarios after concurrent registration, got %d", n)
 	}
 }

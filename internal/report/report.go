@@ -1,5 +1,5 @@
 // Package report renders the experiment harness's tables and series as
-// aligned Markdown or CSV. It exists so that cmd/experiments and the
+// aligned Markdown. It exists so that cmd/experiments and the
 // benchmark harness print every reproduced table and figure of the paper
 // in one consistent format (EXPERIMENTS.md is assembled from this output).
 package report
@@ -69,29 +69,6 @@ func (t *Table) Markdown() string {
 		b.WriteString("|")
 	}
 	b.WriteString("\n")
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as RFC-4180-ish CSV (quotes only when needed).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				b.WriteString(strconv.Quote(cell))
-			} else {
-				b.WriteString(cell)
-			}
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Columns)
 	for _, row := range t.Rows {
 		writeRow(row)
 	}

@@ -55,19 +55,6 @@ func TestTableOverlongRowPanics(t *testing.T) {
 	tb.AddRow("x", "y", "overflow")
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "name", "value")
-	tb.AddRow("plain", "1")
-	tb.AddRow("with,comma", "2")
-	csv := tb.CSV()
-	if !strings.Contains(csv, "name,value\n") {
-		t.Error("CSV header malformed")
-	}
-	if !strings.Contains(csv, "\"with,comma\",2") {
-		t.Errorf("comma cell not quoted:\n%s", csv)
-	}
-}
-
 func TestFmt(t *testing.T) {
 	tests := []struct {
 		v      float64

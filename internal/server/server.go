@@ -315,8 +315,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "boundsd_solver_strategy_memo_size %d\n", st.Solver.StrategySize)
 	fmt.Fprintf(w, "boundsd_solver_base_memo_size %d\n", st.Solver.BaseSize)
 	fmt.Fprintf(w, "boundsd_kernel_builds_total %d\n", st.Kernel.Builds)
-	fmt.Fprintf(w, "boundsd_kernel_extends_total %d\n", st.Kernel.Extends)
-	fmt.Fprintf(w, "boundsd_kernel_extend_rebuilds_total %d\n", st.Kernel.ExtendRebuilds)
 	fmt.Fprintf(w, "boundsd_kernel_pool_reuses_total %d\n", st.Kernel.PoolReuses)
 }
 

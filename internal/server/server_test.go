@@ -383,6 +383,26 @@ func TestMetricsAndCounters(t *testing.T) {
 	}
 }
 
+// TestMetricsKernelSeries: /metrics exports the kernel's build and
+// pool-reuse counters and no series for the removed incremental
+// horizon path.
+func TestMetricsKernelSeries(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	get(t, ts.URL+"/v1/verify?m=2&k=3&f=1")
+	code, body := get(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d", code)
+	}
+	for _, want := range []string{"boundsd_kernel_builds_total ", "boundsd_kernel_pool_reuses_total "} {
+		if !strings.Contains(body, "\n"+want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+	if strings.Contains(body, "extend") {
+		t.Errorf("metrics still list an extend series:\n%s", body)
+	}
+}
+
 func TestPostJSONBody(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/v1/bounds", "application/json",

@@ -196,22 +196,3 @@ func DetectionTime(trajs []*trajectory.Star, target trajectory.Point, faults int
 	}
 	return res.DetectionTime, nil
 }
-
-// SweepRatio measures the worst observed competitive ratio over a set of
-// target distances on every ray — a sampled (not exact) adversary, useful
-// for quick sanity checks; internal/adversary computes the exact supremum.
-func SweepRatio(s strategy.Strategy, faults int, dists []float64) (float64, error) {
-	worst := 0.0
-	for _, d := range dists {
-		for ray := 1; ray <= s.M(); ray++ {
-			res, err := Run(Config{Strategy: s, Faults: faults, Target: trajectory.Point{Ray: ray, Dist: d}})
-			if err != nil {
-				return 0, err
-			}
-			if res.Ratio > worst {
-				worst = res.Ratio
-			}
-		}
-	}
-	return worst, nil
-}

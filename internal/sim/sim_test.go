@@ -149,33 +149,6 @@ func TestDetectionTimeErrors(t *testing.T) {
 	}
 }
 
-func TestSweepRatioMatchesRun(t *testing.T) {
-	s, err := strategy.NewCyclicExponential(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists := []float64{1, 2, 4, 8}
-	worst, err := SweepRatio(s, 1, dists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	max := 0.0
-	for _, d := range dists {
-		for ray := 1; ray <= 2; ray++ {
-			res, err := Run(Config{Strategy: s, Faults: 1, Target: trajectory.Point{Ray: ray, Dist: d}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ratio > max {
-				max = res.Ratio
-			}
-		}
-	}
-	if !numeric.EqualWithin(worst, max, 1e-12) {
-		t.Errorf("SweepRatio %g != max Run ratio %g", worst, max)
-	}
-}
-
 func TestQuickMoreFaultsNeverDetectEarlier(t *testing.T) {
 	// Property: with the same strategy and target, increasing the fault
 	// budget never decreases the detection time.

@@ -59,9 +59,9 @@ func TestCyclicProgramBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCyclicProgramPrefixStability pins the property the incremental
-// Evaluator's Extend path depends on: the round sequence for a smaller
-// horizon is a bit-identical prefix of the sequence for a larger one.
+// TestCyclicProgramPrefixStability pins the prefix property documented
+// on AppendRounds: the round sequence for a smaller horizon is a
+// bit-identical prefix of the sequence for a larger one.
 func TestCyclicProgramPrefixStability(t *testing.T) {
 	s, err := NewCyclicExponential(2, 3, 1)
 	if err != nil {

@@ -177,15 +177,6 @@ func (s *Instance) M() int { return s.m }
 // K returns the number of robots.
 func (s *Instance) K() int { return s.k }
 
-// F returns the number of faults the instance was tuned for.
-func (s *Instance) F() int { return s.f }
-
-// Alpha returns the exponential base bound into the script.
-func (s *Instance) Alpha() float64 { return s.alpha }
-
-// Program returns the compiled program backing this instance.
-func (s *Instance) Program() *Program { return s.p }
-
 // Fingerprint returns the content-addressed cache identity: the program
 // hash plus the exact bit patterns of the instantiation parameters.
 func (s *Instance) Fingerprint() string {

@@ -93,9 +93,9 @@ func Trajectories(s Strategy, horizon float64) ([]*trajectory.Star, error) {
 // the constructor instantiates the init-compiled CyclicScript program,
 // and Fingerprint (every cache key) derives from that program's content
 // hash. Round generation itself runs the native multiplication chain —
-// the adversary's hot path regenerates rounds on every horizon
-// extension, and the native loop is an order of magnitude cheaper than
-// the program VM's tree walk — with the VM path pinned bit-identical
+// the adversary's hot path generates rounds on every table build, and
+// the native loop is an order of magnitude cheaper than the program
+// VM's tree walk — with the VM path pinned bit-identical
 // to it by the regression test, so a script registering CyclicScript
 // through /v1/strategies produces byte-identical evaluations.
 type CyclicExponential struct {
@@ -183,11 +183,10 @@ func (s *CyclicExponential) Fingerprint() string { return s.inst.Fingerprint() }
 // (Fingerprint) and its semantic pin — the program's output is
 // asserted bit-identical to this loop by TestCyclicProgramBitIdentity —
 // but the built-in does not pay the VM's tree-walk on the adversary's
-// hot path (Evaluator.Extend regenerates rounds per doubling). The
-// rounds generated for a smaller horizon are a bit-exact prefix of
-// those for a larger one: the chain depends only on (alpha, k, m, r),
-// the horizon only caps its length; Evaluator.Extend relies on that
-// prefix property.
+// hot path (every table build generates rounds). The rounds generated
+// for a smaller horizon are a bit-exact prefix of those for a larger
+// one: the chain depends only on (alpha, k, m, r), the horizon only
+// caps its length.
 func (s *CyclicExponential) AppendRounds(dst []trajectory.Round, r int, horizon float64) ([]trajectory.Round, error) {
 	return s.nativeAppendRounds(dst, r, horizon)
 }
@@ -302,9 +301,8 @@ func Doubling() *CyclicExponential {
 	return s
 }
 
-// FixedRounds is a strategy given by explicit per-robot excursion lists. It
-// is the bridge for externally described strategies (cmd/verifybound) and
-// for adversarial tests.
+// FixedRounds is a strategy given by explicit per-robot excursion lists:
+// the fixture tests and fuzz targets use to pose arbitrary round lists.
 type FixedRounds struct {
 	name   string
 	m      int
