@@ -824,6 +824,26 @@ func BenchmarkBatchEndpoint(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepNDJSONHandler measures a cold NDJSON /v1/sweep through
+// Server.ServeHTTP on an httptest recorder: the handler, the engine's
+// ordered stream, the row encoder and the flushes, with no transport in
+// the way. Iteration i sweeps m = 2 + i%3 and kmax = 8 + i%5 at a
+// horizon no other iteration uses, so every cell misses the cache (and
+// the LRU evicts), as in the benchmark's sweep-cold workload. allocs/op
+// is the figure the encoder and the stream move.
+func BenchmarkSweepNDJSONHandler(b *testing.B) {
+	srv := server.New(server.Config{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		url := fmt.Sprintf("/v1/sweep?m=%d&kmax=%d&horizon=%d&format=ndjson", 2+i%3, 8+i%5, 100000+i)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "# done rows=") {
+			b.Fatalf("%s = %d: %s", url, rec.Code, rec.Body)
+		}
+	}
+}
+
 // BenchmarkExactRatioSweepCells measures the kernel layer in the shape
 // of a cold sweep: one op builds, queries and releases an Evaluator for
 // each of the 161 search-regime cells (f < k < m(f+1)) with

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -122,6 +125,43 @@ func TestJobKeysCarryProgramHash(t *testing.T) {
 	for _, j := range jobs {
 		if key := j.Key(); !strings.Contains(key, "sp="+frag) {
 			t.Errorf("key %q does not embed the cyclic program hash fragment %q", key, frag)
+		}
+	}
+}
+
+// TestJobKeysMatchSprintf pins the appended VerifyUpper and ExactRatio
+// keys to the fmt.Sprintf forms they replaced, byte for byte: snapshot
+// entries are keyed by these strings, so a drifted key would orphan
+// every restored entry. The horizons cover integral values, %g's switch
+// to exponent form, NaN and +Inf besides drawn magnitudes.
+func TestJobKeysMatchSprintf(t *testing.T) {
+	horizons := []float64{2, 1e4, 2e5, 1e8, 123456, 1234567, 1e20, 1e21, 1e-5, 0.5,
+		1.0000000000000002, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	draw := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		horizons = append(horizons, math.Exp(draw.Float64()*60-10), float64(draw.Intn(1e9)))
+	}
+	var strategies []strategy.Strategy
+	for _, c := range [][3]int{{2, 1, 0}, {2, 3, 1}, {3, 5, 1}, {4, 11, 2}} {
+		s, err := strategy.NewCyclicExponential(c[0], c[1], c[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		strategies = append(strategies, s)
+	}
+	for i, h := range horizons {
+		m, k, f := 1+draw.Intn(6), 1+draw.Intn(64), draw.Intn(64)
+		if i%7 == 0 {
+			m, k, f = -m, -k, -f
+		}
+		vu := VerifyUpper{M: m, K: k, F: f, Horizon: h}
+		if got, want := vu.Key(), fmt.Sprintf("verify|sp=%s|m=%d|k=%d|f=%d|h=%g", cyclicHash[:16], m, k, f, h); got != want {
+			t.Fatalf("VerifyUpper%+v.Key() = %q, want %q", vu, got, want)
+		}
+		s := strategies[i%len(strategies)]
+		er := ExactRatio{Strategy: s, Faults: f, Horizon: h}
+		if got, want := er.Key(), fmt.Sprintf("exact|%s|f=%d|h=%g", s.Fingerprint(), f, h); got != want {
+			t.Fatalf("ExactRatio{f=%d, h=%v}.Key() = %q, want %q", f, h, got, want)
 		}
 	}
 }

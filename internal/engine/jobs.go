@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/adversary"
 	"repro/internal/randomized"
@@ -64,11 +65,24 @@ type ExactRatio struct {
 }
 
 // Key implements Job, keyed on (strategy fingerprint, faults, horizon).
+// Like VerifyUpper's, the key is appended without fmt; its bytes are
+// fmt.Sprintf's "exact|%s|f=%d|h=%g", which snapshot entries are keyed by.
 func (j ExactRatio) Key() string {
 	if j.Strategy == nil {
 		return ""
 	}
-	return fmt.Sprintf("exact|%s|f=%d|h=%g", j.Strategy.Fingerprint(), j.Faults, j.Horizon)
+	var buf [96]byte
+	b := append(buf[:0], "exact|"...)
+	b = append(b, j.Strategy.Fingerprint()...)
+	b = append(b, "|f="...)
+	b = strconv.AppendInt(b, int64(j.Faults), 10)
+	return string(appendHorizon(b, j.Horizon))
+}
+
+// appendHorizon appends a key's "|h=" field, the bytes fmt's %g gives.
+func appendHorizon(b []byte, h float64) []byte {
+	b = append(b, "|h="...)
+	return strconv.AppendFloat(b, h, 'g', -1, 64)
 }
 
 // Run implements Job.
@@ -133,9 +147,21 @@ var cyclicHash = strategy.CyclicProgram().Hash()
 
 // Key implements Job. The strategy is the optimal cyclic exponential at
 // alpha*(m(f+1), k), fully determined by (M, K, F), so the key derives
-// from the cyclic program's content hash plus those parameters.
+// from the cyclic program's content hash plus those parameters. A sweep
+// builds one key per cell, so it appends into a stack buffer instead of
+// going through fmt; the bytes are fmt.Sprintf's
+// "verify|sp=%s|m=%d|k=%d|f=%d|h=%g", which snapshot entries are keyed by.
 func (j VerifyUpper) Key() string {
-	return fmt.Sprintf("verify|sp=%s|m=%d|k=%d|f=%d|h=%g", cyclicHash[:16], j.M, j.K, j.F, j.Horizon)
+	var buf [80]byte
+	b := append(buf[:0], "verify|sp="...)
+	b = append(b, cyclicHash[:16]...)
+	b = append(b, "|m="...)
+	b = strconv.AppendInt(b, int64(j.M), 10)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(j.K), 10)
+	b = append(b, "|f="...)
+	b = strconv.AppendInt(b, int64(j.F), 10)
+	return string(appendHorizon(b, j.Horizon))
 }
 
 // Run implements Job.

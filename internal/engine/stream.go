@@ -8,39 +8,48 @@ import (
 )
 
 // streamOrdered is the shared fan-out/reorder core of SweepStream and
-// RunStream: workers claim indexes 0..n-1, eval each, and publish
-// out-of-order completions into a reorder buffer; a single emitter
-// releases the contiguous prefix, so emission order is always input
-// order. eval returning ok=false means "not a result" (the stream was
-// cancelled out from under the evaluation) and stops that worker. The
-// returned channel is always closed; consumers must drain it (or
-// cancel ctx) or the emitter goroutine leaks.
+// RunStream: workers claim indexes 0..n-1, eval each, and store the
+// result in its index's slot under one mutex. The worker whose result
+// completes the contiguous prefix sends that prefix into the returned
+// channel, still under the mutex, so emission order is always input
+// order and each result crosses exactly one channel. The channel is
+// buffered to the worker count; a sender that finds it full waits for
+// the consumer (or ctx) while holding the mutex, so every other worker
+// stops at its next store and a slow consumer bounds how far the pool
+// runs ahead. eval returning ok=false means "not a result" (the stream
+// was cancelled out from under the evaluation) and stops that worker.
+// The last worker to stop closes the channel; consumers must drain it
+// (or cancel ctx) or the workers leak.
 func streamOrdered[T any](ctx context.Context, workers, n int, eval func(context.Context, int) (T, bool)) <-chan T {
-	out := make(chan T)
+	if workers > n {
+		workers = n
+	}
+	out := make(chan T, workers)
 	if n == 0 {
 		close(out)
 		return out
 	}
-	if workers > n {
-		workers = n
+	type slot struct {
+		v     T
+		ready bool
 	}
-	type indexed struct {
-		i int
-		v T
-	}
-	results := make(chan indexed, workers)
 	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
+		next  atomic.Int64
+		mu    sync.Mutex
+		slots = make([]slot, n)
+		emit  int // the first index not yet sent
+		live  = workers
 	)
-	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
+			defer func() {
+				mu.Lock()
+				if live--; live == 0 {
+					close(out)
 				}
+				mu.Unlock()
+			}()
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -49,52 +58,34 @@ func streamOrdered[T any](ctx context.Context, workers, n int, eval func(context
 				if !ok {
 					return
 				}
-				select {
-				case results <- indexed{i, v}:
-				case <-ctx.Done():
-					return
+				mu.Lock()
+				slots[i] = slot{v, true}
+				for emit < n && slots[emit].ready {
+					select {
+					case out <- slots[emit].v:
+					case <-ctx.Done():
+						// The consumer is gone. emit stays put, so
+						// nothing after the delivered prefix is sent.
+						mu.Unlock()
+						return
+					}
+					slots[emit] = slot{}
+					emit++
 				}
+				mu.Unlock()
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	go func() {
-		defer close(out)
-		pending := make(map[int]T, workers)
-		emit := 0
-		for item := range results {
-			pending[item.i] = item.v
-			for {
-				v, ok := pending[emit]
-				if !ok {
-					break
-				}
-				select {
-				case out <- v:
-				case <-ctx.Done():
-					// The consumer is gone; unblock the workers and
-					// discard the tail.
-					for range results {
-					}
-					return
-				}
-				delete(pending, emit)
-				emit++
-			}
-		}
-	}()
 	return out
 }
 
 // SweepStream evaluates the cells on the worker pool and emits each
 // CellResult as soon as it — and every cell before it — has finished.
-// Emission order is always input order: workers publish out-of-order
-// completions into a reorder buffer and a single emitter releases the
-// contiguous prefix, so a consumer printing rows as they arrive
-// produces exactly the bytes of the batch path, just incrementally.
+// Emission order is always input order: workers store out-of-order
+// completions in per-index slots and the worker that completes the
+// contiguous prefix sends it, so a consumer printing rows as they
+// arrive produces exactly the bytes of the batch path, just
+// incrementally.
 //
 // Failed cells are emitted like successful ones, with the *CellError in
 // CellResult.Err — a sweep never throws away the progress it has made.
@@ -102,7 +93,7 @@ func streamOrdered[T any](ctx context.Context, workers, n int, eval func(context
 // cells, in-flight evaluations abort at their next cancellation check,
 // and the channel closes after the already-completed contiguous prefix
 // has been delivered. The channel is always closed; consumers must
-// drain it (or cancel ctx) or the emitter goroutine leaks.
+// drain it (or cancel ctx) or the workers leak.
 func (e *Engine) SweepStream(ctx context.Context, cells []Cell, horizon float64) <-chan CellResult {
 	return streamOrdered(ctx, e.workers, len(cells), func(ctx context.Context, i int) (CellResult, bool) {
 		r := e.evalCell(ctx, cells[i], horizon)
@@ -130,8 +121,8 @@ type JobResult struct {
 
 // RunStream evaluates jobs through the cache on the worker pool and
 // emits each JobResult in input order as soon as it — and every job
-// before it — has finished, sharing the reorder machinery of
-// SweepStream. Failed jobs are emitted with Err set; the stream keeps
+// before it — has finished, sharing the reorder core of SweepStream.
+// Failed jobs are emitted with Err set; the stream keeps
 // going. Cancelling ctx stops the stream cooperatively and closes the
 // channel after the completed contiguous prefix. The channel is always
 // closed; consumers must drain it (or cancel ctx).

@@ -26,25 +26,48 @@ import (
 type Float float64
 
 // MarshalJSON implements json.Marshaler. It writes the bytes
-// json.Marshal(float64) writes, by encoding/json's rules, without
-// re-entering the encoder: the shortest 'f' form, or 'e' below 1e-6
-// and from 1e21 on with a one-digit negative exponent unpadded.
+// json.Marshal(float64) writes, or null for NaN and ±Inf (appendFloat).
 func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
+	return appendFloat(make([]byte, 0, 24), float64(f)), nil
+}
+
+// appendFloat appends v as json.Marshal(float64) writes it, by
+// encoding/json's rules, without re-entering the encoder: the shortest
+// 'f' form, or 'e' below 1e-6 and from 1e21 on with a one-digit
+// negative exponent unpadded. NaN and ±Inf, which encoding/json
+// rejects, append null.
+func appendFloat(b []byte, v float64) []byte {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
+		return append(b, "null"...)
 	}
 	format := byte('f')
 	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
 		format = 'e'
 	}
-	b := strconv.AppendFloat(make([]byte, 0, 24), v, format, -1, 64)
+	b = strconv.AppendFloat(b, v, format, -1, 64)
 	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		// e-09 -> e-9
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
-	return b, nil
+	return b
+}
+
+// appendString appends s as json.Marshal(string) writes it. A string
+// of printable ASCII that encoding/json leaves alone (no quote,
+// backslash or HTML-escaped <, >, &) is copied between quotes; any
+// other string goes through json.Marshal, which owns the escaping
+// rules for control bytes, non-ASCII and invalid UTF-8.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // UnmarshalJSON implements json.Unmarshaler (null -> NaN).
@@ -182,6 +205,44 @@ type SweepCell struct {
 	WorstRay  int    `json:"worst_ray,omitempty"`
 	WorstX    Float  `json:"worst_x,omitempty"`
 	Error     string `json:"error,omitempty"`
+}
+
+// appendJSON appends the bytes json.Marshal(c) writes, field by field
+// in declaration order with the omitempty rules of the tags, without
+// reflection — the NDJSON stream's row encoder.
+// FuzzSweepCellMatchesEncodingJSON pins it to json.Marshal.
+func (c *SweepCell) appendJSON(b []byte) []byte {
+	b = append(b, `{"m":`...)
+	b = strconv.AppendInt(b, int64(c.M), 10)
+	b = append(b, `,"k":`...)
+	b = strconv.AppendInt(b, int64(c.K), 10)
+	b = append(b, `,"f":`...)
+	b = strconv.AppendInt(b, int64(c.F), 10)
+	b = append(b, `,"q":`...)
+	b = strconv.AppendInt(b, int64(c.Q), 10)
+	b = append(b, `,"regime":`...)
+	b = appendString(b, c.Regime)
+	b = append(b, `,"closed":`...)
+	b = appendFloat(b, float64(c.Closed))
+	b = append(b, `,"evaluated":`...)
+	b = strconv.AppendBool(b, c.Evaluated)
+	b = append(b, `,"measured":`...)
+	b = appendFloat(b, float64(c.Measured))
+	b = append(b, `,"rel_gap":`...)
+	b = appendFloat(b, float64(c.RelGap))
+	if c.WorstRay != 0 {
+		b = append(b, `,"worst_ray":`...)
+		b = strconv.AppendInt(b, int64(c.WorstRay), 10)
+	}
+	if c.WorstX != 0 { // omitempty drops ±0 only; NaN is not empty
+		b = append(b, `,"worst_x":`...)
+		b = appendFloat(b, float64(c.WorstX))
+	}
+	if c.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendString(b, c.Error)
+	}
+	return append(b, '}')
 }
 
 // SweepTable is the payload of /v1/sweep and the source of the E1/E4

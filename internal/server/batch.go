@@ -207,12 +207,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rows := s.batchRows(ctx, items)
 	if p["format"] == "ndjson" ||
 		(p["format"] == "" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")) {
-		s.ndjsonStream(ctx, w, budget, len(items), rows)
+		enc := getEncoder()
+		defer putEncoder(enc)
+		ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(items), rows, func(b []byte, row BatchRow) ([]byte, error) {
+			return enc.appendCompact(b, row)
+		})
 		return
 	}
 	ans := &BatchAnswer{Count: len(items), Rows: make([]BatchRow, 0, len(items))}
-	for row := range rows {
-		br := row.(BatchRow)
+	for br := range rows {
 		if br.Error != "" {
 			ans.Failed++
 		}
@@ -231,7 +234,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // is always emitted — the channel closes only after the last one, and
 // both consumers drain it — so the JSON and NDJSON representations
 // carry the same rows in the same order.
-func (s *Server) batchRows(ctx context.Context, items []map[string]any) <-chan any {
+func (s *Server) batchRows(ctx context.Context, items []map[string]any) <-chan BatchRow {
 	done := make([]chan BatchRow, len(items))
 	for i := range items {
 		done[i] = make(chan BatchRow, 1)
@@ -239,7 +242,7 @@ func (s *Server) batchRows(ctx context.Context, items []map[string]any) <-chan a
 			done[i] <- s.batchRow(ctx, i, item)
 		}(i, items[i])
 	}
-	rows := make(chan any)
+	rows := make(chan BatchRow)
 	go func() {
 		defer close(rows)
 		for i := range done {

@@ -1,6 +1,6 @@
 // encpool.go pools the JSON encoding scratch of the response paths:
-// NDJSON stream rows, whole-document writeJSON answers and batch
-// result payloads all encode through recycled buffer+encoder pairs
+// simulate and batch NDJSON rows, whole-document writeJSON answers and
+// batch result payloads all encode through recycled buffer+encoder pairs
 // instead of allocating marshal scratch per call. The pooled paths are
 // byte-identical to the json.Marshal / json.NewEncoder(w) calls they
 // replaced: Encoder.Encode writes exactly Marshal's bytes (same
@@ -65,4 +65,12 @@ func (e *respEncoder) encodeCompact(v any) ([]byte, error) {
 	}
 	b := e.buf.Bytes()
 	return b[:len(b)-1], nil
+}
+
+// appendCompact appends encodeCompact's bytes for v to b — the row
+// encoder of the NDJSON streams whose rows keep encoding/json
+// (simulate and batch rows).
+func (e *respEncoder) appendCompact(b []byte, v any) ([]byte, error) {
+	data, err := e.encodeCompact(v)
+	return append(b, data...), err
 }

@@ -14,9 +14,12 @@
 // tables cmd/bounds, cmd/experiments and cmd/searchsim print
 // (byte-identical). /v1/sweep and /v1/simulate additionally stream
 // when the client sends Accept: application/x-ndjson (or
-// ?format=ndjson): one row JSON object per line, flushed as each row
-// finishes, interleaved with '#'-prefixed heartbeat comment lines so
-// idle proxies keep the connection open. The streamed rows are
+// ?format=ndjson): one row JSON object per line in grid order,
+// interleaved with '#'-prefixed heartbeat comment lines so idle proxies
+// keep the connection open. Rows are flushed whenever the next row is
+// not ready yet, at most once per millisecond (a row that arrives
+// sooner is flushed by a timer when the millisecond is up); heartbeats
+// and the final status line are flushed at once. The streamed rows are
 // byte-identical to (and in the same order as) the rows array of the
 // batch JSON answer.
 //
@@ -257,6 +260,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusRecorder captures the response code for the error counters.
+// It passes Flush through, so the NDJSON streams' flushes reach the
+// connection, and unwraps for http.ResponseController.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -266,6 +271,17 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+// Flush implements http.Flusher; it is a no-op when the wrapped writer
+// cannot flush.
+func (r *statusRecorder) Flush() {
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// Unwrap returns the wrapped writer (see http.ResponseController).
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -798,9 +814,9 @@ func (s *Server) simulateAnswer(ctx context.Context, sc registry.Scenario, req r
 }
 
 // streamSimulate is the NDJSON path of /v1/simulate: one SimRow JSON
-// object per line in deterministic grid order, flushed as each row
-// finishes, with the same heartbeat/status-comment protocol as the
-// sweep stream. The rows are byte-identical to the rows of the batch
+// object per line in deterministic grid order, with the same flush
+// rule and heartbeat/status-comment protocol as the sweep stream
+// (ndjsonStream). The rows are byte-identical to the rows of the batch
 // JSON answer for the same request (both shape through simRowOf).
 // Job construction happens before the headers, so a scenario rejecting
 // the request is still a proper 400 rather than a truncated stream.
@@ -822,79 +838,107 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, p map[st
 		s.writeComputeErr(w, err)
 		return
 	}
-	stream := s.cfg.Engine.RunStream(ctx, jobs)
-	s.ndjsonStream(ctx, w, budget, len(jobs), shapeRows(ctx, stream, func(jr engine.JobResult) any {
-		return simRowOf(sc, req, dists[jr.Index], jr)
-	}))
+	enc := getEncoder()
+	defer putEncoder(enc)
+	ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(jobs), s.cfg.Engine.RunStream(ctx, jobs),
+		func(b []byte, jr engine.JobResult) ([]byte, error) {
+			return enc.appendCompact(b, simRowOf(sc, req, dists[jr.Index], jr))
+		})
 }
 
-// shapeRows adapts a typed result stream into the wire rows
-// ndjsonStream writes, applying the shared shaping function that keeps
-// streamed rows byte-identical to batch rows. The adapter drains the
-// source even when the consumer leaves early (the source closes on ctx
-// cancellation).
-func shapeRows[T any](ctx context.Context, src <-chan T, shape func(T) any) <-chan any {
-	out := make(chan any)
-	go func() {
-		defer close(out)
-		for v := range src {
-			select {
-			case out <- shape(v):
-			case <-ctx.Done():
-				for range src {
-				}
-				return
-			}
-		}
-	}()
-	return out
-}
+// flushGap is the shortest interval between two flushes of an NDJSON
+// stream's rows. Each flush is a write to the connection, so flushing
+// every row of a fast stream would cost more than the rows do; rows
+// that arrive within flushGap of a flush wait for the next one.
+const flushGap = time.Millisecond
 
-// ndjsonStream is the shared NDJSON writer of /v1/sweep and
-// /v1/simulate: one JSON object per line as rows arrive, '#'-prefixed
-// heartbeat comments while nothing is ready, and a final
-// '# done rows=N' or '# truncated after M/N rows: <reason>' status
-// comment. The caller has validated the request and acquired its
-// compute slot; rows must be closed by the producer (both producers
-// close on ctx cancellation).
-func (s *Server) ndjsonStream(ctx context.Context, w http.ResponseWriter, budget time.Duration, total int, rows <-chan any) {
+// ndjsonStream is the shared NDJSON writer of /v1/sweep, /v1/simulate
+// and /v1/batch: one JSON object per line, appended by appendRow, as
+// rows arrive; '#'-prefixed heartbeat comments while nothing is ready;
+// and a final '# done rows=N' or '# truncated after M/N rows: <reason>'
+// status comment. Rows are flushed to the client whenever no next row
+// is ready, but at most once per flushGap; a row still unflushed then
+// is flushed by a timer when the gap has passed. Heartbeats and the
+// status line are always flushed. The caller has validated the request
+// and acquired its compute slot; rows must be closed by the producer
+// (every producer closes on ctx cancellation).
+func ndjsonStream[T any](ctx context.Context, w http.ResponseWriter, heartbeat, budget time.Duration, total int, rows <-chan T, appendRow func([]byte, T) ([]byte, error)) {
 	flusher, _ := w.(http.Flusher)
+	var (
+		lastFlush time.Time
+		unflushed bool
+	)
 	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
+		lastFlush, unflushed = time.Now(), false
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	ticker := time.NewTicker(s.cfg.Heartbeat)
+	ticker := time.NewTicker(heartbeat)
 	defer ticker.Stop()
-	// One pooled encoder serves every row of the stream: Encode writes
-	// exactly Marshal's bytes plus the NDJSON newline, so pooling changes
-	// neither the bytes nor the line framing.
-	enc := getEncoder()
-	defer putEncoder(enc)
+	// flushC is the pending-row timer's channel while it runs, nil
+	// otherwise. The timer is only ever reset after its value has been
+	// received, so no stale tick can cut a later gap short.
+	var (
+		flushTimer *time.Timer
+		flushC     <-chan time.Time
+	)
+	defer func() {
+		if flushTimer != nil {
+			flushTimer.Stop()
+		}
+	}()
+	buf := make([]byte, 0, 512)
 	emitted := 0
-	for rows != nil {
+	for {
+		var (
+			row T
+			ok  bool
+		)
 		select {
-		case row, ok := <-rows:
-			if !ok {
-				rows = nil
+		case row, ok = <-rows:
+		default:
+			// No row is ready: hand the client what it has, or wake up
+			// when the gap since the last flush has passed.
+			if unflushed && flushC == nil {
+				if wait := flushGap - time.Since(lastFlush); wait > 0 {
+					if flushTimer == nil {
+						flushTimer = time.NewTimer(wait)
+					} else {
+						flushTimer.Reset(wait)
+					}
+					flushC = flushTimer.C
+				} else {
+					flush()
+				}
+			}
+			select {
+			case row, ok = <-rows:
+			case <-ticker.C:
+				io.WriteString(w, "# heartbeat\n")
+				flush()
+				continue
+			case <-flushC:
+				flushC = nil
 				continue
 			}
-			enc.buf.Reset()
-			if err := enc.compact.Encode(row); err != nil {
-				fmt.Fprintf(w, "# error: %v\n", err)
-				flush()
-				return
-			}
-			w.Write(enc.buf.Bytes())
-			emitted++
-			flush()
-		case <-ticker.C:
-			io.WriteString(w, "# heartbeat\n")
-			flush()
 		}
+		if !ok {
+			break
+		}
+		var err error
+		if buf, err = appendRow(buf[:0], row); err != nil {
+			fmt.Fprintf(w, "# error: %v\n", err)
+			flush()
+			return
+		}
+		buf = append(buf, '\n')
+		w.Write(buf)
+		emitted++
+		unflushed = true
 	}
 	if emitted < total {
 		reason := "cancelled"
@@ -994,8 +1038,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamSweep is the NDJSON path of /v1/sweep: one SweepCell JSON
-// object per line in deterministic grid order, flushed as each cell
-// finishes, via the shared ndjsonStream protocol. The rows are
+// object per line in deterministic grid order, via the shared
+// ndjsonStream protocol and flush rule. Each cell goes from the engine
+// worker that finishes it straight to this writer and is appended
+// without reflection (SweepCell.appendJSON); the rows are
 // byte-identical to the cells of the batch JSON answer for the same
 // grid. The stream runs under the same compute budget and MaxInflight
 // slot accounting as the batch path; cancellation (timeout or client
@@ -1014,10 +1060,11 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, p map[strin
 		return
 	}
 	defer release()
-	stream := s.cfg.Engine.SweepStream(ctx, cells, horizon)
-	s.ndjsonStream(ctx, w, budget, len(cells), shapeRows(ctx, stream, func(cr engine.CellResult) any {
-		return SweepCellOf(cr)
-	}))
+	ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(cells), s.cfg.Engine.SweepStream(ctx, cells, horizon),
+		func(b []byte, cr engine.CellResult) ([]byte, error) {
+			cell := SweepCellOf(cr)
+			return cell.appendJSON(b), nil
+		})
 }
 
 // computeStatus classifies an error from the compute path. Raw context

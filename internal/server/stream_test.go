@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -242,4 +244,119 @@ func TestComputeSweepPartialOnCellError(t *testing.T) {
 	if !strings.Contains(md, "| 2 | 3 | 1 |") {
 		t.Errorf("markdown missing the healthy rows:\n%s", md)
 	}
+}
+
+// flushRecorder is an httptest.ResponseRecorder that records the body
+// as it stood at each Flush — what a client had been handed, and when.
+// With notify set, each snapshot is also sent there.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	flushes []string
+	notify  chan string
+}
+
+func (r *flushRecorder) Flush() {
+	body := r.Body.String()
+	r.flushes = append(r.flushes, body)
+	if r.notify != nil {
+		r.notify <- body
+	}
+}
+
+// TestSweepNDJSONFlushesFirstRowBeforeEnd goes through Server.ServeHTTP,
+// whose status recorder must pass Flush through: a serial sweep's
+// first row reaches the client before its final status line does, and
+// the final line is flushed too.
+func TestSweepNDJSONFlushesFirstRowBeforeEnd(t *testing.T) {
+	srv := New(Config{Engine: engine.New(1), Heartbeat: time.Minute})
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sweep?m=2&kmax=6&horizon=1e6&format=ndjson", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ndjson sweep = %d: %s", rec.Code, rec.Body)
+	}
+	if len(rec.flushes) == 0 {
+		t.Fatal("the stream was never flushed through the server's writer")
+	}
+	first := -1
+	for i, body := range rec.flushes {
+		if rows, _ := ndjsonRows(body); len(rows) > 0 {
+			first = i
+			break
+		}
+	}
+	if first < 0 || strings.Contains(rec.flushes[first], "# done") {
+		t.Errorf("no flush carried a row before the final line; flushes = %q", rec.flushes)
+	}
+	if last := rec.flushes[len(rec.flushes)-1]; last != rec.Body.String() || !strings.HasSuffix(last, "# done rows=21\n") {
+		t.Errorf("the final status line was not flushed: last flush %q, body %q", last, rec.Body)
+	}
+}
+
+// TestSweepNDJSONFlushesHeartbeat: on a stream stalled by slow cells
+// (the slow grid of TestSweepNDJSONTruncatedOnTimeout), a heartbeat
+// comment is flushed the moment it is written.
+func TestSweepNDJSONFlushesHeartbeat(t *testing.T) {
+	budget := slowGridBudget(t)
+	srv := New(Config{Engine: engine.New(1), Heartbeat: 200 * time.Microsecond, MaxKMax: slowGridKMax})
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		fmt.Sprintf("%s&timeout_ms=%d&format=ndjson", slowGrid, budget), nil))
+	for _, body := range rec.flushes {
+		if strings.HasSuffix(body, "# heartbeat\n") {
+			return
+		}
+	}
+	t.Errorf("no flush ended on a heartbeat; flushes = %q", rec.flushes)
+}
+
+// appendQuoted is a row appender for ndjsonStream tests.
+func appendQuoted(b []byte, s string) ([]byte, error) { return strconv.AppendQuote(b, s), nil }
+
+// TestNDJSONStreamFlushesOnlyWhenIdle: rows that are all ready at once
+// leave in one flush with the status line, not one flush per row.
+func TestNDJSONStreamFlushesOnlyWhenIdle(t *testing.T) {
+	rows := make(chan string, 50)
+	for i := 0; i < cap(rows); i++ {
+		rows <- strconv.Itoa(i)
+	}
+	close(rows)
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	ndjsonStream(context.Background(), rec, time.Hour, time.Minute, cap(rows), rows, appendQuoted)
+	if len(rec.flushes) != 1 || rec.flushes[0] != rec.Body.String() {
+		t.Fatalf("%d ready rows gave %d flushes, want one at the end: %q", cap(rows), len(rec.flushes), rec.flushes)
+	}
+	if got, _ := ndjsonRows(rec.Body.String()); len(got) != cap(rows) || !strings.HasSuffix(rec.Body.String(), "# done rows=50\n") {
+		t.Errorf("body %q", rec.Body)
+	}
+}
+
+// TestNDJSONStreamTimerFlushesPendingRow: a row that arrives within
+// flushGap of the previous flush is not held until the next row or
+// heartbeat; a timer flushes it once the gap has passed.
+func TestNDJSONStreamTimerFlushesPendingRow(t *testing.T) {
+	rows := make(chan string)
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder(), notify: make(chan string, 4)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ndjsonStream(context.Background(), rec, time.Hour, time.Minute, 2, rows, appendQuoted)
+	}()
+	wait := func(want string) {
+		t.Helper()
+		select {
+		case body := <-rec.notify:
+			if body != want {
+				t.Fatalf("flushed %q, want %q", body, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no flush of %q", want)
+		}
+	}
+	rows <- "a"
+	wait("\"a\"\n")
+	rows <- "b" // within the gap of the first flush: only the timer flushes it
+	wait("\"a\"\n\"b\"\n")
+	close(rows)
+	wait("\"a\"\n\"b\"\n# done rows=2\n")
+	<-done
 }
