@@ -281,9 +281,8 @@ type Stats struct {
 	// other engines too.
 	Solver solver.Stats
 	// Kernel is the snapshot of the adversary kernel's amortization
-	// counters: table builds, incremental horizon extensions, extend
-	// fallback rebuilds, and evaluator pool reuses. The kernel pool is
-	// process-wide, like the counters.
+	// counters: table builds and evaluator pool reuses. The kernel pool
+	// is process-wide, like the counters.
 	Kernel adversary.KernelStats
 }
 

@@ -1,6 +1,7 @@
-// admission.go is boundsd's cost-aware admission layer. Every compute
-// request is classified by the registry's cost classes
-// (registry.Cost) before it takes any resource:
+// admission.go is boundsd's one request path for compute (admit) and
+// its cost-aware admission layer. Every compute request, JSON or
+// NDJSON, is classified by the registry's cost classes (registry.Cost)
+// before it takes any resource:
 //
 //   - closed-form work (bounds lookups, scenario listings, batches of
 //     pure lookups) bypasses the compute slots entirely — arithmetic
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/registry"
+	"repro/internal/solver"
 )
 
 // errShed marks a heavy request shed because every heavy compute slot
@@ -63,6 +65,87 @@ func (s *Server) counters(class registry.Cost) *admissionCounters {
 	return s.admission[registry.CostMonteCarlo]
 }
 
+// budgetCtx derives the request's compute context: the server default
+// budget, optionally lowered (never raised) by ?timeout_ms, rooted in
+// the request context so a client disconnect cancels it too. The
+// engine's memoizing solver rides in the context, so scenario job
+// constructors (a plugin point that runs root finding and strategy
+// materialization) amortize that work across requests, not just
+// across the engine's own job executions.
+func (s *Server) budgetCtx(r *http.Request, p map[string]string) (context.Context, context.CancelFunc, time.Duration, error) {
+	budget := s.cfg.Timeout
+	if raw, ok := p["timeout_ms"]; ok && raw != "" {
+		ms, err := strconv.Atoi(raw)
+		if err != nil || ms <= 0 {
+			return nil, nil, 0, fmt.Errorf("%w: %q must be a positive integer", errBadParam, "timeout_ms")
+		}
+		if d := time.Duration(ms) * time.Millisecond; d < budget {
+			budget = d
+		}
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	return solver.With(ctx, s.cfg.Engine.Solver()), cancel, budget, nil
+}
+
+// admit is the one request path of every compute route — /v1/verify,
+// /v1/sweep, /v1/simulate, /v1/batch and /v1/strategies, JSON and
+// NDJSON alike. It derives the budget context (a bad ?timeout_ms is a
+// 400), admits the request under its cost class (see acquire) and runs
+// serve on the request's own goroutine while the slot is held. serve
+// writes its answer, or returns an error for admit to write. A panic in
+// serve (scenario callbacks are a plugin point) is a 500 while nothing
+// has been written; a stream that has started cannot change its
+// status, so its panic propagates.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, p map[string]string, class registry.Cost, serve func(ctx context.Context, budget time.Duration) error) {
+	ctx, cancel, budget, err := s.budgetCtx(r, p)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	release, err := s.acquire(ctx, budget, class)
+	if err != nil {
+		s.writeComputeErr(w, err)
+		return
+	}
+	defer release()
+	defer func() {
+		if rec := recover(); rec != nil {
+			if sr, ok := w.(*statusRecorder); ok && sr.code != 0 {
+				panic(rec)
+			}
+			s.writeComputeErr(w, fmt.Errorf("server: computation panicked: %v", rec))
+		}
+	}()
+	if err := serve(ctx, budget); err != nil {
+		s.writeComputeErr(w, err)
+	}
+}
+
+// compute is admit for a single answer: fn runs under the budget
+// context and its answer comes back for the caller to render once the
+// slot is released (ok is false when admit has written an error).
+// Abandonment is the engine's: engine.Run returns as soon as ctx ends
+// and leaves the job to finish detached (memoized on success), so fn
+// returns promptly, and a finished context maps to errTimeout or
+// errClientGone. Work outside the engine — scenario job constructors,
+// the strategy compile — is not abandoned; it is bounded instead.
+func (s *Server) compute(w http.ResponseWriter, r *http.Request, p map[string]string, class registry.Cost, fn func(ctx context.Context) (any, error)) (v any, ok bool) {
+	s.admit(w, r, p, class, func(ctx context.Context, budget time.Duration) error {
+		var err error
+		v, err = fn(ctx)
+		switch {
+		case errors.Is(ctx.Err(), context.Canceled):
+			return fmt.Errorf("%w before the computation finished", errClientGone)
+		case ctx.Err() != nil:
+			return fmt.Errorf("%w after %v", errTimeout, budget)
+		}
+		ok = err == nil
+		return err
+	})
+	return v, ok
+}
+
 // acquire admits one request of the given cost class and returns its
 // release function. Closed-form work is never blocked; analytic work
 // waits for a general MaxInflight slot until the budget expires
@@ -85,10 +168,15 @@ func (s *Server) acquire(ctx context.Context, budget time.Duration, class regist
 	case registry.CostClosedForm:
 		return admit(nil), nil
 	case registry.CostAnalytic:
-		if err := s.acquireSlot(ctx, budget); err != nil {
-			return nil, err
+		select {
+		case s.sem <- struct{}{}:
+			return admit(s.sem), nil
+		case <-ctx.Done():
+			if errors.Is(ctx.Err(), context.Canceled) {
+				return nil, fmt.Errorf("%w while waiting for a compute slot", errClientGone)
+			}
+			return nil, fmt.Errorf("%w: no compute slot freed within %v", errBusy, budget)
 		}
-		return admit(s.sem), nil
 	default: // CostMonteCarlo and anything unknown: the heavy pool.
 		select {
 		case s.heavySem <- struct{}{}:

@@ -38,7 +38,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"time"
 )
 
 // MaxBatchItems caps the sub-requests of one /v1/batch call.
@@ -192,36 +192,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel, budget, err := s.budgetCtx(r, p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	release, err := s.acquire(ctx, budget, s.batchClass(items))
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
-	}
-	defer release()
-	rows := s.batchRows(ctx, items)
-	if p["format"] == "ndjson" ||
-		(p["format"] == "" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")) {
-		enc := getEncoder()
-		defer putEncoder(enc)
-		ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(items), rows, func(b []byte, row BatchRow) ([]byte, error) {
-			return enc.appendCompact(b, row)
-		})
-		return
-	}
-	ans := &BatchAnswer{Count: len(items), Rows: make([]BatchRow, 0, len(items))}
-	for br := range rows {
-		if br.Error != "" {
-			ans.Failed++
+	s.admit(w, r, p, s.batchClass(items), func(ctx context.Context, budget time.Duration) error {
+		rows := s.batchRows(ctx, items)
+		if wantsNDJSON(r, p) {
+			enc := getEncoder()
+			defer putEncoder(enc)
+			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(items), rows, func(b []byte, row BatchRow) ([]byte, error) {
+				return enc.appendCompact(b, row)
+			})
+			return nil
 		}
-		ans.Rows = append(ans.Rows, br)
-	}
-	writeJSON(w, http.StatusOK, ans)
+		ans := &BatchAnswer{Count: len(items), Rows: make([]BatchRow, 0, len(items))}
+		for br := range rows {
+			if br.Error != "" {
+				ans.Failed++
+			}
+			ans.Rows = append(ans.Rows, br)
+		}
+		writeJSON(w, http.StatusOK, ans)
+		return nil
+	})
 }
 
 // batchRows evaluates the sub-requests concurrently and emits their

@@ -330,3 +330,53 @@ func TestBatchCountsInMetrics(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBatchBody posts arbitrary bytes to /v1/batch — the endpoint
+// whose body is the least constrained client input boundsd parses.
+// Whatever the bytes, the server must not panic and must answer a
+// status the endpoint documents; a 200 must be a well-formed
+// BatchAnswer whose rows are in index order and whose Failed count is
+// the number of rows carrying an error.
+func FuzzBatchBody(f *testing.F) {
+	for _, seed := range []string{
+		batchEquivalenceBody,
+		`[{"op": "bounds", "m": 2, "k": 3, "f": 1}, {"op": "bounds", "m": 2, "k": -1, "f": 0}, {"op": "teleport", "m": 2}, {"op": "verify", "m": 2, "k": 3, "f": 1, "model": "byzantine"}]`,
+		`[{"op": "bounds", "m": 2, "k": 3, "f": 1}, {"op": "verify", "m": 2, "k": 1, "f": 0, "model": "slow"}]`,
+		`[{"op": "verify", "m": 2, "k": 3, "f": 1, "horizon": 2000, "strategy": "unknownhash"}]`,
+		`{{{`,
+		`{"op": "bounds"}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := New(Config{Engine: engine.New(1), Timeout: 100 * time.Millisecond})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serveReq(srv, http.MethodPost, "/v1/batch", "", string(body))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			return
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		var ans BatchAnswer
+		if err := json.Unmarshal(rec.Body.Bytes(), &ans); err != nil {
+			t.Fatalf("200 body is not a BatchAnswer: %v\n%s", err, rec.Body)
+		}
+		if ans.Count != len(ans.Rows) {
+			t.Fatalf("count %d, %d rows", ans.Count, len(ans.Rows))
+		}
+		failed := 0
+		for i, row := range ans.Rows {
+			if row.Index != i {
+				t.Fatalf("row %d carries index %d", i, row.Index)
+			}
+			if row.Error != "" {
+				failed++
+			}
+		}
+		if ans.Failed != failed {
+			t.Fatalf("failed = %d, %d rows carry an error", ans.Failed, failed)
+		}
+	})
+}

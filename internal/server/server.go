@@ -1,18 +1,21 @@
 // Package server is the HTTP layer of boundsd: a JSON API over the
 // scenario registry and the evaluation engine. Endpoints:
 //
-//	GET  /healthz        liveness probe
-//	GET  /metrics        Prometheus-style text: request counters + engine cache stats
-//	GET  /v1/scenarios   the registry listing (self-describing fault models)
-//	*    /v1/bounds      closed-form bounds: single cell (k, f) or grid (kmax)
-//	*    /v1/verify      run the scenario's verification job through the engine
-//	*    /v1/sweep       measured (m, k, f) grid sweep (engine.Sweep)
-//	*    /v1/simulate    run the scenario's simulator over a distance grid
+//	GET  /healthz         liveness probe
+//	GET  /readyz          readiness probe: 503 until warm-up is done
+//	GET  /metrics         Prometheus-style text: request, admission and engine counters
+//	GET  /v1/scenarios    the registry listing (self-describing fault models)
+//	*    /v1/bounds       closed-form bounds: single cell (k, f) or grid (kmax)
+//	*    /v1/verify       run the scenario's verification job through the engine
+//	*    /v1/sweep        measured (m, k, f) grid sweep (ComputeSweep over engine.SweepStream)
+//	*    /v1/simulate     run the scenario's simulator over a distance grid
+//	POST /v1/batch        heterogeneous bounds/verify/simulate sub-requests (batch.go)
+//	POST /v1/strategies   compile and register a strategy program (strategies.go)
 //
 // The grid endpoints (/v1/bounds in kmax mode, /v1/sweep and
 // /v1/simulate) accept ?format=markdown to render through the same
 // tables cmd/bounds, cmd/experiments and cmd/searchsim print
-// (byte-identical). /v1/sweep and /v1/simulate additionally stream
+// (byte-identical). /v1/sweep, /v1/simulate and /v1/batch stream
 // when the client sends Accept: application/x-ndjson (or
 // ?format=ndjson): one row JSON object per line in grid order,
 // interleaved with '#'-prefixed heartbeat comment lines so idle proxies
@@ -36,11 +39,12 @@
 // the context flows into the engine, which stops claiming cells and
 // aborts in-flight evaluations at their next cooperative check, so a
 // timed-out or disconnected request frees its workers within one cell
-// evaluation. Requests are limited to MaxInflight concurrent
-// computations while they are being waited on (a job that ignores its
-// context finishes detached on an engine goroutine — a successful
-// result still lands in the cache, so an identical retry is instant).
-// Sweeps keep going past failing cells: the response
+// evaluation. Every compute route, in every representation, goes
+// through one request path (admit, admission.go) and runs on the
+// request's goroutine; the engine is the only abandonment layer — a job
+// that ignores its context finishes detached on an engine goroutine (a
+// successful result still lands in the cache, so an identical retry is
+// instant). Sweeps keep going past failing cells: the response
 // carries the partial table with per-cell error fields (plus an errors
 // section in markdown mode). Invalid input is a 400 with a JSON error
 // body; an exceeded budget is a 504; a saturated server is a 503.
@@ -64,7 +68,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/engine"
 	"repro/internal/registry"
-	"repro/internal/solver"
 	"repro/internal/strategy"
 	"repro/internal/strategy/program"
 )
@@ -252,16 +255,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		route = "other"
 	}
 	s.reqs[route].Add(1)
-	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+	rec := &statusRecorder{ResponseWriter: w}
 	s.mux.ServeHTTP(rec, r)
 	if rec.code >= 400 {
 		s.errs[route].Add(1)
 	}
 }
 
-// statusRecorder captures the response code for the error counters.
-// It passes Flush through, so the NDJSON streams' flushes reach the
-// connection, and unwraps for http.ResponseController.
+// statusRecorder captures the response code for the error counters
+// and the compute path's panic guard; code is 0 until something is
+// written. It passes Flush through, so the NDJSON streams' flushes
+// reach the connection, and unwraps for http.ResponseController.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -270,6 +274,13 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	if r.code == 0 {
+		r.code = http.StatusOK
+	}
+	return r.ResponseWriter.Write(b)
 }
 
 // Flush implements http.Flusher; it is a no-op when the wrapped writer
@@ -438,88 +449,6 @@ func (s *Server) scenarioParam(p map[string]string) (registry.Scenario, error) {
 	return s.cfg.Registry.Get(name)
 }
 
-// budgetCtx derives the request's compute context: the server default
-// budget, optionally lowered (never raised) by ?timeout_ms, rooted in
-// the request context so a client disconnect cancels it too. The
-// engine's memoizing solver rides in the context, so scenario job
-// constructors (a plugin point that runs root finding and strategy
-// materialization) amortize that work across requests, not just
-// across the engine's own job executions.
-func (s *Server) budgetCtx(r *http.Request, p map[string]string) (context.Context, context.CancelFunc, time.Duration, error) {
-	budget := s.cfg.Timeout
-	if raw, ok := p["timeout_ms"]; ok && raw != "" {
-		ms, err := strconv.Atoi(raw)
-		if err != nil || ms <= 0 {
-			return nil, nil, 0, fmt.Errorf("%w: %q must be a positive integer", errBadParam, "timeout_ms")
-		}
-		if d := time.Duration(ms) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	return solver.With(ctx, s.cfg.Engine.Solver()), cancel, budget, nil
-}
-
-// acquireSlot blocks for a MaxInflight compute slot until ctx expires.
-func (s *Server) acquireSlot(ctx context.Context, budget time.Duration) error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.Canceled) {
-			return fmt.Errorf("%w while waiting for a compute slot", errClientGone)
-		}
-		return fmt.Errorf("%w: no compute slot freed within %v", errBusy, budget)
-	}
-}
-
-// compute runs fn under the request's compute budget and the admission
-// policy of its cost class (see admission.go: closed-form bypasses the
-// slots, analytic takes a MaxInflight slot, Monte-Carlo takes a heavy
-// slot or is shed). The budget context is handed to fn and flows into
-// the engine, so cancellation (timeout or client disconnect) actually
-// stops the work: the engine stops claiming cells and aborts in-flight
-// evaluations at their next cooperative check. A job that ignores its
-// context is abandoned instead — the request's slot frees immediately
-// and the job finishes detached inside the engine (memoized on
-// success). A panic inside fn is recovered into a 500, not a process
-// crash (scenario callbacks are a plugin point).
-func (s *Server) compute(r *http.Request, p map[string]string, class registry.Cost, fn func(ctx context.Context) (any, error)) (any, error) {
-	ctx, cancel, budget, err := s.budgetCtx(r, p)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	release, err := s.acquire(ctx, budget, class)
-	if err != nil {
-		return nil, err
-	}
-	type outcome struct {
-		v   any
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer release()
-		defer func() {
-			if rec := recover(); rec != nil {
-				ch <- outcome{nil, fmt.Errorf("server: computation panicked: %v", rec)}
-			}
-		}()
-		v, err := fn(ctx)
-		ch <- outcome{v, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.Canceled) {
-			return nil, fmt.Errorf("%w before the computation finished", errClientGone)
-		}
-		return nil, fmt.Errorf("%w after %v", errTimeout, budget)
-	}
-}
-
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	p, err := params(r)
 	if err != nil {
@@ -665,14 +594,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	v, err := s.compute(r, p, sc.Cost, func(ctx context.Context) (any, error) {
+	if v, ok := s.compute(w, r, p, sc.Cost, func(ctx context.Context) (any, error) {
 		return s.verifyAnswer(ctx, sc, req, inst)
-	})
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
+	}); ok {
+		writeJSON(w, http.StatusOK, v)
 	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // verifyRequest parses and validates the /v1/verify parameter set. A
@@ -755,18 +681,31 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	// An explicit ?format= wins; Accept-based negotiation only applies
-	// when the query string does not choose a representation.
-	if p["format"] == "ndjson" ||
-		(p["format"] == "" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")) {
-		s.streamSimulate(w, r, p, sc, req, points)
+	if wantsNDJSON(r, p) {
+		// One SimRow JSON object per line in grid order (ndjsonStream),
+		// byte-identical to the rows of the batch JSON answer (both
+		// shape through simRowOf). Job construction happens before the
+		// headers, so a scenario rejecting the request — or panicking —
+		// is still a proper 400 (or 500) rather than a truncated stream.
+		s.admit(w, r, p, registry.CostMonteCarlo, func(ctx context.Context, budget time.Duration) error {
+			dists, jobs, err := simulateJobs(ctx, sc, req, points)
+			if err != nil {
+				return err
+			}
+			enc := getEncoder()
+			defer putEncoder(enc)
+			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(jobs), s.cfg.Engine.RunStream(ctx, jobs),
+				func(b []byte, jr engine.JobResult) ([]byte, error) {
+					return enc.appendCompact(b, simRowOf(sc, req, dists[jr.Index], jr))
+				})
+			return nil
+		})
 		return
 	}
-	v, err := s.compute(r, p, registry.CostMonteCarlo, func(ctx context.Context) (any, error) {
+	v, ok := s.compute(w, r, p, registry.CostMonteCarlo, func(ctx context.Context) (any, error) {
 		return s.simulateAnswer(ctx, sc, req, points)
 	})
-	if err != nil {
-		s.writeComputeErr(w, err)
+	if !ok {
 		return
 	}
 	table := v.(*SimulateTable)
@@ -813,37 +752,12 @@ func (s *Server) simulateAnswer(ctx context.Context, sc registry.Scenario, req r
 	return table, nil
 }
 
-// streamSimulate is the NDJSON path of /v1/simulate: one SimRow JSON
-// object per line in deterministic grid order, with the same flush
-// rule and heartbeat/status-comment protocol as the sweep stream
-// (ndjsonStream). The rows are byte-identical to the rows of the batch
-// JSON answer for the same request (both shape through simRowOf).
-// Job construction happens before the headers, so a scenario rejecting
-// the request is still a proper 400 rather than a truncated stream.
-func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, p map[string]string, sc registry.Scenario, req registry.Request, points int) {
-	ctx, cancel, budget, err := s.budgetCtx(r, p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	release, err := s.acquire(ctx, budget, registry.CostMonteCarlo)
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
-	}
-	defer release()
-	dists, jobs, err := simulateJobs(ctx, sc, req, points)
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
-	}
-	enc := getEncoder()
-	defer putEncoder(enc)
-	ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(jobs), s.cfg.Engine.RunStream(ctx, jobs),
-		func(b []byte, jr engine.JobResult) ([]byte, error) {
-			return enc.appendCompact(b, simRowOf(sc, req, dists[jr.Index], jr))
-		})
+// wantsNDJSON negotiates the streaming representation of /v1/sweep,
+// /v1/simulate and /v1/batch: an explicit ?format= wins, and the
+// Accept header applies only when the query string chooses none.
+func wantsNDJSON(r *http.Request, p map[string]string) bool {
+	return p["format"] == "ndjson" ||
+		(p["format"] == "" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson"))
 }
 
 // flushGap is the shortest interval between two flushes of an NDJSON
@@ -1004,14 +918,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cells := engine.Grid(m, kmax)
-	// An explicit ?format= wins; Accept-based negotiation only applies
-	// when the query string does not choose a representation.
-	if p["format"] == "ndjson" ||
-		(p["format"] == "" && strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")) {
-		s.streamSweep(w, r, p, cells, horizon)
+	if wantsNDJSON(r, p) {
+		// One SweepCell JSON object per line in grid order: each cell
+		// goes from the engine worker that finishes it straight to
+		// ndjsonStream and is appended without reflection, byte-identical
+		// to the cells of the batch JSON answer. Cancellation (timeout or
+		// client disconnect) stops the engine within one cell evaluation
+		// and truncates the stream cleanly.
+		s.admit(w, r, p, registry.CostAnalytic, func(ctx context.Context, budget time.Duration) error {
+			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(cells), s.cfg.Engine.SweepStream(ctx, cells, horizon),
+				func(b []byte, cr engine.CellResult) ([]byte, error) {
+					cell := SweepCellOf(cr)
+					return cell.appendJSON(b), nil
+				})
+			return nil
+		})
 		return
 	}
-	v, err := s.compute(r, p, registry.CostAnalytic, func(ctx context.Context) (any, error) {
+	v, ok := s.compute(w, r, p, registry.CostAnalytic, func(ctx context.Context) (any, error) {
 		table, err := ComputeSweep(ctx, s.cfg.Engine, cells, horizon)
 		// Per-cell failures ride inside the table (partial progress is
 		// never thrown away); only whole-request failures propagate.
@@ -1021,8 +945,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return table, nil
 	})
-	if err != nil {
-		s.writeComputeErr(w, err)
+	if !ok {
 		return
 	}
 	table := v.(*SweepTable)
@@ -1037,40 +960,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, table)
 }
 
-// streamSweep is the NDJSON path of /v1/sweep: one SweepCell JSON
-// object per line in deterministic grid order, via the shared
-// ndjsonStream protocol and flush rule. Each cell goes from the engine
-// worker that finishes it straight to this writer and is appended
-// without reflection (SweepCell.appendJSON); the rows are
-// byte-identical to the cells of the batch JSON answer for the same
-// grid. The stream runs under the same compute budget and MaxInflight
-// slot accounting as the batch path; cancellation (timeout or client
-// disconnect) stops the engine within one cell evaluation and
-// truncates the stream cleanly.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, p map[string]string, cells []engine.Cell, horizon float64) {
-	ctx, cancel, budget, err := s.budgetCtx(r, p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	release, err := s.acquire(ctx, budget, registry.CostAnalytic)
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
-	}
-	defer release()
-	ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(cells), s.cfg.Engine.SweepStream(ctx, cells, horizon),
-		func(b []byte, cr engine.CellResult) ([]byte, error) {
-			cell := SweepCellOf(cr)
-			return cell.appendJSON(b), nil
-		})
-}
-
 // computeStatus classifies an error from the compute path. Raw context
-// errors surface when engine work is consumed without the compute()
-// wrapper (the batch endpoint's per-row evaluation, stream setup): they
-// classify like the wrapper's sentinels.
+// errors surface when engine work is consumed without compute's
+// mapping (the batch endpoint's per-row evaluation, stream setup): they
+// classify like its sentinels.
 func computeStatus(err error) int {
 	switch {
 	case errors.Is(err, errTimeout), errors.Is(err, context.DeadlineExceeded):

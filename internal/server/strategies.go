@@ -144,7 +144,7 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	// Compiling parses untrusted input: classify it heavy so a compile
 	// flood contends with the Monte-Carlo pool, not with analytic
 	// traffic, and is shed with 429 under overload.
-	v, err := s.compute(r, p, registry.CostMonteCarlo, func(ctx context.Context) (any, error) {
+	if v, ok := s.compute(w, r, p, registry.CostMonteCarlo, func(ctx context.Context) (any, error) {
 		prog, err := program.Compile(body.Script)
 		if err != nil {
 			return nil, err
@@ -159,15 +159,9 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 			SourceBytes: len(body.Script),
 			Nodes:       prog.Nodes(),
 		}, nil
-	})
-	if err != nil {
-		if errors.Is(err, program.ErrCompile) {
-			s.strategyRejects.Add(1)
-		}
-		s.writeComputeErr(w, err)
-		return
+	}); ok {
+		writeJSON(w, http.StatusOK, v)
 	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // scriptedStrategy resolves a ?strategy=<hash> parameter to an
@@ -198,5 +192,8 @@ func (s *Server) scriptedStrategy(p map[string]string, sc registry.Scenario, m, 
 func (s *Server) noteStrategyErr(err error) {
 	if errors.Is(err, program.ErrGasExhausted) {
 		s.strategyGasExhausted.Add(1)
+	}
+	if errors.Is(err, program.ErrCompile) {
+		s.strategyRejects.Add(1)
 	}
 }

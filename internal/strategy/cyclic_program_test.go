@@ -11,8 +11,7 @@ import (
 // cyclic program must reproduce the native generation loop (the
 // production AppendRounds fast path) bit for bit — same rounds, same
 // rays, same float64 turn values — across the Theorem-1 grid and a
-// spread of horizons, including the horizon extensions the incremental
-// Evaluator leans on. The program's content hash is the strategy's
+// spread of horizons. The program's content hash is the strategy's
 // cache identity, so any divergence would let the hash vouch for
 // rounds the built-in never produces.
 func TestCyclicProgramBitIdentity(t *testing.T) {
