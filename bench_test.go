@@ -950,3 +950,116 @@ func BenchmarkSolverStrategyHit(b *testing.B) {
 		}
 	})
 }
+
+// gatedJob is an engine job with a constant result that finishes once
+// its gate is closed (a closed gate: at once), so the engine benchmarks
+// below time the cache and singleflight bookkeeping, not a kernel.
+type gatedJob struct {
+	key  string
+	gate chan struct{}
+}
+
+func (j gatedJob) Key() string { return j.key }
+
+func (j gatedJob) Run(context.Context) (engine.Result, error) {
+	<-j.gate
+	return engine.Result{Value: 1}, nil
+}
+
+// engineBenchKeys returns n distinct job keys. Cycling through 4096 of
+// them over a 1024-result cache makes every Run of a key a miss: the
+// key was evicted 3072 distinct keys ago.
+func engineBenchKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench-key-%05d", i)
+	}
+	return keys
+}
+
+// BenchmarkEngineRunMiss measures one engine.Run that misses a full
+// 1024-result cache: start a detached computation, wait for it, store
+// its result and evict the least recently used one.
+func BenchmarkEngineRunMiss(b *testing.B) {
+	eng := engine.NewWithCache(2, 1024)
+	keys := engineBenchKeys(4096)
+	open := make(chan struct{})
+	close(open)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(ctx, gatedJob{key: keys[i%len(keys)], gate: open}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := eng.Stats(); st.Hits != 0 {
+		b.Fatalf("%d hits, want every Run a miss", st.Hits)
+	}
+}
+
+// BenchmarkEngineRunHit measures one engine.Run served from the cache:
+// a lookup and an LRU touch under the cache lock, cycling over 512
+// results in a 1024-result cache.
+func BenchmarkEngineRunHit(b *testing.B) {
+	eng := engine.NewWithCache(2, 1024)
+	keys := engineBenchKeys(512)
+	open := make(chan struct{})
+	close(open)
+	ctx := context.Background()
+	for _, key := range keys {
+		if _, err := eng.Run(ctx, gatedJob{key: key, gate: open}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(ctx, gatedJob{key: keys[i%len(keys)], gate: open}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := eng.Stats(); st.Misses != int64(len(keys)) {
+		b.Fatalf("%d misses, want only the %d warm-up Runs", st.Misses, len(keys))
+	}
+}
+
+// BenchmarkEngineRunDedup measures the singleflight join path: each op
+// is one flight shared by four callers — one Run that starts it and
+// three that join it — released once the engine counts all three
+// joins. The four caller goroutines are part of the op.
+func BenchmarkEngineRunDedup(b *testing.B) {
+	const callers = 4
+	eng := engine.NewWithCache(2, 1024)
+	keys := engineBenchKeys(4096)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := gatedJob{key: keys[i%len(keys)], gate: make(chan struct{})}
+		joined := eng.Stats().Deduped + callers - 1
+		errs := make(chan error, callers)
+		for c := 0; c < callers; c++ {
+			go func() {
+				_, err := eng.Run(ctx, j)
+				errs <- err
+			}()
+		}
+		for eng.Stats().Deduped < joined {
+			runtime.Gosched()
+		}
+		close(j.gate)
+		for c := 0; c < callers; c++ {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if st := eng.Stats(); st.Misses != int64(b.N) || st.Deduped != int64(b.N*(callers-1)) {
+		b.Fatalf("%d misses and %d joins over %d flights, want one miss and %d joins each",
+			st.Misses, st.Deduped, b.N, callers-1)
+	}
+}

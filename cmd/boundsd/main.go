@@ -170,8 +170,8 @@ func run(ctx context.Context, opts options) error {
 			opts.pprofReady(pln.Addr().String())
 		}
 	}
-	log.Printf("boundsd: listening on %s (workers=%d cache=%d shards=%d timeout=%v)",
-		ln.Addr(), handler.Engine().Workers(), handler.Engine().CacheCapacity(), handler.Engine().CacheShards(), opts.timeout)
+	log.Printf("boundsd: listening on %s (workers=%d cache=%d timeout=%v)",
+		ln.Addr(), handler.Engine().Workers(), handler.Engine().CacheCapacity(), opts.timeout)
 	if opts.ready != nil {
 		opts.ready(ln.Addr().String())
 	}

@@ -259,8 +259,8 @@ func TestRunSuccessDespiteAbandonmentIsMemoized(t *testing.T) {
 
 // TestLRUConcurrentIdenticalRunsBounded exercises the singleflight
 // layer against a bounded cache: once a set of concurrent identical
-// Runs has joined one flight, LRU churn — even churn that evicts the
-// in-flight entry itself — cannot split the flight or lose its result.
+// Runs has joined one flight, LRU churn — however many completed
+// results it evicts — cannot split the flight or lose its result.
 func TestLRUConcurrentIdenticalRunsBounded(t *testing.T) {
 	eng := NewWithCache(8, 2)
 	var dupRuns, churnRuns atomic.Int64
@@ -280,9 +280,9 @@ func TestLRUConcurrentIdenticalRunsBounded(t *testing.T) {
 	waitFor(t, "all duplicate callers to join", func() bool {
 		return eng.Stats().Deduped == n-1
 	})
-	// Churn five distinct keys through a capacity-2 cache: the pinned
-	// in-flight entry is evicted along the way. Its waiters hold their
-	// reference and are unaffected.
+	// Churn five distinct keys through a capacity-2 cache. The pinned
+	// flight is not an LRU member, so the evictions never touch it and
+	// its waiters are unaffected.
 	for i := 0; i < 50; i++ {
 		key := []string{"a", "b", "c", "d", "e"}[i%5]
 		if _, err := eng.Run(context.Background(), countingJob{key: key, value: 1, runs: &churnRuns}); err != nil {

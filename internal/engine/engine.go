@@ -2,8 +2,9 @@
 // reproduction: a bounded worker pool, a Job abstraction for the
 // library's expensive evaluations (exact adversarial ratios, grid
 // ratios, upper-bound verification, randomized trials), a result cache
-// keyed on the job fingerprint, and deterministic batch and streaming
-// sweeps over (m, k, f) parameter grids.
+// keyed on the job fingerprint — a singleflight table of computations
+// in progress beside an LRU of completed results — and deterministic
+// batch and streaming sweeps over (m, k, f) parameter grids.
 //
 // Every batch primitive merges results in input order, so output built
 // from a parallel run is byte-identical to the sequential (workers = 1)
@@ -44,7 +45,7 @@ var (
 	ErrBadParams = errors.New("engine: invalid parameters")
 	// ErrJobPanic wraps a panic recovered from a Job's Run. The panic is
 	// converted to a (memoized) error so a buggy job can neither poison
-	// its singleflight entry — leaving waiters blocked on a never-closed
+	// its flight — leaving waiters blocked on a never-closed
 	// done channel — nor crash a long-lived server.
 	ErrJobPanic = errors.New("engine: job panicked")
 )
@@ -53,16 +54,17 @@ var (
 // The zero value is not usable; construct with New or NewWithCache.
 // An Engine is safe for concurrent use.
 //
-// The result cache is sharded: each job key hashes (FNV-1a over the
-// fingerprint) to one of several independent shards, each with its own
-// mutex, map and LRU list, so concurrent Runs of distinct keys contend
-// only when they land on the same shard instead of serializing on one
-// engine-wide lock. Singleflight semantics are per key and a key lives
-// on exactly one shard, so sharding never changes which computations
-// are deduplicated — only how much the bookkeeping around them blocks.
+// One mutex guards two maps. flights holds the computations in
+// progress, one per key (singleflight): a Run of an in-flight key joins
+// it instead of starting another. cache indexes an LRU list of
+// completed (key, Result, error) triples; a flight's outcome enters it
+// at completion, and only completed results are ever evicted. A
+// computation is not an LRU member because it has no result to evict:
+// its waiters need it until it finishes, and a flight nobody waits for
+// any more leaves flights at once.
 type Engine struct {
 	workers  int
-	capacity int // max cached entries summed over shards; 0 = unbounded
+	capacity int // max completed results cached; 0 = unbounded
 
 	// solver is the memo layer injected into every job execution's
 	// context (solver.From recovers it), so sweep cells, batch items and
@@ -79,7 +81,11 @@ type Engine struct {
 	// exits without ever running.
 	compSem chan struct{}
 
-	shards []*cacheShard
+	// mu guards flights, cache, lru and every flight's waiters.
+	mu      sync.Mutex
+	flights map[string]*flight
+	cache   map[string]*list.Element // value *cached
+	lru     *list.List               // front = most recently used *cached
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -89,43 +95,31 @@ type Engine struct {
 	inflight  atomic.Int64
 }
 
-// cacheShard is one independently locked slice of the result cache.
-type cacheShard struct {
-	mu       sync.Mutex
-	cache    map[string]*cacheEntry
-	lru      *list.List // front = most recently used *cacheEntry
-	capacity int        // per-shard LRU bound; 0 = unbounded
-}
-
-// cacheEntry is a singleflight slot: the first Run for a key starts the
-// computation, later Runs for the same key join it and share the
-// result. The computation runs detached from any single caller, so it
-// outlives a cancelled caller as long as someone still wants it — and
-// is cancelled itself the moment nobody does.
-type cacheEntry struct {
-	key  string
-	elem *list.Element
+// flight is one computation in progress: the first Run for a key starts
+// it, later Runs for the same key join it and share its outcome. The
+// computation runs detached from any single caller, so it outlives a
+// cancelled caller as long as someone still wants it — and is cancelled
+// itself the moment nobody does.
+type flight struct {
 	done chan struct{}
-	res  Result
-	err  error
-
-	// shard is the cache shard the key hashes to; all the guarded
-	// fields below are protected by shard.mu.
-	shard *cacheShard
-
-	// waiters counts the callers currently blocked on done; guarded by
-	// shard.mu. When the last waiter abandons an incomplete entry, the
-	// computation's context is cancelled.
+	// res and err are the outcome; written once, before done closes.
+	res Result
+	err error
+	// waiters counts the callers that joined and have not given up;
+	// guarded by Engine.mu. A caller served through done does not
+	// decrement it: only an unfinished flight's count matters, and the
+	// last caller to give up on one removes it from flights and
+	// cancels it.
 	waiters int
-	// completed reports that res/err are valid (set before done closes);
-	// guarded by shard.mu.
-	completed bool
-	// abandoned marks an in-flight entry whose last waiter left (its
-	// compute context is cancelled). A later Run finding an abandoned
-	// in-flight entry displaces it and recomputes; guarded by shard.mu.
-	abandoned bool
 	// cancel aborts the detached computation. Safe to call repeatedly.
 	cancel context.CancelFunc
+}
+
+// cached is one completed result in the LRU.
+type cached struct {
+	key string
+	res Result
+	err error
 }
 
 // New returns an engine with the given worker-pool size and an
@@ -136,86 +130,27 @@ func New(workers int) *Engine {
 	return NewWithCache(workers, 0)
 }
 
-// Shard-count defaults: unbounded and large bounded caches use
-// defaultShardCount fingerprint-hashed shards; a bounded cache smaller
-// than minShardedCapacity stays on a single shard, where the LRU is
-// exactly global (slicing a tiny budget across shards would evict on
-// hash imbalance long before the cache is full, and a cache that small
-// has no lock contention worth splitting).
-const (
-	defaultShardCount  = 16
-	minShardedCapacity = 4 * defaultShardCount
-)
-
 // NewWithCache returns an engine whose result cache holds at most
-// capacity entries, evicting the least recently used one on overflow
-// (capacity <= 0 = unbounded). Long-lived servers use this to bound the
-// memory of a cache fed by arbitrary request streams; evicting an
-// in-flight entry is safe (its waiters keep their reference, only new
-// Runs recompute). The shard count is chosen automatically.
+// capacity completed results, evicting the least recently used one on
+// overflow (capacity <= 0 = unbounded). Long-lived servers use this to
+// bound the memory of a cache fed by arbitrary request streams.
+// Computations in flight do not count against the bound.
 func NewWithCache(workers, capacity int) *Engine {
-	return newWithCacheShards(workers, capacity, 0)
-}
-
-// newWithCacheShards is NewWithCache with an explicit cache shard
-// count (shards <= 0 selects the automatic policy: one shard for small
-// bounded caches, defaultShardCount otherwise). The capacity budget is
-// split evenly across shards — each shard evicts independently once
-// its slice fills, so a sharded bounded cache can evict before the
-// summed size reaches capacity when keys hash unevenly; the summed
-// size never exceeds capacity. A single shard keeps the exact global
-// LRU order.
-func newWithCacheShards(workers, capacity, shards int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if capacity < 0 {
 		capacity = 0
 	}
-	if shards <= 0 {
-		if capacity > 0 && capacity < minShardedCapacity {
-			shards = 1
-		} else {
-			shards = defaultShardCount
-		}
-	}
-	if capacity > 0 && shards > capacity {
-		shards = capacity
-	}
-	e := &Engine{
+	return &Engine{
 		workers:  workers,
 		capacity: capacity,
 		solver:   solver.Shared(),
 		compSem:  make(chan struct{}, workers),
-		shards:   make([]*cacheShard, shards),
+		flights:  make(map[string]*flight),
+		cache:    make(map[string]*list.Element),
+		lru:      list.New(),
 	}
-	for i := range e.shards {
-		perShard := capacity / shards
-		if i < capacity%shards {
-			// Distribute the remainder so the summed per-shard bounds
-			// equal the configured capacity exactly.
-			perShard++
-		}
-		e.shards[i] = &cacheShard{
-			cache:    make(map[string]*cacheEntry),
-			lru:      list.New(),
-			capacity: perShard,
-		}
-	}
-	return e
-}
-
-// shardFor hashes a job key onto its cache shard (FNV-1a).
-func (e *Engine) shardFor(key string) *cacheShard {
-	if len(e.shards) == 1 {
-		return e.shards[0]
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return e.shards[h%uint64(len(e.shards))]
 }
 
 // Workers reports the pool size.
@@ -230,19 +165,11 @@ func (e *Engine) Solver() *solver.Solver { return e.solver }
 // CacheCapacity reports the cache bound (0 = unbounded).
 func (e *Engine) CacheCapacity() int { return e.capacity }
 
-// CacheShards reports the number of cache shards.
-func (e *Engine) CacheShards() int { return len(e.shards) }
-
-// CacheSize reports the number of memoized job results, summed over
-// the shards.
+// CacheSize reports the number of completed job results in the cache.
 func (e *Engine) CacheSize() int {
-	n := 0
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		n += len(sh.cache)
-		sh.mu.Unlock()
-	}
-	return n
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.lru.Len()
 }
 
 // Stats is a snapshot of the engine's cache and execution accounting.
@@ -255,7 +182,7 @@ type Stats struct {
 	Hits int64
 	// Misses counts Runs that had to start a computation.
 	Misses int64
-	// Evictions counts entries dropped by the LRU bound.
+	// Evictions counts completed results dropped by the LRU bound.
 	Evictions int64
 	// Deduped counts Runs that joined an in-flight computation instead
 	// of starting their own — the singleflight savings. Deduped Runs are
@@ -268,12 +195,11 @@ type Stats struct {
 	// the engine's worker occupancy. A cancelled request must drive this
 	// back to zero within one cooperative cancellation check.
 	InFlight int64
-	// Size is the current number of cached entries, summed over shards.
+	// Size is the current number of completed results in the cache;
+	// computations in flight are not counted.
 	Size int
 	// Capacity is the cache bound (0 = unbounded).
 	Capacity int
-	// Shards is the number of independently locked cache shards.
-	Shards int
 	// Solver is the snapshot of the engine's solver memos: hits,
 	// misses and resident entries of the strategy memo and the
 	// golden-section base memo. The engine's solver defaults to the
@@ -298,7 +224,6 @@ func (e *Engine) Stats() Stats {
 		InFlight:  e.inflight.Load(),
 		Size:      e.CacheSize(),
 		Capacity:  e.capacity,
-		Shards:    len(e.shards),
 		Solver:    e.solver.Stats(),
 		Kernel:    adversary.ReadKernelStats(),
 	}
@@ -308,8 +233,8 @@ func (e *Engine) Stats() Stats {
 // compute once: concurrent duplicates join the first computation
 // (singleflight) and share its result. Jobs with an empty Key are never
 // cached. Deterministic job errors are memoized — a failed job fails
-// the same way every time — but a cancelled computation is not: its
-// entry is dropped so a later Run recomputes.
+// the same way every time — but a cancelled computation is not, so a
+// later Run recomputes.
 //
 // The computation is detached from any single caller: if ctx is
 // cancelled while waiting, Run returns ctx.Err() immediately and the
@@ -327,74 +252,59 @@ func (e *Engine) Run(ctx context.Context, j Job) (Result, error) {
 		defer e.inflight.Add(-1)
 		return safeRun(solver.With(ctx, e.solver), j)
 	}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	if en, ok := sh.cache[key]; ok {
-		if en.completed {
-			if en.elem != nil {
-				sh.lru.MoveToFront(en.elem)
-			}
-			sh.mu.Unlock()
-			e.hits.Add(1)
-			return en.res, en.err
-		}
-		if !en.abandoned {
-			if en.elem != nil {
-				sh.lru.MoveToFront(en.elem)
-			}
-			en.waiters++
-			sh.mu.Unlock()
-			e.hits.Add(1)
-			e.deduped.Add(1)
-			return e.wait(ctx, en)
-		}
-		// In flight but abandoned: its compute context is already
-		// cancelled and its (non-)result will be discarded. Displace it
-		// and start fresh.
-		sh.removeLocked(en)
+	e.mu.Lock()
+	if el, ok := e.cache[key]; ok {
+		e.lru.MoveToFront(el)
+		c := el.Value.(*cached)
+		e.mu.Unlock()
+		e.hits.Add(1)
+		return c.res, c.err
+	}
+	if fl, ok := e.flights[key]; ok {
+		fl.waiters++
+		e.mu.Unlock()
+		e.hits.Add(1)
+		e.deduped.Add(1)
+		return e.wait(ctx, key, fl)
 	}
 	cctx, cancel := context.WithCancel(context.Background())
-	en := &cacheEntry{key: key, shard: sh, done: make(chan struct{}), waiters: 1, cancel: cancel}
-	sh.cache[key] = en
-	en.elem = sh.lru.PushFront(en)
-	e.evictLocked(sh)
-	sh.mu.Unlock()
+	fl := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
+	e.flights[key] = fl
+	e.mu.Unlock()
 	e.misses.Add(1)
-	go e.compute(cctx, en, j)
-	return e.wait(ctx, en)
+	go e.compute(cctx, key, fl, j)
+	return e.wait(ctx, key, fl)
 }
 
-// resident reports whether key has a completed or live in-flight cache
-// entry, so that a Run of it would not start a computation.
+// resident reports whether key has a completed result or a live
+// computation, so that a Run of it would not start a computation.
 func (e *Engine) resident(key string) bool {
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	en, ok := sh.cache[key]
-	return ok && !en.abandoned
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, done := e.cache[key]
+	_, running := e.flights[key]
+	return done || running
 }
 
-// wait blocks until the entry's computation completes or ctx is
-// cancelled. A caller abandoning the last reference cancels the
-// computation itself.
-func (e *Engine) wait(ctx context.Context, en *cacheEntry) (Result, error) {
-	sh := en.shard
+// wait blocks until the flight completes or ctx is cancelled. The last
+// caller to abandon an unfinished flight removes it from flights and
+// cancels its computation, so the next Run of the key starts afresh.
+func (e *Engine) wait(ctx context.Context, key string, fl *flight) (Result, error) {
 	select {
-	case <-en.done:
-		sh.mu.Lock()
-		en.waiters--
-		sh.mu.Unlock()
-		return en.res, en.err
+	case <-fl.done:
+		return fl.res, fl.err
 	case <-ctx.Done():
-		sh.mu.Lock()
-		en.waiters--
-		last := en.waiters == 0 && !en.completed
+		e.mu.Lock()
+		fl.waiters--
+		// A flight still in flights has not completed: compute removes
+		// it before closing done.
+		last := fl.waiters == 0 && e.flights[key] == fl
 		if last {
-			en.abandoned = true
+			delete(e.flights, key)
 		}
-		sh.mu.Unlock()
+		e.mu.Unlock()
 		if last {
-			en.cancel()
+			fl.cancel()
 		}
 		e.cancelled.Add(1)
 		return Result{}, ctx.Err()
@@ -404,48 +314,58 @@ func (e *Engine) wait(ctx context.Context, en *cacheEntry) (Result, error) {
 // compute runs the job detached from any caller, under a context that
 // wait cancels when the last waiter leaves. Execution is gated on the
 // engine-wide compSem: at most `workers` detached jobs run at once, and
-// a computation abandoned while still queued exits without running. A
-// result produced despite abandonment is still memoized when it is a
-// real result; a cancellation error is never memoized (it is a
-// property of the request, not of the job).
-func (e *Engine) compute(cctx context.Context, en *cacheEntry, j Job) {
-	defer en.cancel()
-	var res Result
-	var err error
+// a computation abandoned while still queued exits without running.
+// The outcome is settled into the cache before the worker counts as
+// idle, so InFlight == 0 means every finished result is visible.
+func (e *Engine) compute(cctx context.Context, key string, fl *flight, j Job) {
+	defer fl.cancel()
 	select {
 	case e.compSem <- struct{}{}:
 		e.inflight.Add(1)
-		res, err = safeRun(solver.With(cctx, e.solver), j)
+		fl.res, fl.err = safeRun(solver.With(cctx, e.solver), j)
+		e.settle(key, fl)
 		e.inflight.Add(-1)
 		<-e.compSem
 	case <-cctx.Done():
-		err = cctx.Err()
+		fl.err = cctx.Err()
+		e.settle(key, fl)
 	}
-	sh := en.shard
-	sh.mu.Lock()
-	en.res, en.err = res, err
-	en.completed = true
-	if err != nil && errors.Is(err, context.Canceled) {
-		// Only the abandonment path cancels cctx, so this outcome says
-		// "nobody wanted it and the job cooperated (or never started)"
-		// — forget it.
-		sh.removeLocked(en)
-	}
-	sh.mu.Unlock()
-	close(en.done)
+	close(fl.done)
 }
 
-// removeLocked detaches an entry from the shard's cache map and LRU
-// list if it is still the resident entry for its key; the caller holds
-// sh.mu.
-func (sh *cacheShard) removeLocked(en *cacheEntry) {
-	if cur, ok := sh.cache[en.key]; ok && cur == en {
-		delete(sh.cache, en.key)
+// settle retires a finished flight: it leaves flights (unless its last
+// waiter already took it out) and its outcome enters the LRU. A result
+// produced despite abandonment is memoized when it is a real result; a
+// cancellation error never is — only the abandonment path cancels the
+// computation's context, so that outcome says "nobody wanted it and the
+// job cooperated (or never started)", a property of the requests, not
+// of the job.
+func (e *Engine) settle(key string, fl *flight) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.flights[key] == fl {
+		delete(e.flights, key)
 	}
-	if en.elem != nil {
-		sh.lru.Remove(en.elem)
-		en.elem = nil
+	if !errors.Is(fl.err, context.Canceled) {
+		e.storeLocked(key, fl.res, fl.err)
 	}
+}
+
+// storeLocked inserts a completed result at the LRU front unless key is
+// already cached (equal keys mean equal results, so the resident one
+// stands), then evicts least recently used results past the capacity.
+// It reports whether it inserted. The caller holds e.mu.
+func (e *Engine) storeLocked(key string, res Result, err error) bool {
+	if _, ok := e.cache[key]; ok {
+		return false
+	}
+	e.cache[key] = e.lru.PushFront(&cached{key: key, res: res, err: err})
+	for e.capacity > 0 && e.lru.Len() > e.capacity {
+		victim := e.lru.Remove(e.lru.Back()).(*cached)
+		delete(e.cache, victim.key)
+		e.evictions.Add(1)
+	}
+	return true
 }
 
 // safeRun executes the job, converting a panic into an ordinary error
@@ -459,23 +379,6 @@ func safeRun(ctx context.Context, j Job) (res Result, err error) {
 		}
 	}()
 	return j.Run(ctx)
-}
-
-// evictLocked enforces the shard's LRU bound; the caller holds sh.mu.
-// Entries removed here may still be in flight — their waiters hold the
-// entry pointer and are unaffected; only future Runs of the key
-// recompute.
-func (e *Engine) evictLocked(sh *cacheShard) {
-	for sh.capacity > 0 && len(sh.cache) > sh.capacity {
-		back := sh.lru.Back()
-		if back == nil {
-			return
-		}
-		victim := sh.lru.Remove(back).(*cacheEntry)
-		victim.elem = nil
-		delete(sh.cache, victim.key)
-		e.evictions.Add(1)
-	}
 }
 
 // RunBatch evaluates jobs on the pool and returns their results in

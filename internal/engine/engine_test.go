@@ -477,39 +477,10 @@ func TestRunRecoversJobPanic(t *testing.T) {
 	}
 }
 
-func TestCacheShardPolicy(t *testing.T) {
-	// Unbounded caches shard by default; small bounded caches keep one
-	// shard (exact global LRU); explicit counts are honored and clamped
-	// to the capacity so per-shard budgets stay >= 1.
-	cases := []struct {
-		workers, capacity, shards int
-		want                      int
-	}{
-		{4, 0, 0, 16},    // unbounded -> defaultShardCount
-		{4, 2, 0, 1},     // tiny bounded -> single shard
-		{4, 63, 0, 1},    // below minShardedCapacity -> single shard
-		{4, 64, 0, 16},   // at minShardedCapacity -> sharded
-		{4, 4096, 0, 16}, // server default -> sharded
-		{4, 256, 8, 8},   // explicit count honored
-		{4, 4, 8, 4},     // explicit count clamped to capacity
-		{4, 0, 3, 3},     // explicit count on an unbounded cache
-	}
-	for _, c := range cases {
-		eng := newWithCacheShards(c.workers, c.capacity, c.shards)
-		if got := eng.CacheShards(); got != c.want {
-			t.Errorf("newWithCacheShards(%d, %d, %d).CacheShards() = %d, want %d",
-				c.workers, c.capacity, c.shards, got, c.want)
-		}
-		if st := eng.Stats(); st.Shards != eng.CacheShards() {
-			t.Errorf("Stats.Shards = %d, want %d", st.Shards, eng.CacheShards())
-		}
-	}
-}
-
 func TestShardedCacheBoundAndSingleflight(t *testing.T) {
-	// A sharded bounded cache never exceeds its summed capacity, and
-	// singleflight still collapses concurrent Runs of one key.
-	eng := newWithCacheShards(8, 64, 16)
+	// A bounded cache never exceeds its capacity, and singleflight
+	// still collapses concurrent Runs of one key.
+	eng := NewWithCache(8, 64)
 	var runs atomic.Int64
 	for i := 0; i < 500; i++ {
 		if _, err := eng.Run(context.Background(), countingJob{key: fmt.Sprintf("k%d", i), value: 1, runs: &runs}); err != nil {
@@ -540,10 +511,10 @@ func TestShardedCacheBoundAndSingleflight(t *testing.T) {
 }
 
 func TestShardedCacheConcurrentDistinctKeys(t *testing.T) {
-	// Hammer distinct keys across shards under -race: every miss is one
-	// execution, hits+misses account for every Run, and values stay
-	// keyed correctly.
-	eng := newWithCacheShards(8, 0, 16)
+	// Hammer distinct keys under -race: every miss is one execution,
+	// hits+misses account for every Run, and values stay keyed
+	// correctly.
+	eng := NewWithCache(8, 0)
 	var runs atomic.Int64
 	const goroutines, perG, keys = 16, 60, 23
 	var wg sync.WaitGroup

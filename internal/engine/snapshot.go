@@ -14,11 +14,13 @@
 // memo layout changes meaning.
 //
 // Only completed, error-free, finite entries are written: in-flight
-// singleflight slots have no result yet, memoized errors do not
-// serialize portably, and non-finite floats are not representable in
-// JSON. Restore inserts entries only for absent keys and enforces the
-// LRU capacity as it goes, so restoring an oversized snapshot into a
-// smaller cache is safe (the tail is dropped, counted as evictions).
+// computations have no result yet (and are not cache entries), memoized
+// errors do not serialize portably, and non-finite floats are not
+// representable in JSON. Restore inserts entries only for absent keys
+// and enforces the LRU capacity as it goes, so restoring an oversized
+// snapshot into a smaller cache is safe (the snapshot's first keys in
+// sorted order end at the LRU tail and are dropped, counted as
+// evictions).
 package engine
 
 import (
@@ -112,33 +114,32 @@ func snapshotable(res Result) bool {
 	return true
 }
 
-// WriteSnapshot serializes the cache's completed, error-free entries
+// WriteSnapshot serializes the cache's error-free completed results
 // and the solver's base memo to w as one versioned JSON document.
 // Entries are sorted by key, so equal cache contents produce identical
-// bytes. In-flight computations are skipped (their waiters are
-// unaffected); so are memoized errors and non-finite results.
+// bytes. Computations in flight are not in the cache and so not in the
+// snapshot; memoized errors and non-finite results are skipped.
 func (e *Engine) WriteSnapshot(w io.Writer) error {
 	doc := snapshotDoc{Schema: SnapshotSchema, Solver: e.solver.Export()}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for _, en := range sh.cache {
-			if !en.completed || en.err != nil || !snapshotable(en.res) {
-				continue
-			}
-			sr := snapResult{
-				Value:   en.res.Value,
-				Eval:    evalToWire(en.res.Eval),
-				Samples: en.res.Samples,
-				Seed:    en.res.Seed,
-				Clamped: en.res.Clamped,
-			}
-			for _, ev := range en.res.Evals {
-				sr.Evals = append(sr.Evals, evalToWire(ev))
-			}
-			doc.Entries = append(doc.Entries, snapEntry{Key: en.key, Result: sr})
+	e.mu.Lock()
+	for el := e.lru.Front(); el != nil; el = el.Next() {
+		c := el.Value.(*cached)
+		if c.err != nil || !snapshotable(c.res) {
+			continue
 		}
-		sh.mu.Unlock()
+		sr := snapResult{
+			Value:   c.res.Value,
+			Eval:    evalToWire(c.res.Eval),
+			Samples: c.res.Samples,
+			Seed:    c.res.Seed,
+			Clamped: c.res.Clamped,
+		}
+		for _, ev := range c.res.Evals {
+			sr.Evals = append(sr.Evals, evalToWire(ev))
+		}
+		doc.Entries = append(doc.Entries, snapEntry{Key: c.key, Result: sr})
 	}
+	e.mu.Unlock()
 	sort.Slice(doc.Entries, func(i, j int) bool { return doc.Entries[i].Key < doc.Entries[j].Key })
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
@@ -200,25 +201,14 @@ func (e *Engine) ReadSnapshot(r io.Reader) (RestoreStats, error) {
 }
 
 // restoreEntry inserts one completed result under key, unless the key
-// is already resident (a live entry — possibly in flight — always
-// wins over a snapshot). The entry lands at the LRU front in call
-// order, so a snapshot's (sorted) tail is what a smaller capacity
-// evicts first.
+// is cached or in flight (a live entry always wins over a snapshot).
+// The entry lands at the LRU front in call order, so a snapshot's
+// first keys in sorted order are what a smaller capacity evicts first.
 func (e *Engine) restoreEntry(key string, res Result) bool {
-	sh := e.shardFor(key)
-	done := make(chan struct{})
-	close(done)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.cache[key]; ok {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, ok := e.flights[key]; ok {
 		return false
 	}
-	en := &cacheEntry{key: key, shard: sh, done: done, res: res, completed: true}
-	sh.cache[key] = en
-	en.elem = sh.lru.PushFront(en)
-	e.evictLocked(sh)
-	// The insert may have evicted the entry itself when the shard's
-	// bound is saturated by newer keys; report residency truthfully.
-	_, resident := sh.cache[key]
-	return resident
+	return e.storeLocked(key, res, nil)
 }

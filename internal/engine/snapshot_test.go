@@ -34,7 +34,7 @@ func warmEngine(t *testing.T, e *Engine, n int) *atomic.Int64 {
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	src := newWithCacheShards(2, 0, 4)
+	src := NewWithCache(2, 0)
 	src.solver = solver.New()
 	warmEngine(t, src, 10)
 	// Warm the solver memo too, so the snapshot carries more than the
@@ -48,7 +48,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 
-	dst := newWithCacheShards(2, 0, 4)
+	dst := NewWithCache(2, 0)
 	dst.solver = solver.New()
 	st, err := dst.ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -83,7 +83,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDeterministicBytes(t *testing.T) {
-	e := newWithCacheShards(2, 0, 8)
+	e := NewWithCache(2, 0)
 	e.solver = solver.New()
 	warmEngine(t, e, 16)
 	var a, b bytes.Buffer
@@ -190,7 +190,7 @@ func TestSnapshotCorruptInput(t *testing.T) {
 }
 
 func TestSnapshotRestoreRespectsCapacity(t *testing.T) {
-	src := newWithCacheShards(2, 0, 1)
+	src := NewWithCache(2, 0)
 	src.solver = solver.New()
 	warmEngine(t, src, 64)
 	var buf bytes.Buffer
@@ -198,7 +198,7 @@ func TestSnapshotRestoreRespectsCapacity(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 
-	dst := newWithCacheShards(2, 8, 1)
+	dst := NewWithCache(2, 8)
 	dst.solver = solver.New()
 	if _, err := dst.ReadSnapshot(&buf); err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)

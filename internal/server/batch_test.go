@@ -323,7 +323,7 @@ func TestBatchCountsInMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		`boundsd_requests_total{path="/v1/batch"} 1`,
-		"boundsd_engine_cache_shards",
+		"boundsd_engine_cache_size",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

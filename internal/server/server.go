@@ -67,6 +67,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/bounds"
 	"repro/internal/engine"
+	"repro/internal/pfaulty"
 	"repro/internal/registry"
 	"repro/internal/strategy"
 	"repro/internal/strategy/program"
@@ -331,7 +332,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "boundsd_engine_cache_evictions_total %d\n", st.Evictions)
 	fmt.Fprintf(w, "boundsd_engine_cache_size %d\n", st.Size)
 	fmt.Fprintf(w, "boundsd_engine_cache_capacity %d\n", st.Capacity)
-	fmt.Fprintf(w, "boundsd_engine_cache_shards %d\n", st.Shards)
 	fmt.Fprintf(w, "boundsd_engine_dedup_total %d\n", st.Deduped)
 	fmt.Fprintf(w, "boundsd_engine_cancelled_runs_total %d\n", st.Cancelled)
 	fmt.Fprintf(w, "boundsd_engine_inflight_jobs %d\n", st.InFlight)
@@ -980,7 +980,7 @@ func computeStatus(err error) int {
 	var ce *engine.CellError
 	if errors.As(err, &ce) || errors.Is(err, bounds.ErrInvalidParams) ||
 		errors.Is(err, errBadParam) || errors.Is(err, registry.ErrNotVerifiable) ||
-		errors.Is(err, registry.ErrInvalidRequest) {
+		errors.Is(err, registry.ErrInvalidRequest) || errors.Is(err, pfaulty.ErrBadParams) {
 		return http.StatusBadRequest
 	}
 	// Strategy-program failures are the client's script misbehaving —

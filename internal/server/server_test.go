@@ -597,8 +597,34 @@ func TestHandlersRejectNegativeParams(t *testing.T) {
 	}
 }
 
+// TestPFaultyBadParamsIsA400: a fault probability so close to 1 that
+// the p-faulty strategy would need millions of rounds is rejected by
+// the pfaulty package with ErrBadParams. That is the client's choice of
+// p, so the single endpoint answers 400, not 500, and the same item
+// inside /v1/batch carries row status 400.
+func TestPFaultyBadParamsIsA400(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	code, body := get(t, ts.URL+"/v1/verify?model=pfaulty-halfline&m=1&k=1&f=0&p=0.99999")
+	if code != http.StatusBadRequest || !strings.Contains(body, "pfaulty: invalid parameters") {
+		t.Errorf("verify p=0.99999 = %d %s, want 400 naming the pfaulty error", code, body)
+	}
+	code, body = post(t, ts.URL+"/v1/batch",
+		`[{"op": "verify", "model": "pfaulty-halfline", "m": 1, "k": 1, "f": 0, "p": 0.99999}]`)
+	if code != http.StatusOK {
+		t.Fatalf("batch = %d %s, want 200", code, body)
+	}
+	var ans BatchAnswer
+	if err := json.Unmarshal([]byte(body), &ans); err != nil {
+		t.Fatalf("batch body: %v: %s", err, body)
+	}
+	if len(ans.Rows) != 1 || ans.Rows[0].Status != http.StatusBadRequest ||
+		!strings.Contains(ans.Rows[0].Error, "pfaulty: invalid parameters") {
+		t.Errorf("batch rows = %+v, want one row with status 400 naming the pfaulty error", ans.Rows)
+	}
+}
+
 // TestTimedOutComputeReleasesSlotAndInflight is the slot-accounting
-// regression test guarding the sharded-cache refactor: after a 504,
+// regression test guarding the engine's cache refactors: after a 504,
 // the request's MaxInflight slot must come back (an immediate new
 // compute succeeds) and the engine's in-flight gauge must return to
 // zero on /metrics once the abandoned job finishes.
