@@ -712,7 +712,9 @@ func BenchmarkShorelineSim(b *testing.B) {
 }
 
 // BenchmarkAblationCacheHit measures the engine's memoization: the
-// second identical sweep on a warm engine must cost only map lookups.
+// second identical sweep on a warm engine costs map lookups plus one
+// pass of the Ordered fan-out, which collects each cell into the result
+// slice through a callback rather than a channel.
 func BenchmarkAblationCacheHit(b *testing.B) {
 	cells := engine.Grid(2, 6)
 	eng := engine.New(0)
@@ -821,6 +823,35 @@ func BenchmarkBatchEndpoint(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("batch = %d", resp.StatusCode)
 		}
+	}
+}
+
+// BenchmarkBatchHandler is BenchmarkBatchEndpoint's handler-level twin:
+// a warm 4-item bounds and verify batch through Server.ServeHTTP on an
+// httptest recorder, with no transport in the way. Every verify is a
+// cache hit after the warm-up, so the figure is the batch parse, the
+// ordered fan-out over the items, the row encoding and the JSON answer;
+// allocs/op is the number the fan-out moves.
+func BenchmarkBatchHandler(b *testing.B) {
+	srv := server.New(server.Config{})
+	const body = `[
+	  {"op": "bounds", "m": 2, "k": 3, "f": 1},
+	  {"op": "verify", "m": 2, "k": 3, "f": 1, "horizon": 5000},
+	  {"op": "bounds", "m": 3, "k": 4, "f": 1},
+	  {"op": "verify", "m": 2, "k": 4, "f": 2, "horizon": 5000}
+	]`
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"failed": 0,`) {
+			b.Fatalf("batch = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }
 

@@ -110,21 +110,31 @@ func run(ctx context.Context, w io.Writer, m, kmax int, etas string, prec uint, 
 				cells = append(cells, engine.Cell{M: m, K: k, F: f})
 			}
 		}
-		encs := make([]bounds.HighPrecision, len(cells))
-		err := engine.New(workers).ForEach(ctx, len(cells), func(i int) error {
-			var herr error
-			encs[i], herr = bounds.HighPrecisionBound(cells[i].M*(cells[i].F+1), cells[i].K, prec)
-			return herr
+		type enclosure struct {
+			hp  bounds.HighPrecision
+			err error
+		}
+		// Enclosures reach emit in cell order, so it prints them; the
+		// first failure stops the pool.
+		engine.Ordered(ctx, workers, len(cells), func(i int) (enclosure, bool) {
+			v, herr := bounds.HighPrecisionBound(cells[i].M*(cells[i].F+1), cells[i].K, prec)
+			return enclosure{v, herr}, true
+		}, func(i int, enc enclosure) bool {
+			if err = enc.err; err != nil {
+				return false
+			}
+			widthF, _ := enc.hp.Lambda0.Width().Float64()
+			hp.AddRow(
+				strconv.Itoa(cells[i].K), strconv.Itoa(cells[i].F),
+				enc.hp.Lambda0.Lo.Text('g', 30), report.Fmt(widthF, 3),
+			)
+			return true
 		})
+		if err == nil && len(hp.Rows) < len(cells) {
+			err = ctx.Err()
+		}
 		if err != nil {
 			return err
-		}
-		for i, c := range cells {
-			widthF, _ := encs[i].Lambda0.Width().Float64()
-			hp.AddRow(
-				strconv.Itoa(c.K), strconv.Itoa(c.F),
-				encs[i].Lambda0.Lo.Text('g', 30), report.Fmt(widthF, 3),
-			)
 		}
 		fmt.Fprintln(w)
 		fmt.Fprint(w, hp.Markdown())

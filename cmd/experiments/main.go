@@ -13,7 +13,7 @@
 //
 //	experiments               run everything
 //	experiments -only 4       run a single experiment id
-//	experiments -workers 1    force the sequential evaluation path
+//	experiments -workers 1    evaluate on one worker, in input order
 //	experiments -timeout 2m   give up (cleanly) after two minutes
 package main
 
@@ -158,7 +158,7 @@ func (m *meter) finish() {
 // produces, built incrementally.
 func sweepTable(ctx context.Context, x *exec, label string, cells []engine.Cell, horizon float64) (*server.SweepTable, error) {
 	m := newMeter(x.progress, label, len(cells))
-	table, err := server.ComputeSweepObserved(ctx, x.eng, cells, horizon, func(server.SweepCell) { m.tick() })
+	table, err := server.ComputeSweep(ctx, x.eng, cells, horizon, func(server.SweepCell) { m.tick() })
 	m.finish()
 	return table, err
 }

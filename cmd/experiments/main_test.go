@@ -92,7 +92,7 @@ func TestE01MatchesServerRenderer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same engine: the sweep results come straight from the cache.
-	table, err := server.ComputeSweep(context.Background(), eng, engine.Grid(2, 6), 2e5)
+	table, err := server.ComputeSweep(context.Background(), eng, engine.Grid(2, 6), 2e5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,18 @@
 // in progress beside an LRU of completed results — and deterministic
 // batch and streaming sweeps over (m, k, f) parameter grids.
 //
-// Every batch primitive merges results in input order, so output built
-// from a parallel run is byte-identical to the sequential (workers = 1)
-// path. Determinism is the design constraint everything else bends to:
-// the experiment tables of cmd/experiments are reproduction artifacts,
-// and a table that changes with GOMAXPROCS would be useless as one.
+// Every fan-out — Sweep, RunBatch, SweepStream, RunStream and the
+// callers outside the package — goes through Ordered, one claim-and-
+// reorder loop that hands results to its consumer in input order, so
+// output built from a parallel run is byte-identical to the sequential
+// (workers = 1) path. Determinism is the design constraint everything
+// else bends to: the experiment tables of cmd/experiments are
+// reproduction artifacts, and a table that changes with GOMAXPROCS
+// would be useless as one.
 //
 // Every compute entry point takes a context.Context and cancellation is
-// cooperative end to end: batch primitives stop claiming work between
-// cells, jobs check the context inside their long loops, and an
+// cooperative end to end: Ordered stops claiming work between
+// indexes, jobs check the context inside their long loops, and an
 // in-flight singleflight computation is cancelled as soon as its last
 // interested caller goes away — a timed-out request stops burning
 // workers instead of running to completion for nobody.
@@ -124,8 +127,8 @@ type cached struct {
 
 // New returns an engine with the given worker-pool size and an
 // unbounded result cache; workers <= 0 selects runtime.GOMAXPROCS(0).
-// workers = 1 is the exact sequential path (batch primitives claim
-// cells one at a time, in index order).
+// workers = 1 is the exact sequential path (Ordered evaluates every
+// index in order on the calling goroutine).
 func New(workers int) *Engine {
 	return NewWithCache(workers, 0)
 }
@@ -385,71 +388,26 @@ func safeRun(ctx context.Context, j Job) (res Result, err error) {
 // input order. All jobs are attempted even when some fail, and the
 // reported error is the lowest-index one, so the outcome — results,
 // error, everything — is independent of scheduling order. Cancelling
-// ctx stops the batch between jobs; the error is then ctx's.
+// ctx stops the batch between jobs; when that leaves jobs unrun and no
+// earlier job failed, the error is ctx's.
 func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Result, error) {
-	results := make([]Result, len(jobs))
-	err := e.ForEach(ctx, len(jobs), func(i int) error {
-		var jerr error
-		results[i], jerr = e.Run(ctx, jobs[i])
-		return jerr
+	results := make([]Result, 0, len(jobs))
+	var err error
+	Ordered(ctx, e.workers, len(jobs), func(i int) (JobResult, bool) {
+		res, jerr := e.Run(ctx, jobs[i])
+		return JobResult{Result: res, Err: jerr}, true
+	}, func(_ int, jr JobResult) bool {
+		if err == nil {
+			err = jr.Err
+		}
+		results = append(results, jr.Result)
+		return true
 	})
+	if err == nil && len(results) < len(jobs) {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
-}
-
-// ForEach runs fn(0), ..., fn(n-1) on the pool. Every index is
-// attempted; the error returned is the lowest-index failure (nil if
-// none), so parallel and sequential runs agree. With workers = 1 the
-// calls happen in index order on the calling goroutine. Cancelling ctx
-// stops the loop between indexes (already-started calls finish); the
-// unstarted indexes fail with ctx.Err().
-func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			errs[i] = fn(i)
-		}
-	} else {
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						errs[i] = err
-						continue
-					}
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

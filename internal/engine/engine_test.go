@@ -119,24 +119,47 @@ func TestRunBatchInputOrder(t *testing.T) {
 	}
 }
 
+// TestForEachReportsLowestIndexError: RunBatch attempts every job and
+// reports the lowest-index failure, whatever the pool size.
 func TestForEachReportsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		eng := New(workers)
-		err := eng.ForEach(context.Background(), 20, func(i int) error {
+		var runs atomic.Int64
+		jobs := make([]Job, 20)
+		for i := range jobs {
+			j := countingJob{key: fmt.Sprintf("lowest|%d", i), value: float64(i), runs: &runs}
 			if i%2 == 1 {
-				return fmt.Errorf("fail at %d", i)
+				j.err = fmt.Errorf("fail at %d", i)
 			}
-			return nil
-		})
+			jobs[i] = j
+		}
+		results, err := New(workers).RunBatch(context.Background(), jobs)
 		if err == nil || err.Error() != "fail at 1" {
 			t.Errorf("workers=%d: err = %v, want the lowest-index failure (index 1)", workers, err)
+		}
+		if results != nil {
+			t.Errorf("workers=%d: results = %v alongside an error, want nil", workers, results)
+		}
+		if got := runs.Load(); got != int64(len(jobs)) {
+			t.Errorf("workers=%d: %d of %d jobs ran; every job must be attempted", workers, got, len(jobs))
 		}
 	}
 }
 
+// TestForEachEmpty: an empty fan-out never calls eval or emit, and the
+// collectors built on it return empty, error-free results.
 func TestForEachEmpty(t *testing.T) {
-	if err := New(4).ForEach(context.Background(), 0, func(int) error { return errors.New("never") }); err != nil {
-		t.Errorf("ForEach(0) = %v, want nil", err)
+	Ordered(context.Background(), 4, 0, func(int) (int, bool) {
+		t.Error("eval called for n = 0")
+		return 0, true
+	}, func(int, int) bool {
+		t.Error("emit called for n = 0")
+		return true
+	})
+	if res, err := New(4).RunBatch(context.Background(), nil); err != nil || len(res) != 0 {
+		t.Errorf("RunBatch(nil) = %v, %v; want empty, nil", res, err)
+	}
+	if cells, err := New(4).Sweep(context.Background(), nil, 1e3); err != nil || len(cells) != 0 {
+		t.Errorf("Sweep(nil) = %v, %v; want empty, nil", cells, err)
 	}
 }
 

@@ -125,25 +125,25 @@ func (e *Engine) evalCell(ctx context.Context, c Cell, horizon float64) CellResu
 // cells and wins over cell failures in the returned error; cells the
 // cancellation prevented from running are zero-valued in the slice.
 //
-// Sweep shares evalCell with SweepStream, so both produce identical
-// per-cell results; the batch shape skips the stream's channel plumbing
-// because a fully-cached sweep must stay at map-lookup cost (the
-// AblationCacheHit benchmark gates exactly that).
+// Sweep shares evalCell and the Ordered fan-out with SweepStream, so
+// both produce identical per-cell results; Sweep collects them into a
+// slice where SweepStream sends them into a channel.
 func (e *Engine) Sweep(ctx context.Context, cells []Cell, horizon float64) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
-	// The per-index error is always nil: cell failures ride in the
-	// results so every cell is attempted regardless.
-	_ = e.ForEach(ctx, len(cells), func(i int) error {
-		out[i] = e.evalCell(ctx, cells[i], horizon)
-		return nil
-	})
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	for i := range out {
-		if out[i].Err != nil {
-			return out, out[i].Err
+	var err error
+	// Every claimed cell yields a result: cell failures ride in the
+	// results, so every cell is attempted regardless.
+	Ordered(ctx, e.workers, len(cells), func(i int) (CellResult, bool) {
+		return e.evalCell(ctx, cells[i], horizon), true
+	}, func(i int, r CellResult) bool {
+		out[i] = r
+		if err == nil {
+			err = r.Err
 		}
+		return true
+	})
+	if ctx.Err() != nil {
+		return out, ctx.Err()
 	}
-	return out, nil
+	return out, err
 }

@@ -277,15 +277,10 @@ func SweepCellOf(cr engine.CellResult) SweepCell {
 // rendering and JSON. Failed cells stay in the table (with Error set)
 // and the returned error is the lowest-index *engine.CellError — the
 // partial table is valid alongside a non-nil error. A cancelled ctx
-// returns the completed prefix with ctx's error.
-func ComputeSweep(ctx context.Context, eng *engine.Engine, cells []engine.Cell, horizon float64) (*SweepTable, error) {
-	return ComputeSweepObserved(ctx, eng, cells, horizon, nil)
-}
-
-// ComputeSweepObserved is ComputeSweep with a per-cell observer invoked
-// in emission (= input) order as each cell finishes — the hook the CLI
-// progress meters and the NDJSON stream share.
-func ComputeSweepObserved(ctx context.Context, eng *engine.Engine, cells []engine.Cell, horizon float64, observe func(SweepCell)) (*SweepTable, error) {
+// returns the completed prefix with ctx's error. A non-nil observe is
+// called in emission (= input) order as each cell finishes — the hook
+// the CLI progress meters use.
+func ComputeSweep(ctx context.Context, eng *engine.Engine, cells []engine.Cell, horizon float64, observe func(SweepCell)) (*SweepTable, error) {
 	t := &SweepTable{Horizon: horizon}
 	var firstErr error
 	for cr := range eng.SweepStream(ctx, cells, horizon) {

@@ -36,9 +36,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // MaxBatchItems caps the sub-requests of one /v1/batch call.
@@ -74,8 +75,7 @@ type BatchAnswer struct {
 // reported per row by the caller, so items are kept as raw maps here.
 func batchItems(r *http.Request) ([]map[string]any, error) {
 	var items []map[string]any
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&items); err != nil {
+	if err := decodeBody(r.Body, &items); err != nil {
 		return nil, fmt.Errorf("bad JSON body: want an array of sub-request objects: %w", err)
 	}
 	if len(items) == 0 {
@@ -193,51 +193,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.admit(w, r, p, s.batchClass(items), func(ctx context.Context, budget time.Duration) error {
-		rows := s.batchRows(ctx, items)
+		// One worker per item, so every item starts at once (their heavy
+		// compute is still bounded by the engine's pool). The fan-out is
+		// detached from the budget, so every row is emitted — batchRow
+		// turns a spent budget into a 499/504 row — and stopped when the
+		// handler returns, even if the NDJSON writer gave up early.
+		rowsCtx, stop := context.WithCancel(context.WithoutCancel(ctx))
+		defer stop()
+		row := func(i int) (BatchRow, bool) { return s.batchRow(ctx, i, items[i]), true }
 		if wantsNDJSON(r, p) {
 			enc := getEncoder()
 			defer putEncoder(enc)
-			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(items), rows, func(b []byte, row BatchRow) ([]byte, error) {
-				return enc.appendCompact(b, row)
-			})
+			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(items), engine.OrderedChan(rowsCtx, len(items), len(items), row),
+				func(b []byte, br BatchRow) ([]byte, error) {
+					return enc.appendCompact(b, br)
+				})
 			return nil
 		}
 		ans := &BatchAnswer{Count: len(items), Rows: make([]BatchRow, 0, len(items))}
-		for br := range rows {
+		engine.Ordered(rowsCtx, len(items), len(items), row, func(_ int, br BatchRow) bool {
 			if br.Error != "" {
 				ans.Failed++
 			}
 			ans.Rows = append(ans.Rows, br)
-		}
+			return true
+		})
 		writeJSON(w, http.StatusOK, ans)
 		return nil
 	})
-}
-
-// batchRows evaluates the sub-requests concurrently and emits their
-// rows in input order as each item — and every item before it — has
-// finished. The items' heavy compute is already bounded by the
-// engine's worker pool (and the whole batch by one MaxInflight slot),
-// so per-item goroutines cost nothing but let independent items
-// overlap instead of paying the sum of their latencies; an item the
-// budget kills fast-fails inside batchRow into a 504 row. Every row
-// is always emitted — the channel closes only after the last one, and
-// both consumers drain it — so the JSON and NDJSON representations
-// carry the same rows in the same order.
-func (s *Server) batchRows(ctx context.Context, items []map[string]any) <-chan BatchRow {
-	done := make([]chan BatchRow, len(items))
-	for i := range items {
-		done[i] = make(chan BatchRow, 1)
-		go func(i int, item map[string]any) {
-			done[i] <- s.batchRow(ctx, i, item)
-		}(i, items[i])
-	}
-	rows := make(chan BatchRow)
-	go func() {
-		defer close(rows)
-		for i := range done {
-			rows <- <-done[i]
-		}
-	}()
-	return rows
 }

@@ -228,6 +228,9 @@ func TestBatchBadInput(t *testing.T) {
 		{"not json", `{{{`},
 		{"not an array", `{"op": "bounds"}`},
 		{"empty array", `[]`},
+		{"two arrays", `[{"op": "bounds", "m": 2, "k": 3, "f": 1}] [{"op": "nope"}]`},
+		{"trailing garbage", `[{"op": "bounds", "m": 2, "k": 3, "f": 1}]garbage`},
+		{"trailing bracket", `[{"op": "bounds", "m": 2, "k": 3, "f": 1}]]`},
 	} {
 		code, body := post(t, ts.URL+"/v1/batch", c.payload)
 		if code != http.StatusBadRequest {

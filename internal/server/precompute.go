@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/registry"
@@ -108,17 +107,18 @@ func (s *Server) Precompute(ctx context.Context, spec PrecomputeSpec) (Precomput
 		if len(jobs) == 0 {
 			continue
 		}
-		// ForEach runs the pool's jobs on the engine workers; failures
-		// are counted per job (never propagated — precompute must not
-		// fail readiness over one bad pool entry).
-		var failed atomic.Int64
-		_ = s.cfg.Engine.ForEach(ctx, len(jobs), func(i int) error {
-			if _, err := s.cfg.Engine.Run(ctx, jobs[i]); err != nil {
-				failed.Add(1)
+		// The pool's jobs run on the engine workers; failures are
+		// counted per job (never propagated — precompute must not fail
+		// readiness over one bad pool entry).
+		engine.Ordered(ctx, s.cfg.Engine.Workers(), len(jobs), func(i int) (failed, ok bool) {
+			_, err := s.cfg.Engine.Run(ctx, jobs[i])
+			return err != nil, true
+		}, func(_ int, failed bool) bool {
+			if failed {
+				st.Failed++
 			}
-			return nil
+			return true
 		})
-		st.Failed += int(failed.Load())
 		if ctx.Err() != nil {
 			return st, fmt.Errorf("precompute %s: %w", name, ctx.Err())
 		}

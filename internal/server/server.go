@@ -398,8 +398,7 @@ func params(r *http.Request) (map[string]string, error) {
 	}
 	if r.Method == http.MethodPost && r.Body != nil {
 		var body map[string]any
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-		if err := dec.Decode(&body); err != nil && !errors.Is(err, io.EOF) {
+		if err := decodeBody(r.Body, &body); err != nil && !errors.Is(err, io.EOF) {
 			return nil, fmt.Errorf("bad JSON body: %w", err)
 		}
 		for key, val := range body {
@@ -414,6 +413,19 @@ func params(r *http.Request) (map[string]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// decodeBody decodes the one JSON document of a request body into v.
+// Trailing data is an error, not ignored; an empty body is io.EOF.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, maxBodyBytes))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON document")
+	}
+	return nil
 }
 
 func intParam(p map[string]string, key string, def int) (int, error) {
@@ -936,7 +948,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, ok := s.compute(w, r, p, registry.CostAnalytic, func(ctx context.Context) (any, error) {
-		table, err := ComputeSweep(ctx, s.cfg.Engine, cells, horizon)
+		table, err := ComputeSweep(ctx, s.cfg.Engine, cells, horizon, nil)
 		// Per-cell failures ride inside the table (partial progress is
 		// never thrown away); only whole-request failures propagate.
 		var ce *engine.CellError

@@ -304,7 +304,7 @@ func TestSweepMarkdownMatchesRenderer(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("sweep = %d: %s", code, body)
 	}
-	table, err := ComputeSweep(context.Background(), eng, engine.Grid(2, 4), 20000)
+	table, err := ComputeSweep(context.Background(), eng, engine.Grid(2, 4), 20000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,6 +430,22 @@ func TestPostJSONBody(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed POST = %d (want 400)", resp2.StatusCode)
+	}
+	// A body is one JSON document: trailing data is a 400, never
+	// silently dropped; trailing whitespace is fine.
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"m": 2, "k": 3, "f": 1} {"k": 99}`, http.StatusBadRequest},
+		{`{"m": 2, "k": 3, "f": 1}garbage`, http.StatusBadRequest},
+		{`{"m": 2, "k": 3, "f": 1}}`, http.StatusBadRequest},
+		{"{\"m\": 2, \"k\": 3, \"f\": 1}\n\t ", http.StatusOK},
+	} {
+		code, body := post(t, ts.URL+"/v1/bounds", c.body)
+		if code != c.want {
+			t.Errorf("POST bounds %q = %d (want %d): %s", c.body, code, c.want, body)
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ const (
 func slowGridBudget(t *testing.T) int {
 	t.Helper()
 	start := time.Now()
-	if _, err := ComputeSweep(context.Background(), engine.New(1), engine.Grid(2, slowGridKMax), slowGridHorizon); err != nil {
+	if _, err := ComputeSweep(context.Background(), engine.New(1), engine.Grid(2, slowGridKMax), slowGridHorizon, nil); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -220,7 +220,7 @@ func TestSweepNDJSONTruncatedOnTimeout(t *testing.T) {
 func TestComputeSweepPartialOnCellError(t *testing.T) {
 	eng := engine.New(2)
 	cells := []engine.Cell{{M: 2, K: 3, F: 1}, {M: 0, K: 1, F: 0}, {M: 2, K: 1, F: 0}}
-	table, err := ComputeSweep(context.Background(), eng, cells, 1e3)
+	table, err := ComputeSweep(context.Background(), eng, cells, 1e3, nil)
 	if err == nil {
 		t.Fatal("invalid cell must surface an error")
 	}
