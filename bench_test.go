@@ -855,6 +855,29 @@ func BenchmarkBatchHandler(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyHandler measures one warm /v1/verify through
+// Server.ServeHTTP on an httptest recorder: the single-route request
+// path (parameter parse, prepare, admission, a cache hit in the engine
+// and the JSON answer) with no transport in the way. allocs/op is the
+// figure the route's handler moves.
+func BenchmarkVerifyHandler(b *testing.B) {
+	srv := server.New(server.Config{})
+	const target = "/v1/verify?m=2&k=3&f=1&horizon=5000"
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("verify = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
 // BenchmarkSweepNDJSONHandler measures a cold NDJSON /v1/sweep through
 // Server.ServeHTTP on an httptest recorder: the handler, the engine's
 // ordered stream, the row encoder and the flushes, with no transport in

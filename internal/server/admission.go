@@ -92,11 +92,11 @@ func (s *Server) budgetCtx(r *http.Request, p map[string]string) (context.Contex
 // NDJSON alike. It derives the budget context (a bad ?timeout_ms is a
 // 400), admits the request under its cost class (see acquire) and runs
 // serve on the request's own goroutine while the slot is held. serve
-// writes its answer, or returns an error for admit to write. A panic in
-// serve (scenario callbacks are a plugin point) is a 500 while nothing
-// has been written; a stream that has started cannot change its
-// status, so its panic propagates.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, p map[string]string, class registry.Cost, serve func(ctx context.Context, budget time.Duration) error) {
+// writes its answer to w, or returns an error for admit to write. A
+// panic in serve (scenario callbacks are a plugin point) is a 500
+// while nothing has been written; a stream that has started cannot
+// change its status, so its panic propagates.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, p map[string]string, class registry.Cost, serve func(ctx context.Context, w http.ResponseWriter, budget time.Duration) error) {
 	ctx, cancel, budget, err := s.budgetCtx(r, p)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -117,7 +117,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, p map[string]stri
 			s.writeComputeErr(w, fmt.Errorf("server: computation panicked: %v", rec))
 		}
 	}()
-	if err := serve(ctx, budget); err != nil {
+	if err := serve(ctx, w, budget); err != nil {
 		s.writeComputeErr(w, err)
 	}
 }
@@ -131,7 +131,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, p map[string]stri
 // errClientGone. Work outside the engine — scenario job constructors,
 // the strategy compile — is not abandoned; it is bounded instead.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, p map[string]string, class registry.Cost, fn func(ctx context.Context) (any, error)) (v any, ok bool) {
-	s.admit(w, r, p, class, func(ctx context.Context, budget time.Duration) error {
+	s.admit(w, r, p, class, func(ctx context.Context, _ http.ResponseWriter, budget time.Duration) error {
 		var err error
 		v, err = fn(ctx)
 		switch {
@@ -203,39 +203,6 @@ func (s *Server) acquire(ctx context.Context, budget time.Duration, class regist
 			return nil, fmt.Errorf("%w: no heavy slot freed within the %v budget", errShed, budget)
 		}
 	}
-}
-
-// batchClass classifies a whole /v1/batch: the heaviest class among
-// its items, so a batch is admitted where its most expensive item
-// would be. A pure-lookup batch therefore bypasses the queue entirely;
-// one simulate item makes the whole batch heavy (it holds one slot for
-// all items). Malformed items classify as closed-form — they fail
-// per-row without compute.
-func (s *Server) batchClass(items []map[string]any) registry.Cost {
-	class := registry.CostClosedForm
-	for _, item := range items {
-		var ic registry.Cost
-		op, _ := item["op"].(string)
-		switch op {
-		case "bounds":
-			ic = registry.CostClosedForm
-		case "verify":
-			ic = registry.CostAnalytic
-			if name, _ := item["model"].(string); name != "" {
-				if sc, err := s.cfg.Registry.Get(name); err == nil {
-					ic = sc.Cost
-				}
-			}
-		case "simulate":
-			ic = registry.CostMonteCarlo
-		default:
-			ic = registry.CostClosedForm
-		}
-		if ic.Heavier(class) {
-			class = ic
-		}
-	}
-	return class
 }
 
 // writeComputeErr maps a compute-path error to its status and writes

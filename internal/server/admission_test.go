@@ -92,7 +92,7 @@ func blockingRegistry(t *testing.T, started chan struct{}, release chan struct{}
 }
 
 // newHTTPServer is newTestServer for a pre-built *Server (the tests
-// here need the handle for SetReady and batchClass).
+// here need the handle for SetReady).
 func newHTTPServer(t *testing.T, srv *Server) string {
 	t.Helper()
 	ts := httptest.NewServer(srv)
@@ -166,22 +166,31 @@ func TestHeavyOverloadShedsWith429(t *testing.T) {
 	}
 }
 
+// TestBatchClassTakesHeaviestItem: a batch is admitted at the heaviest
+// class among the items that prepare. Items carry their fields the way
+// a decoded body does (numbers as float64); an item that fails to
+// prepare computes nothing and raises nothing.
 func TestBatchClassTakesHeaviestItem(t *testing.T) {
 	srv := New(Config{})
+	bounds := map[string]any{"op": "bounds", "m": 2.0, "k": 3.0, "f": 1.0}
+	verify := map[string]any{"op": "verify", "m": 2.0, "k": 3.0, "f": 1.0}
+	pfaulty := map[string]any{"op": "verify", "model": "pfaulty-halfline", "m": 1.0, "k": 1.0, "f": 0.0}
+	simulate := map[string]any{"op": "simulate", "m": 2.0, "k": 3.0, "f": 1.0}
 	cases := []struct {
 		items []map[string]any
 		want  registry.Cost
 	}{
-		{[]map[string]any{{"op": "bounds"}}, registry.CostClosedForm},
-		{[]map[string]any{{"op": "bounds"}, {"op": "verify"}}, registry.CostAnalytic},
-		{[]map[string]any{{"op": "verify", "model": "pfaulty-halfline"}}, registry.CostMonteCarlo},
-		{[]map[string]any{{"op": "bounds"}, {"op": "simulate"}}, registry.CostMonteCarlo},
+		{[]map[string]any{bounds}, registry.CostClosedForm},
+		{[]map[string]any{bounds, verify}, registry.CostAnalytic},
+		{[]map[string]any{pfaulty}, registry.CostMonteCarlo},
+		{[]map[string]any{bounds, simulate}, registry.CostMonteCarlo},
 		{[]map[string]any{{"op": "nope"}}, registry.CostClosedForm},
-		{[]map[string]any{{"op": "verify", "model": "no-such-model"}}, registry.CostAnalytic},
+		{[]map[string]any{{"op": "verify", "model": "no-such-model"}}, registry.CostClosedForm},
+		{[]map[string]any{{"op": "simulate"}}, registry.CostClosedForm},
 	}
 	for _, tc := range cases {
-		if got := srv.batchClass(tc.items); got != tc.want {
-			t.Errorf("batchClass(%v) = %q, want %q", tc.items, got, tc.want)
+		if _, got := srv.prepareBatch(tc.items); got != tc.want {
+			t.Errorf("prepareBatch(%v) class = %q, want %q", tc.items, got, tc.want)
 		}
 	}
 }

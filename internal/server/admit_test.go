@@ -186,3 +186,50 @@ func TestSimulateNDJSONPanicIsA500(t *testing.T) {
 		t.Errorf("%s rose by %d, want 1", errSeries, got-before)
 	}
 }
+
+// TestBatchMalformedItemsSkipAdmission: a batch item that fails to
+// prepare is its 400 row and computes nothing, so it does not raise the
+// batch's admission class: with every slot of the class its op would
+// take held, the batch still answers at once. Its row stays the 400
+// its route would answer even when the batch's budget has already run
+// out, where a prepared item's row is the 504.
+func TestBatchMalformedItemsSkipAdmission(t *testing.T) {
+	srv := New(Config{Engine: engine.New(2), MaxInflight: 2, MaxInflightHeavy: 1, ShedAfter: 20 * time.Millisecond})
+	for _, c := range []struct {
+		name, body string
+		sem        chan struct{}
+	}{
+		{"simulate without a cell", `[{"op": "simulate"}]`, srv.heavySem},
+		{"verify of an unknown model", `[{"op": "verify", "model": "no-such-model"}]`, srv.sem},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for range cap(c.sem) {
+				c.sem <- struct{}{}
+			}
+			rec := serveReq(srv, http.MethodPost, "/v1/batch?timeout_ms=50", "", c.body)
+			for range cap(c.sem) {
+				<-c.sem
+			}
+			var ans BatchAnswer
+			if err := json.Unmarshal(rec.Body.Bytes(), &ans); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("batch with its class saturated = %d (%v): %s", rec.Code, err, rec.Body)
+			}
+			if ans.Failed != 1 || len(ans.Rows) != 1 || ans.Rows[0].Status != http.StatusBadRequest {
+				t.Errorf("want one 400 row: %s", rec.Body)
+			}
+		})
+	}
+
+	spent, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	<-spent.Done()
+	items, _ := srv.prepareBatch([]map[string]any{
+		{"op": "simulate"},
+		{"op": "bounds", "m": 2.0, "k": 3.0, "f": 1.0},
+	})
+	for i, want := range []int{http.StatusBadRequest, http.StatusGatewayTimeout} {
+		if row := srv.batchRow(spent, i, &items[i]); row.Status != want {
+			t.Errorf("row %d after the budget ran out = %+v, want status %d", i, row, want)
+		}
+	}
+}

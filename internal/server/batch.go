@@ -11,13 +11,14 @@
 //	  {"op": "simulate", "model": "pfaulty-halfline", "m": 1, "k": 1, "f": 0, "p": 0.25}
 //	]
 //
-// Each sub-request is evaluated exactly as its single endpoint would
-// evaluate it — through the same parsing, validation, compute and
-// shaping functions — so a row's result field is the same JSON the
-// single endpoint would have answered (compacted). Sub-requests fail
-// independently: a bad or erroring item becomes a row with an error
-// message and the status its single endpoint would have returned,
-// and the remaining items still run.
+// Each sub-request is prepared by its single endpoint's prepare function
+// (boundsCall, verifyCall, simulateCall) before the batch is admitted,
+// and its answer runs and shapes exactly as that endpoint's would, so a
+// row's result field is the same JSON the single endpoint would have
+// answered (compacted). Sub-requests fail independently: a bad or
+// erroring item becomes a row with an error message and the status its
+// single endpoint would have returned, and the remaining items still
+// run.
 //
 // The response is NDJSON (one BatchRow per line, streamed as each item
 // finishes, with the sweep stream's heartbeat/status-comment protocol)
@@ -26,9 +27,10 @@
 // shapes marshal the same BatchRow values in the same order. Items
 // evaluate concurrently (their compute is bounded by the engine's
 // worker pool) and rows emit in input order; the whole batch runs
-// under one compute budget and one MaxInflight slot, and items the
-// budget cuts off before they start are reported as rows with the
-// timeout status — a slow item never poisons a fast one.
+// under one compute budget and one slot of the heaviest class among the
+// items that prepared, and items the budget cuts off before they start
+// are reported as rows with the timeout status — a slow item never
+// poisons a fast one.
 package server
 
 import (
@@ -40,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/registry"
 )
 
 // MaxBatchItems caps the sub-requests of one /v1/batch call.
@@ -69,46 +72,95 @@ type BatchAnswer struct {
 	Rows   []BatchRow `json:"rows"`
 }
 
-// batchItems parses the posted sub-request array into per-item
-// parameter maps plus their ops. A malformed document fails the whole
-// request (there is nothing to isolate yet); a malformed ITEM is
-// reported per row by the caller, so items are kept as raw maps here.
-func batchItems(r *http.Request) ([]map[string]any, error) {
-	var items []map[string]any
-	if err := decodeBody(r.Body, &items); err != nil {
-		return nil, fmt.Errorf("bad JSON body: want an array of sub-request objects: %w", err)
-	}
-	if len(items) == 0 {
-		return nil, errors.New("empty batch: the array must carry at least one sub-request")
-	}
-	if len(items) > MaxBatchItems {
-		return nil, fmt.Errorf("batch of %d sub-requests exceeds the cap %d", len(items), MaxBatchItems)
-	}
-	return items, nil
+// batchItem is one prepared sub-request: its call, or — when status is
+// set — the failed row it already is.
+type batchItem struct {
+	op     string
+	call   call
+	status int
+	err    error
 }
 
-// batchRow evaluates one sub-request under the batch's budget context.
-// Every failure mode — unknown op, bad parameters, compute error, a
-// panicking scenario callback, an exhausted budget — lands in the row,
-// never in the transport: per-sub-request error isolation is the
-// endpoint's contract.
-func (s *Server) batchRow(ctx context.Context, index int, item map[string]any) (row BatchRow) {
-	row = BatchRow{Index: index, Status: http.StatusOK}
-	if op, ok := item["op"].(string); ok {
-		row.Op = op
+// prepareItem prepares one sub-request with its route's prepare
+// function, before the batch is admitted. A failure — a field of an
+// unsupported type, an unknown op, a parameter the route rejects — is
+// the item's 400 row and computes nothing; a panic is its 500 row.
+func (s *Server) prepareItem(item map[string]any) (it batchItem) {
+	it.op, _ = item["op"].(string)
+	defer func() {
+		if rec := recover(); rec != nil {
+			it.status, it.err = http.StatusInternalServerError, fmt.Errorf("server: computation panicked: %v", rec)
+		}
+	}()
+	p := make(map[string]string, len(item))
+	for key, val := range item {
+		if key == "op" || key == "format" {
+			// op routes the item; a per-item format would contradict the
+			// batch's own representation.
+			continue
+		}
+		sv, err := coerceParam(key, val)
+		if err != nil {
+			it.status, it.err = http.StatusBadRequest, fmt.Errorf("bad sub-request: %w", err)
+			return it
+		}
+		p[key] = sv
+	}
+	// The op table. Direct calls, not a map of prepare functions: a
+	// call through a function value would move every item's parameter
+	// map to the heap.
+	var err error
+	switch it.op {
+	case "bounds":
+		it.call, err = s.boundsCall(p)
+	case "verify":
+		it.call, err = s.verifyCall(p)
+	case "simulate":
+		it.call, err = s.simulateCall(p)
+	default:
+		err = fmt.Errorf("unknown op %q (want bounds, verify or simulate)", it.op)
+	}
+	if err != nil {
+		it.status, it.err = http.StatusBadRequest, err
+	}
+	return it
+}
+
+// prepareBatch prepares every sub-request and returns the class the
+// batch is admitted under: the heaviest among the items that prepared
+// (one simulate item makes the whole batch heavy; it holds one slot for
+// all items). An item that failed to prepare computes nothing.
+func (s *Server) prepareBatch(raw []map[string]any) ([]batchItem, registry.Cost) {
+	items := make([]batchItem, len(raw))
+	class := registry.CostClosedForm
+	for i, item := range raw {
+		items[i] = s.prepareItem(item)
+		if items[i].err == nil && items[i].call.class.Heavier(class) {
+			class = items[i].call.class
+		}
+	}
+	return items, class
+}
+
+// batchRow runs one prepared sub-request's answer under the batch's
+// budget context. Every failure mode — a failed prepare, a compute
+// error, a panicking scenario callback, an exhausted budget — lands in
+// the row, never in the transport: per-sub-request error isolation is
+// the endpoint's contract.
+func (s *Server) batchRow(ctx context.Context, index int, it *batchItem) (row BatchRow) {
+	row = BatchRow{Index: index, Op: it.op, Status: http.StatusOK}
+	fail := func(status int, err error) BatchRow {
+		row.Status, row.Error, row.Result = status, err.Error(), nil
+		return row
+	}
+	if it.err != nil {
+		return fail(it.status, it.err)
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			row.Status = http.StatusInternalServerError
-			row.Error = fmt.Sprintf("server: computation panicked: %v", rec)
-			row.Result = nil
+			row = fail(http.StatusInternalServerError, fmt.Errorf("server: computation panicked: %v", rec))
 		}
 	}()
-	fail := func(status int, err error) BatchRow {
-		row.Status = status
-		row.Error = err.Error()
-		return row
-	}
 	if err := ctx.Err(); err != nil {
 		// The batch's budget ran out before this item started.
 		if errors.Is(err, context.Canceled) {
@@ -116,60 +168,23 @@ func (s *Server) batchRow(ctx context.Context, index int, item map[string]any) (
 		}
 		return fail(http.StatusGatewayTimeout, fmt.Errorf("%w before sub-request %d started", errTimeout, index))
 	}
-	p := make(map[string]string, len(item))
-	for key, val := range item {
-		if key == "op" || key == "format" {
-			// op routed above; a per-item format would contradict the
-			// batch's own representation.
-			continue
-		}
-		sv, err := coerceParam(key, val)
-		if err != nil {
-			return fail(http.StatusBadRequest, fmt.Errorf("bad sub-request: %w", err))
-		}
-		p[key] = sv
-	}
-	var (
-		v   any
-		err error
-	)
-	switch row.Op {
-	case "bounds":
-		// The bounds endpoint maps every failure to 400 (it runs no
-		// compute); mirror that here.
-		if v, err = s.boundsPayload(p); err != nil {
-			return fail(http.StatusBadRequest, err)
-		}
-	case "verify":
-		sc, req, inst, verr := s.verifyRequest(p)
-		if verr != nil {
-			return fail(http.StatusBadRequest, verr)
-		}
-		if v, err = s.verifyAnswer(ctx, sc, req, inst); err != nil {
+	v := it.call.value
+	if it.call.work != nil {
+		var err error
+		if v, err = it.call.work.answer(ctx); err != nil {
 			s.noteStrategyErr(err)
 			return fail(computeStatus(err), err)
 		}
-	case "simulate":
-		sc, req, points, serr := s.simulateRequest(p)
-		if serr != nil {
-			return fail(http.StatusBadRequest, serr)
-		}
-		if v, err = s.simulateAnswer(ctx, sc, req, points); err != nil {
-			return fail(computeStatus(err), err)
-		}
-	default:
-		return fail(http.StatusBadRequest, fmt.Errorf("unknown op %q (want bounds, verify or simulate)", row.Op))
 	}
 	// Encode through pooled scratch; the retained RawMessage must be a
 	// copy, because the pooled buffer is recycled for the next item.
 	enc := getEncoder()
+	defer putEncoder(enc)
 	data, err := enc.encodeCompact(v)
 	if err != nil {
-		putEncoder(enc)
 		return fail(http.StatusInternalServerError, err)
 	}
 	row.Result = append(json.RawMessage(nil), data...)
-	putEncoder(enc)
 	return row
 }
 
@@ -187,12 +202,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	items, err := batchItems(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	// A malformed document fails the whole request (there is nothing to
+	// isolate yet); a malformed item is its own row.
+	var raw []map[string]any
+	if err := decodeBody(r.Body, &raw); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: want an array of sub-request objects: %w", err))
 		return
 	}
-	s.admit(w, r, p, s.batchClass(items), func(ctx context.Context, budget time.Duration) error {
+	if len(raw) == 0 {
+		writeErr(w, http.StatusBadRequest, errors.New("empty batch: the array must carry at least one sub-request"))
+		return
+	}
+	if len(raw) > MaxBatchItems {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch of %d sub-requests exceeds the cap %d", len(raw), MaxBatchItems))
+		return
+	}
+	items, class := s.prepareBatch(raw)
+	s.admit(w, r, p, class, func(ctx context.Context, w http.ResponseWriter, budget time.Duration) error {
 		// One worker per item, so every item starts at once (their heavy
 		// compute is still bounded by the engine's pool). The fan-out is
 		// detached from the budget, so every row is emitted — batchRow
@@ -200,7 +226,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// handler returns, even if the NDJSON writer gave up early.
 		rowsCtx, stop := context.WithCancel(context.WithoutCancel(ctx))
 		defer stop()
-		row := func(i int) (BatchRow, bool) { return s.batchRow(ctx, i, items[i]), true }
+		row := func(i int) (BatchRow, bool) { return s.batchRow(ctx, i, &items[i]), true }
 		if wantsNDJSON(r, p) {
 			enc := getEncoder()
 			defer putEncoder(enc)

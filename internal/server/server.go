@@ -34,6 +34,11 @@
 // Sampled answers carry the effective samples/seed back, plus a
 // clamped flag and warning when a horizon-derived count was clamped.
 //
+// The four compute routes share one handler (handle) and each has one
+// prepare function, which /v1/batch uses for its items too. That one
+// parse bounds the inputs: m is at most 64, and k, f and kmax at most
+// Config.MaxKMax.
+//
 // Compute requests run under a per-request timeout (?timeout_ms,
 // capped by the server configuration) that actually cancels the work:
 // the context flows into the engine, which stops claiming cells and
@@ -80,7 +85,8 @@ const (
 	// DefaultCacheCapacity bounds the engine result cache of a server
 	// constructed without an explicit engine.
 	DefaultCacheCapacity = 4096
-	// DefaultMaxKMax caps grid requests (cells grow quadratically).
+	// DefaultMaxKMax caps k, f and kmax (grid cells grow quadratically
+	// with kmax, per-cell job state with k).
 	DefaultMaxKMax = 16
 	// DefaultMaxInflight caps the compute requests being actively waited
 	// on. Cancellation propagates into the engine, so a timed-out
@@ -135,7 +141,8 @@ type Config struct {
 	// Timeout is the per-request compute budget; requests may lower it
 	// via ?timeout_ms but never exceed it.
 	Timeout time.Duration
-	// MaxKMax caps the kmax of grid requests.
+	// MaxKMax caps k, f and kmax on every route and batch item: the
+	// kmax of grid requests and the k and f of single cells alike.
 	MaxKMax int
 	// MaxInflight caps the compute requests being actively waited on.
 	MaxInflight int
@@ -237,10 +244,10 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/scenarios", s.handleScenarios)
-	s.mux.HandleFunc("/v1/bounds", s.handleBounds)
-	s.mux.HandleFunc("/v1/verify", s.handleVerify)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/simulate", s.handleSimulate)
+	s.mux.HandleFunc("/v1/bounds", s.handle((*Server).boundsCall))
+	s.mux.HandleFunc("/v1/verify", s.handle((*Server).verifyCall))
+	s.mux.HandleFunc("/v1/sweep", s.handle((*Server).sweepCall))
+	s.mux.HandleFunc("/v1/simulate", s.handle((*Server).simulateCall))
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/strategies", s.handleStrategies)
 	return s
@@ -461,55 +468,125 @@ func (s *Server) scenarioParam(p map[string]string) (registry.Scenario, error) {
 	return s.cfg.Registry.Get(name)
 }
 
-func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
-	p, err := params(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+// maxM caps the ray count m of every request: the jobs a cell builds
+// hold per-ray state, and m(f+1) must not overflow.
+const maxM = 64
+
+// cappedParam is intParam for a parameter the server caps at max.
+func cappedParam(p map[string]string, key string, def, max int) (int, error) {
+	v, err := intParam(p, key, def)
+	if err == nil && v > max {
+		err = fmt.Errorf("%s %d exceeds the server cap %d", key, v, max)
 	}
-	v, err := s.boundsPayload(p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if table, ok := v.(*BoundsTable); ok && p["format"] == "markdown" {
-		writeText(w, table.Markdown())
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
+	return v, err
 }
 
-// boundsPayload evaluates a /v1/bounds parameter set to its answer
-// payload: a *BoundsTable in grid mode (kmax set), a *BoundsAnswer in
-// single-cell mode. Shared verbatim by the /v1/batch "bounds" op, which
-// is what keeps batch rows identical to single-endpoint answers.
-func (s *Server) boundsPayload(p map[string]string) (any, error) {
-	sc, err := s.scenarioParam(p)
+// call is one prepared compute request, the output of a route's
+// prepare function (boundsCall, verifyCall, simulateCall, sweepCall):
+// the admission class plus the answer. The answer is a value computed
+// at prepare time (closed-form bounds, which therefore bypass
+// admission) or work to run under the request's budget. markdown, when
+// set, renders the answer for ?format=markdown.
+type call struct {
+	class    registry.Cost
+	value    any
+	work     work
+	markdown func(v any) string
+}
+
+// work is a prepared computation (verifyWork, simulateWork, sweepWork):
+// one allocation holding what its prepare parsed.
+type work interface {
+	answer(ctx context.Context) (any, error)
+}
+
+// rowWork is work that also streams its answer as NDJSON rows; rows is
+// admit's serve.
+type rowWork interface {
+	work
+	rows(ctx context.Context, w http.ResponseWriter, budget time.Duration) error
+}
+
+// handle serves one compute route from its prepare function. Any parse
+// or prepare error is a 400. NDJSON rows stream through admit when the
+// client negotiates them and the work has rows; otherwise the answer
+// runs through compute (or is the prepared value) and is written as
+// markdown on ?format=markdown when the call renders it, else as JSON.
+func (s *Server) handle(prepare func(*Server, map[string]string) (call, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, err := params(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		c, err := prepare(s, p)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		if rw, ok := c.work.(rowWork); ok && wantsNDJSON(r, p) {
+			s.admit(w, r, p, c.class, rw.rows)
+			return
+		}
+		v := c.value
+		if c.work != nil {
+			var ok bool
+			if v, ok = s.compute(w, r, p, c.class, c.work.answer); !ok {
+				return
+			}
+		}
+		if c.markdown != nil && p["format"] == "markdown" {
+			writeText(w, c.markdown(v))
+			return
+		}
+		writeJSON(w, http.StatusOK, v)
+	}
+}
+
+// cellParams reads the scenario and the (m, k, f) cell of a bounds,
+// verify or simulate request. m defaults to 2 and must lie in [1,
+// maxM]; an unset k or f reads 0 or -1 for the caller to reject;
+// neither may exceed Config.MaxKMax. These caps bound the memory of
+// every job built from the cell.
+func (s *Server) cellParams(p map[string]string) (sc registry.Scenario, m, k, f int, err error) {
+	if sc, err = s.scenarioParam(p); err != nil {
+		return sc, 0, 0, 0, err
+	}
+	m, err1 := cappedParam(p, "m", 2, maxM)
+	k, err2 := cappedParam(p, "k", 0, s.cfg.MaxKMax)
+	f, err3 := cappedParam(p, "f", -1, s.cfg.MaxKMax)
+	if err = errors.Join(err1, err2, err3); err == nil && m < 1 {
+		err = fmt.Errorf("%w: %q must be >= 1, got %d", errBadParam, "m", m)
+	}
+	return sc, m, k, f, err
+}
+
+// boundsCall prepares /v1/bounds: a *BoundsTable in grid mode (kmax
+// set), a *BoundsAnswer in single-cell mode, computed here — the answer
+// is closed-form arithmetic, so it never waits for admission.
+func (s *Server) boundsCall(p map[string]string) (call, error) {
+	sc, m, k, f, err := s.cellParams(p)
 	if err != nil {
-		return nil, err
+		return call{}, err
 	}
-	m, err1 := intParam(p, "m", 2)
-	k, err2 := intParam(p, "k", 0)
-	f, err3 := intParam(p, "f", -1)
-	kmax, err4 := intParam(p, "kmax", 0)
-	if err := errors.Join(err1, err2, err3, err4); err != nil {
-		return nil, err
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("%w: %q must be >= 1, got %d", errBadParam, "m", m)
-	}
-	if kmax > s.cfg.MaxKMax {
-		return nil, fmt.Errorf("kmax %d exceeds the server cap %d", kmax, s.cfg.MaxKMax)
+	kmax, err := cappedParam(p, "kmax", 0, s.cfg.MaxKMax)
+	if err != nil {
+		return call{}, err
 	}
 	// Grid mode: kmax set. Single-cell mode: k (and optionally f) set.
 	if kmax > 0 {
 		if p["strategy"] != "" {
-			return nil, fmt.Errorf("%w: strategy= applies to a single (m, k, f) cell, not a kmax grid", errBadParam)
+			return call{}, fmt.Errorf("%w: strategy= applies to a single (m, k, f) cell, not a kmax grid", errBadParam)
 		}
-		return ComputeBoundsTable(sc, m, kmax)
+		table, err := ComputeBoundsTable(sc, m, kmax)
+		if err != nil {
+			return call{}, err
+		}
+		return call{class: registry.CostClosedForm, value: table,
+			markdown: func(v any) string { return v.(*BoundsTable).Markdown() }}, nil
 	}
 	if k <= 0 || f < 0 {
-		return nil, errors.New("need either kmax (grid mode) or k and f (single mode)")
+		return call{}, errors.New("need either kmax (grid mode) or k and f (single mode)")
 	}
 	// A ?strategy=<hash> must resolve and instantiate at (m, k, f) —
 	// an unknown hash or out-of-regime instantiation is a 400 — but the
@@ -517,17 +594,12 @@ func (s *Server) boundsPayload(p map[string]string) (any, error) {
 	// Theorems 1/6 bound the problem, not one submitted program), so
 	// the answer bytes are identical with and without the parameter.
 	if _, err := s.scriptedStrategy(p, sc, m, k, f); err != nil {
-		return nil, err
+		return call{}, err
 	}
-	return s.boundsAnswer(sc, m, k, f)
-}
-
-// boundsAnswer evaluates one cell through the scenario, sharing the
-// per-cell logic with the grid table (computeCellBound).
-func (s *Server) boundsAnswer(sc registry.Scenario, m, k, f int) (*BoundsAnswer, error) {
+	// The per-cell logic is the grid table's (computeCellBound).
 	cb, err := computeCellBound(sc, m, k, f)
 	if err != nil {
-		return nil, err
+		return call{}, err
 	}
 	ans := &BoundsAnswer{
 		Scenario: sc.Name, M: m, K: k, F: f, Q: m * (f + 1),
@@ -542,113 +614,91 @@ func (s *Server) boundsAnswer(sc registry.Scenario, m, k, f int) (*BoundsAnswer,
 	case errors.Is(uerr, registry.ErrNoUpperBound) || cb.Regime == bounds.RegimeUnsolvable:
 		ans.Upper = Float(nan())
 	default:
-		return nil, uerr
+		return call{}, uerr
 	}
-	return ans, nil
+	return call{class: registry.CostClosedForm, value: ans}, nil
 }
 
-// requestParams reads the common scenario-request parameters (m, k, f,
-// horizon plus the Monte-Carlo knobs seed/samples/p) into a
-// registry.Request.
-func requestParams(p map[string]string, defHorizon float64) (registry.Request, error) {
-	m, err1 := intParam(p, "m", 2)
-	k, err2 := intParam(p, "k", 0)
-	f, err3 := intParam(p, "f", -1)
-	horizon, err4 := floatParam(p, "horizon", defHorizon)
-	samples, err5 := intParam(p, "samples", 0)
-	pr, err6 := floatParam(p, "p", 0)
+// requestParams reads the scenario and the common scenario-request
+// parameters (the cell, horizon plus the Monte-Carlo knobs
+// seed/samples/p) into a registry.Request.
+func (s *Server) requestParams(p map[string]string, defHorizon float64) (registry.Scenario, registry.Request, error) {
+	sc, m, k, f, err := s.cellParams(p)
+	if err != nil {
+		return sc, registry.Request{}, err
+	}
+	horizon, err1 := floatParam(p, "horizon", defHorizon)
+	samples, err2 := intParam(p, "samples", 0)
+	pr, err3 := floatParam(p, "p", 0)
 	req := registry.Request{M: m, K: k, F: f, Horizon: horizon, Samples: samples, P: pr}
 	if raw, ok := p["seed"]; ok && raw != "" {
 		seed, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || seed < 0 {
-			return req, fmt.Errorf("%w: %q must be a non-negative integer", errBadParam, "seed")
+			return sc, req, fmt.Errorf("%w: %q must be a non-negative integer", errBadParam, "seed")
 		}
 		req.Seed = seed
 	}
-	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
-		return req, err
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return sc, req, err
 	}
 	// Range-check every numeric parameter by name before anything
-	// reaches registry or core code: a negative m or sample count must
-	// be a 400 naming the parameter, never a computed absurdity.
-	if m < 1 {
-		return req, fmt.Errorf("%w: %q must be >= 1, got %d", errBadParam, "m", m)
-	}
+	// reaches registry or core code: a negative sample count must be a
+	// 400 naming the parameter, never a computed absurdity.
 	if k <= 0 || f < 0 {
-		return req, errors.New("need k and f")
+		return sc, req, errors.New("need k and f")
 	}
 	if samples < 0 {
-		return req, fmt.Errorf("%w: %q must be >= 0, got %d", errBadParam, "samples", samples)
+		return sc, req, fmt.Errorf("%w: %q must be >= 0, got %d", errBadParam, "samples", samples)
 	}
 	if pr < 0 || pr >= 1 {
-		return req, fmt.Errorf("%w: %q must lie in [0, 1), got %g", errBadParam, "p", pr)
+		return sc, req, fmt.Errorf("%w: %q must lie in [0, 1), got %g", errBadParam, "p", pr)
 	}
 	if !(horizon > 1) || horizon > maxHorizon {
-		return req, fmt.Errorf("horizon %g out of range (1, %g]", horizon, maxHorizon)
+		return sc, req, fmt.Errorf("horizon %g out of range (1, %g]", horizon, maxHorizon)
 	}
-	return req, nil
+	return sc, req, nil
 }
 
-// clampWarning spells out a clamped horizon-derived sample count.
-func clampWarning(horizon float64, samples int) string {
-	return fmt.Sprintf("horizon %g derived a sample count outside [%d, %d]; running %d samples — pass samples= to choose explicitly",
-		horizon, registry.MinSamples, registry.MaxSamples, samples)
-}
-
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	p, err := params(r)
+// verifyCall prepares /v1/verify. A ?strategy=<hash> parameter
+// resolves through the strategy store to a program instance bound to
+// (m, k, f); resolution and instantiation failures (unknown hash,
+// out-of-regime parameters) are 400s here, not compute errors.
+func (s *Server) verifyCall(p map[string]string) (call, error) {
+	sc, req, err := s.requestParams(p, DefaultHorizon)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sc, req, inst, err := s.verifyRequest(p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if v, ok := s.compute(w, r, p, sc.Cost, func(ctx context.Context) (any, error) {
-		return s.verifyAnswer(ctx, sc, req, inst)
-	}); ok {
-		writeJSON(w, http.StatusOK, v)
-	}
-}
-
-// verifyRequest parses and validates the /v1/verify parameter set. A
-// ?strategy=<hash> parameter resolves through the strategy store to a
-// program instance bound to (m, k, f); resolution and instantiation
-// failures (unknown hash, out-of-regime parameters) are 400s here, not
-// compute errors.
-func (s *Server) verifyRequest(p map[string]string) (registry.Scenario, registry.Request, *program.Instance, error) {
-	sc, err := s.scenarioParam(p)
-	if err != nil {
-		return registry.Scenario{}, registry.Request{}, nil, err
-	}
-	req, err := requestParams(p, DefaultHorizon)
-	if err != nil {
-		return registry.Scenario{}, registry.Request{}, nil, err
+		return call{}, err
 	}
 	inst, err := s.scriptedStrategy(p, sc, req.M, req.K, req.F)
 	if err != nil {
-		return registry.Scenario{}, registry.Request{}, nil, err
+		return call{}, err
 	}
-	return sc, req, inst, nil
+	return call{class: sc.Cost, work: &verifyWork{s: s, sc: sc, req: req, inst: inst}}, nil
 }
 
-// verifyAnswer runs the scenario's verification job and shapes the
-// /v1/verify payload. Shared verbatim by the /v1/batch "verify" op.
-// Job construction happens under ctx too: constructors are a plugin
-// point that may do nontrivial work (root finding, strategy
-// materialization), and it must not escape the request's compute bound.
+// verifyWork is a prepared /v1/verify request.
+type verifyWork struct {
+	s    *Server
+	sc   registry.Scenario
+	req  registry.Request
+	inst *program.Instance
+}
+
+// answer runs the scenario's verification job and shapes the
+// /v1/verify payload. Job construction happens under ctx too:
+// constructors are a plugin point that may do nontrivial work (root
+// finding, strategy materialization), and it must not escape the
+// request's compute bound.
 //
 // A non-nil inst (a resolved ?strategy=<hash> program) replaces the
 // scenario's job with an exact-adversary evaluation of the scripted
 // strategy; everything else — closed-form lower bound, gap, shaping —
 // is identical, so a script reproducing a built-in family answers
 // byte-identically to it.
-func (s *Server) verifyAnswer(ctx context.Context, sc registry.Scenario, req registry.Request, inst *program.Instance) (*VerifyAnswer, error) {
+func (v *verifyWork) answer(ctx context.Context) (any, error) {
+	sc, req := v.sc, v.req
 	var job engine.Job
-	if inst != nil {
-		job = engine.ExactRatio{Strategy: inst, Faults: req.F, Horizon: req.Horizon}
+	if v.inst != nil {
+		job = engine.ExactRatio{Strategy: v.inst, Faults: req.F, Horizon: req.Horizon}
 	} else {
 		var err error
 		job, err = sc.VerifyJob(ctx, req)
@@ -656,7 +706,7 @@ func (s *Server) verifyAnswer(ctx context.Context, sc registry.Scenario, req reg
 			return nil, err
 		}
 	}
-	res, err := s.cfg.Engine.Run(ctx, job)
+	res, err := v.s.cfg.Engine.Run(ctx, job)
 	if err != nil {
 		return nil, err
 	}
@@ -666,7 +716,8 @@ func (s *Server) verifyAnswer(ctx context.Context, sc registry.Scenario, req reg
 		Samples: res.Samples, Seed: res.Seed, Clamped: res.Clamped,
 	}
 	if res.Clamped {
-		ans.Warning = clampWarning(req.Horizon, res.Samples)
+		ans.Warning = fmt.Sprintf("horizon %g derived a sample count outside [%d, %d]; running %d samples — pass samples= to choose explicitly",
+			req.Horizon, registry.MinSamples, registry.MaxSamples, res.Samples)
 	}
 	if lower, err := scenarioClosedForm(sc, req); err == nil {
 		ans.Lower = Float(lower)
@@ -682,86 +733,137 @@ func (s *Server) verifyAnswer(ctx context.Context, sc registry.Scenario, req reg
 	return ans, nil
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	p, err := params(r)
+// simulateCall prepares /v1/simulate: the scenario's simulator over a
+// log-spaced distance grid, answered as a *SimulateTable or streamed
+// as its SimRow rows.
+func (s *Server) simulateCall(p map[string]string) (call, error) {
+	sc, req, err := s.requestParams(p, DefaultSimHorizon)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sc, req, points, err := s.simulateRequest(p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if wantsNDJSON(r, p) {
-		// One SimRow JSON object per line in grid order (ndjsonStream),
-		// byte-identical to the rows of the batch JSON answer (both
-		// shape through simRowOf). Job construction happens before the
-		// headers, so a scenario rejecting the request — or panicking —
-		// is still a proper 400 (or 500) rather than a truncated stream.
-		s.admit(w, r, p, registry.CostMonteCarlo, func(ctx context.Context, budget time.Duration) error {
-			dists, jobs, err := simulateJobs(ctx, sc, req, points)
-			if err != nil {
-				return err
-			}
-			enc := getEncoder()
-			defer putEncoder(enc)
-			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(jobs), s.cfg.Engine.RunStream(ctx, jobs),
-				func(b []byte, jr engine.JobResult) ([]byte, error) {
-					return enc.appendCompact(b, simRowOf(sc, req, dists[jr.Index], jr))
-				})
-			return nil
-		})
-		return
-	}
-	v, ok := s.compute(w, r, p, registry.CostMonteCarlo, func(ctx context.Context) (any, error) {
-		return s.simulateAnswer(ctx, sc, req, points)
-	})
-	if !ok {
-		return
-	}
-	table := v.(*SimulateTable)
-	if p["format"] == "markdown" {
-		writeText(w, table.Markdown())
-		return
-	}
-	writeJSON(w, http.StatusOK, table)
-}
-
-// simulateRequest parses and validates the /v1/simulate parameter set.
-func (s *Server) simulateRequest(p map[string]string) (registry.Scenario, registry.Request, int, error) {
-	sc, err := s.scenarioParam(p)
-	if err != nil {
-		return registry.Scenario{}, registry.Request{}, 0, err
+		return call{}, err
 	}
 	if sc.SimulateJob == nil {
-		return registry.Scenario{}, registry.Request{}, 0,
-			fmt.Errorf("scenario %q has no simulator (simulatable: %v)", sc.Name, s.cfg.Registry.SimulatableNames())
-	}
-	req, err := requestParams(p, DefaultSimHorizon)
-	if err != nil {
-		return registry.Scenario{}, registry.Request{}, 0, err
+		return call{}, fmt.Errorf("scenario %q has no simulator (simulatable: %v)", sc.Name, s.cfg.Registry.SimulatableNames())
 	}
 	points, err := intParam(p, "points", DefaultSimPoints)
 	if err != nil {
-		return registry.Scenario{}, registry.Request{}, 0, err
+		return call{}, err
 	}
 	if points < 2 || points > MaxSimPoints {
-		return registry.Scenario{}, registry.Request{}, 0, fmt.Errorf("points %d out of range [2, %d]", points, MaxSimPoints)
+		return call{}, fmt.Errorf("points %d out of range [2, %d]", points, MaxSimPoints)
 	}
-	return sc, req, points, nil
+	return call{class: registry.CostMonteCarlo, work: &simulateWork{s: s, sc: sc, req: req, points: points},
+		markdown: func(v any) string { return v.(*SimulateTable).Markdown() }}, nil
 }
 
-// simulateAnswer runs the simulate table under ctx. Per-row failures
-// ride inside the table (partial progress is never thrown away); only
-// whole-request failures propagate. Shared verbatim by the /v1/batch
-// "simulate" op.
-func (s *Server) simulateAnswer(ctx context.Context, sc registry.Scenario, req registry.Request, points int) (*SimulateTable, error) {
-	table, err := ComputeSimulate(ctx, s.cfg.Engine, sc, req, points)
+// simulateWork is a prepared /v1/simulate request.
+type simulateWork struct {
+	s      *Server
+	sc     registry.Scenario
+	req    registry.Request
+	points int
+}
+
+// answer runs the simulate table. Per-row failures ride inside the
+// table (partial progress is never thrown away); only whole-request
+// failures propagate.
+func (sim *simulateWork) answer(ctx context.Context) (any, error) {
+	table, err := ComputeSimulate(ctx, sim.s.cfg.Engine, sim.sc, sim.req, sim.points)
 	if err != nil && (table == nil || len(table.Rows) == 0) {
 		return nil, err
 	}
 	return table, nil
+}
+
+// rows streams one SimRow JSON object per line in grid order
+// (ndjsonStream), byte-identical to the rows of the batch JSON answer
+// (both shape through simRowOf). Job construction happens before the
+// headers, so a scenario rejecting the request — or panicking — is
+// still a proper 400 (or 500) rather than a truncated stream.
+func (sim *simulateWork) rows(ctx context.Context, w http.ResponseWriter, budget time.Duration) error {
+	dists, jobs, err := simulateJobs(ctx, sim.sc, sim.req, sim.points)
+	if err != nil {
+		return err
+	}
+	enc := getEncoder()
+	defer putEncoder(enc)
+	ndjsonStream(ctx, w, sim.s.cfg.Heartbeat, budget, len(jobs), sim.s.cfg.Engine.RunStream(ctx, jobs),
+		func(b []byte, jr engine.JobResult) ([]byte, error) {
+			return enc.appendCompact(b, simRowOf(sim.sc, sim.req, dists[jr.Index], jr))
+		})
+	return nil
+}
+
+// sweepCall prepares /v1/sweep: the measured (m, k, f) grid up to kmax,
+// answered as a *SweepTable or streamed as its SweepCell rows.
+func (s *Server) sweepCall(p map[string]string) (call, error) {
+	// The measured grid sweep is the crash model's (engine.Sweep runs
+	// the crash verification job per cell); reject other models rather
+	// than mislabeling crash numbers as theirs.
+	sc, err := s.scenarioParam(p)
+	if err != nil {
+		return call{}, err
+	}
+	if sc.Name != "crash" {
+		return call{}, fmt.Errorf("sweep supports only the crash scenario (the measured grid runs the crash verification job); got %q", sc.Name)
+	}
+	m, err1 := cappedParam(p, "m", 2, maxM)
+	kmax, err2 := cappedParam(p, "kmax", 6, s.cfg.MaxKMax)
+	horizon, err3 := floatParam(p, "horizon", DefaultHorizon)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return call{}, err
+	}
+	if m < 2 || kmax < 1 {
+		return call{}, fmt.Errorf("need m >= 2 and kmax >= 1, got m=%d kmax=%d", m, kmax)
+	}
+	if !(horizon > 1) || horizon > maxHorizon {
+		return call{}, fmt.Errorf("horizon %g out of range (1, %g]", horizon, maxHorizon)
+	}
+	// Validate the rendering style before burning a sweep on it. The
+	// line grid renders as the Theorem 1 (E1) table, m-ray grids as the
+	// Theorem 6 (E4) table; ?table= overrides.
+	markdown := func(v any) string { return v.(*SweepTable).MarkdownRays() }
+	switch style := p["table"]; {
+	case style == "line" || style == "" && m == 2:
+		markdown = func(v any) string { return v.(*SweepTable).MarkdownLine() }
+	case style != "" && style != "rays":
+		return call{}, fmt.Errorf("unknown table style %q (want line or rays)", style)
+	}
+	return call{class: registry.CostAnalytic, work: &sweepWork{s: s, cells: engine.Grid(m, kmax), horizon: horizon},
+		markdown: markdown}, nil
+}
+
+// sweepWork is a prepared /v1/sweep request.
+type sweepWork struct {
+	s       *Server
+	cells   []engine.Cell
+	horizon float64
+}
+
+// answer runs the sweep table. Per-cell failures ride inside the table
+// (partial progress is never thrown away); only whole-request failures
+// propagate.
+func (sw *sweepWork) answer(ctx context.Context) (any, error) {
+	table, err := ComputeSweep(ctx, sw.s.cfg.Engine, sw.cells, sw.horizon, nil)
+	var ce *engine.CellError
+	if err != nil && !errors.As(err, &ce) {
+		return nil, err
+	}
+	return table, nil
+}
+
+// rows streams one SweepCell JSON object per line in grid order: each
+// cell goes from the engine worker that finishes it straight to
+// ndjsonStream and is appended without reflection, byte-identical to
+// the cells of the batch JSON answer. Cancellation (timeout or client
+// disconnect) stops the engine within one cell evaluation and
+// truncates the stream cleanly.
+func (sw *sweepWork) rows(ctx context.Context, w http.ResponseWriter, budget time.Duration) error {
+	ndjsonStream(ctx, w, sw.s.cfg.Heartbeat, budget, len(sw.cells), sw.s.cfg.Engine.SweepStream(ctx, sw.cells, sw.horizon),
+		func(b []byte, cr engine.CellResult) ([]byte, error) {
+			cell := SweepCellOf(cr)
+			return cell.appendJSON(b), nil
+		})
+	return nil
 }
 
 // wantsNDJSON negotiates the streaming representation of /v1/sweep,
@@ -876,100 +978,6 @@ func ndjsonStream[T any](ctx context.Context, w http.ResponseWriter, heartbeat, 
 		fmt.Fprintf(w, "# done rows=%d\n", emitted)
 	}
 	flush()
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	p, err := params(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// The measured grid sweep is the crash model's (engine.Sweep runs
-	// the crash verification job per cell); reject other models rather
-	// than mislabeling crash numbers as theirs.
-	sc, err := s.scenarioParam(p)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if sc.Name != "crash" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("sweep supports only the crash scenario (the measured grid runs the crash verification job); got %q", sc.Name))
-		return
-	}
-	m, err1 := intParam(p, "m", 2)
-	kmax, err2 := intParam(p, "kmax", 6)
-	horizon, err3 := floatParam(p, "horizon", DefaultHorizon)
-	if err := errors.Join(err1, err2, err3); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if m < 2 || kmax < 1 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("need m >= 2 and kmax >= 1, got m=%d kmax=%d", m, kmax))
-		return
-	}
-	if kmax > s.cfg.MaxKMax {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("kmax %d exceeds the server cap %d", kmax, s.cfg.MaxKMax))
-		return
-	}
-	if !(horizon > 1) || horizon > maxHorizon {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("horizon %g out of range (1, %g]", horizon, maxHorizon))
-		return
-	}
-	// Validate the rendering style before burning a sweep on it. The
-	// line grid renders as the Theorem 1 (E1) table, m-ray grids as the
-	// Theorem 6 (E4) table; ?table= overrides.
-	style := p["table"]
-	if style == "" {
-		style = "rays"
-		if m == 2 {
-			style = "line"
-		}
-	}
-	if style != "line" && style != "rays" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown table style %q (want line or rays)", style))
-		return
-	}
-	cells := engine.Grid(m, kmax)
-	if wantsNDJSON(r, p) {
-		// One SweepCell JSON object per line in grid order: each cell
-		// goes from the engine worker that finishes it straight to
-		// ndjsonStream and is appended without reflection, byte-identical
-		// to the cells of the batch JSON answer. Cancellation (timeout or
-		// client disconnect) stops the engine within one cell evaluation
-		// and truncates the stream cleanly.
-		s.admit(w, r, p, registry.CostAnalytic, func(ctx context.Context, budget time.Duration) error {
-			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(cells), s.cfg.Engine.SweepStream(ctx, cells, horizon),
-				func(b []byte, cr engine.CellResult) ([]byte, error) {
-					cell := SweepCellOf(cr)
-					return cell.appendJSON(b), nil
-				})
-			return nil
-		})
-		return
-	}
-	v, ok := s.compute(w, r, p, registry.CostAnalytic, func(ctx context.Context) (any, error) {
-		table, err := ComputeSweep(ctx, s.cfg.Engine, cells, horizon, nil)
-		// Per-cell failures ride inside the table (partial progress is
-		// never thrown away); only whole-request failures propagate.
-		var ce *engine.CellError
-		if err != nil && !errors.As(err, &ce) {
-			return nil, err
-		}
-		return table, nil
-	})
-	if !ok {
-		return
-	}
-	table := v.(*SweepTable)
-	if p["format"] == "markdown" {
-		if style == "line" {
-			writeText(w, table.MarkdownLine())
-		} else {
-			writeText(w, table.MarkdownRays())
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, table)
 }
 
 // computeStatus classifies an error from the compute path. Raw context

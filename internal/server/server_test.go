@@ -594,6 +594,15 @@ func TestHandlersRejectNegativeParams(t *testing.T) {
 		{"/v1/sweep?m=-2&kmax=3", "m"},
 		{"/v1/sweep?m=2&kmax=-1", "kmax"},
 		{"/v1/verify?m=2&k=3&f=1&timeout_ms=-5", "timeout_ms"},
+		// Above the caps every job built from the cell relies on: m is at
+		// most 64, and k, f and kmax at most Config.MaxKMax.
+		{"/v1/bounds?m=9223372036854775807&k=3&f=1", "m"},
+		{"/v1/bounds?m=2&k=17&f=1", "k"},
+		{"/v1/bounds?m=2&k=3&f=17", "f"},
+		{"/v1/verify?m=1000&k=3&f=1&horizon=10", "m"},
+		{"/v1/verify?m=2&k=17&f=8&horizon=10", "k"},
+		{"/v1/simulate?m=2&k=17&f=8&horizon=2&points=2", "k"},
+		{"/v1/sweep?m=65&kmax=2&horizon=10", "m"},
 	}
 	for _, c := range cases {
 		code, body := get(t, ts.URL+c.query)
@@ -610,6 +619,15 @@ func TestHandlersRejectNegativeParams(t *testing.T) {
 		if code, body := get(t, ts.URL+q); code != http.StatusBadRequest {
 			t.Errorf("%s = %d (want 400): %s", q, code, body)
 		}
+	}
+	// The same cap holds for a batch item, as its 400 row.
+	code, body := post(t, ts.URL+"/v1/batch", `[{"op": "verify", "m": 2, "k": 17, "f": 8}]`)
+	var ans BatchAnswer
+	if err := json.Unmarshal([]byte(body), &ans); code != http.StatusOK || err != nil || len(ans.Rows) != 1 {
+		t.Fatalf("batch over the k cap = %d (%v): %s", code, err, body)
+	}
+	if row := ans.Rows[0]; row.Status != http.StatusBadRequest || !strings.Contains(row.Error, "k 17") {
+		t.Errorf("batch item over the k cap = %+v, want a 400 row naming k", row)
 	}
 }
 

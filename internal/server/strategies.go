@@ -24,10 +24,8 @@ package server
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -125,8 +123,7 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Script string `json:"script"`
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&body); err != nil {
+	if err := decodeBody(r.Body, &body); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: want {\"script\": \"...\"}: %w", err))
 		return
 	}
@@ -180,11 +177,7 @@ func (s *Server) scriptedStrategy(p map[string]string, sc registry.Scenario, m, 
 	if prog == nil {
 		return nil, fmt.Errorf("%w: unknown strategy %q (register the script via POST /v1/strategies; the store is bounded, so an evicted program must be re-registered)", errBadParam, hash)
 	}
-	inst, err := prog.New(m, k, f)
-	if err != nil {
-		return nil, err
-	}
-	return inst, nil
+	return prog.New(m, k, f)
 }
 
 // noteStrategyErr feeds the strategy error counters from the compute

@@ -81,6 +81,18 @@ func TestStrategiesRegistration(t *testing.T) {
 	if code, body := postScript(t, ts.URL, "this is not a program"); code != http.StatusBadRequest {
 		t.Errorf("malformed script = (%d, %s)", code, body)
 	}
+	// A body is one JSON document: a script followed by trailing data
+	// is a 400, and the script is not registered.
+	srv := ts.Config.Handler.(*Server)
+	for _, trailing := range []string{` {"script": "x"}`, `garbage`, `}`} {
+		body := `{"script": "emit(1, 3)"}` + trailing
+		if code, resp := post(t, ts.URL+"/v1/strategies", body); code != http.StatusBadRequest || !strings.Contains(resp, "trailing data") {
+			t.Errorf("POST %q = (%d, %s), want 400", body, code, resp)
+		}
+		if size := metricValue(t, srv, "boundsd_strategy_store_size"); size != 1 {
+			t.Errorf("POST %q: store holds %d programs, want 1", body, size)
+		}
+	}
 	big := "a := 1\n" + strings.Repeat("// pad\n", MaxScriptBytes)
 	if code, body := postScript(t, ts.URL, big); code != http.StatusBadRequest || !strings.Contains(body, "limit") {
 		t.Errorf("oversized script = (%d, %s)", code, body)
