@@ -165,3 +165,48 @@ func TestJobKeysMatchSprintf(t *testing.T) {
 		}
 	}
 }
+
+// TestJobKeysPinned pins the key bytes of one fixed instance of every
+// job type TestJobKeysMatchSprintf does not cover. Snapshots and the
+// cache are keyed by these bytes, so a refactor of any job must leave
+// each line here unchanged (the sp= fragments are the cyclic program's
+// and the shoreline family's content hashes).
+func TestJobKeysPinned(t *testing.T) {
+	s, err := strategy.NewCyclicExponential(2, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		job  Job
+		want string
+	}{
+		{FRangeRatio{Strategy: s, MaxF: 2, Horizon: 1e4},
+			"frange|sp|4ed4a88937ad37f081186635ae821a8d1c6dfd82f59de998fed93c20a0ec0656|m=2|k=3|f=1|a=0x1.965fea53d6e3cp+00|fmax=2|h=10000"},
+		{RandomizedTrials{Base: 3.5911214766686221, X: 7.25, Samples: 2000, Seed: 42},
+			"mc|b=3.591121476668622|x=7.25|n=2000|seed=42"},
+		{RandomizedTrials{Base: 3.5911214766686221, X: 7.25, Samples: 2000, Seed: 42, Clamped: true},
+			"mc|b=3.591121476668622|x=7.25|n=2000|seed=42|clamped"},
+		{PFaultyTrials{Base: 2.5, P: 0.25, X: 12.5, Samples: 4000, Seed: 7},
+			"pfaulty|b=2.5|p=0.25|x=12.5|n=4000|seed=7"},
+		{PFaultyTrials{Base: 2.5, P: 0.25, X: 12.5, Samples: 4000, Seed: 7, Clamped: true},
+			"pfaulty|b=2.5|p=0.25|x=12.5|n=4000|seed=7|clamped"},
+		{SimulationRun{M: 3, K: 4, F: 1, Dist: 17.5},
+			"simrun|sp=4ed4a88937ad37f0|m=3|k=4|f=1|d=17.5"},
+		{ByzantineLineSim{K: 3, F: 1, Dist: 9.75},
+			"byzline|sp=4ed4a88937ad37f0|k=3|f=1|d=9.75"},
+		{ByzantineLineWorst{K: 3, F: 1, Horizon: 50, Points: 6},
+			"byzworst|sp=4ed4a88937ad37f0|k=3|f=1|h=50|n=6"},
+		{ShorelineWorst{K: 5, F: 1, Horizon: 100},
+			"shoreworst|geo=r2|sp=4f98129d6b582bd5|k=5|f=1|h=100"},
+		{ShorelineSim{K: 7, F: 2, Dist: 1000},
+			"shoresim|geo=r2|sp=4f98129d6b582bd5|k=7|f=2|d=1000"},
+		{EvacuationSim{K: 3, F: 1, Dist: 4.5},
+			"evacsim|geo=line|obj=evac|sp=4ed4a88937ad37f0|k=3|f=1|d=4.5"},
+		{EvacuationWorst{K: 5, F: 2, Horizon: 100, Points: 12},
+			"evacworst|geo=line|obj=evac|sp=4ed4a88937ad37f0|k=5|f=2|h=100|n=12"},
+	} {
+		if got := c.job.Key(); got != c.want {
+			t.Errorf("%T%+v.Key() = %q, want %q", c.job, c.job, got, c.want)
+		}
+	}
+}
