@@ -263,9 +263,11 @@ func e05(ctx context.Context, w io.Writer, _ *exec) error {
 				if lerr != nil {
 					return lerr
 				}
-				turns, terr := orcTurnsOf(s, 2000)
-				if terr != nil {
-					return terr
+				turns := make([][]float64, s.K())
+				for r := range turns {
+					if turns[r], err = strategy.Turns(s, r, 2000); err != nil {
+						return err
+					}
 				}
 				cert, err = p.RefuteStrategy(turns, lambda0*factor, 250)
 			} else {
@@ -286,22 +288,6 @@ func e05(ctx context.Context, w io.Writer, _ *exec) error {
 	}
 	_, err := io.WriteString(w, tb.Markdown())
 	return err
-}
-
-func orcTurnsOf(s strategy.Strategy, horizon float64) ([][]float64, error) {
-	out := make([][]float64, s.K())
-	for r := 0; r < s.K(); r++ {
-		rounds, err := s.AppendRounds(nil, r, horizon)
-		if err != nil {
-			return nil, err
-		}
-		seq := make([]float64, len(rounds))
-		for i, rd := range rounds {
-			seq[i] = rd.Turn
-		}
-		out[r] = seq
-	}
-	return out, nil
 }
 
 func e06(_ context.Context, w io.Writer, _ *exec) error {

@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("B(3,1) lower bounds: prior %.4g  ->  paper %.9g (via A(3,1))\n\n",
 		bounds.B31Prior, improved)
 
-	p := core.Problem{M: 2, K: 3, F: 1, Fault: core.Byzantine}
+	p := core.Problem{M: 2, K: 3, F: 1, Model: "byzantine"}
 	lb, err := p.LowerBound()
 	if err != nil {
 		log.Fatal(err)
@@ -37,7 +37,7 @@ func main() {
 	if _, err := p.UpperBound(); err == nil {
 		log.Fatal("Byzantine upper bound should be unknown")
 	}
-	fmt.Printf("core.Problem{Byzantine}: lower bound %.9g, upper bound open\n\n", lb)
+	fmt.Printf("core.Problem{Model: \"byzantine\"}: lower bound %.9g, upper bound open\n\n", lb)
 
 	// Explicit Byzantine semantics: 3 robots run the optimal crash
 	// strategy; robot 2 is a liar who claims a false location it passes.

@@ -10,7 +10,9 @@
 //   - Lemmas 4 and 5 (the polynomial maximization underlying everything);
 //   - the appendix's optimal exponential base alpha* = (q/(q-k))^(1/k);
 //   - the Byzantine transfer B(k,f) >= A(k,f), including the paper's
-//     improved B(3,1) >= (8/3)*4^(1/3) + 1 ~ 5.23.
+//     improved B(3,1) >= (8/3)*4^(1/3) + 1 ~ 5.23;
+//   - beside the paper, the shoreline model's spread-ray ratio
+//     sec((f+1)*pi/k), served by the shoreline scenario.
 //
 // All evaluations go through log space (internal/numeric.PowRatio), so they
 // are finite whenever the mathematical value is, even when q^q would
@@ -242,6 +244,24 @@ func SingleRobotMRays(m int) (float64, error) {
 		return 0, fmt.Errorf("%w: SingleRobotMRays requires m >= 2, got %d", ErrInvalidParams, m)
 	}
 	return RhoForm(float64(m))
+}
+
+// Shoreline returns sec((f+1)*pi/k), the worst-case ratio of k robots
+// on equally spread planar rays searching for a line (a shoreline) of
+// unknown distance and orientation while f of them crash silently
+// (Acharjee–Georgiou–Kundu–Srinivasan): the adversary's shoreline
+// normal lands in the widest angular gap of f+1 consecutive headings,
+// and equal spacing minimizes that gap. It is finite exactly when
+// k > 2(f+1); with fewer rays some shoreline direction sits at least
+// pi/2 from every heading of some f+1 of them.
+func Shoreline(k, f int) (float64, error) {
+	if k < 1 || f < 0 {
+		return 0, fmt.Errorf("%w: shoreline k=%d f=%d", ErrInvalidParams, k, f)
+	}
+	if k <= 2*(f+1) {
+		return 0, fmt.Errorf("%w: shoreline needs k > 2(f+1) spread rays, got k=%d f=%d", ErrInvalidParams, k, f)
+	}
+	return 1 / math.Cos(float64(f+1)*math.Pi/float64(k)), nil
 }
 
 // HighPrecision holds certified enclosures for the bound values of a search

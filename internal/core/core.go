@@ -7,7 +7,9 @@
 // faults the optimal competitive ratio is known exactly (Theorems 1/6):
 // LowerBound and UpperBound coincide at lambda0 = 2*mu(m(f+1), k) + 1. For
 // Byzantine faults only the transfer lower bound B(k,f) >= A(k,f) is
-// available from the paper; UpperBound reports ErrNoUpperBound.
+// available from the paper; UpperBound reports registry.ErrNoUpperBound.
+// Problem.Model names any other registered scenario by its registry key
+// ("byzantine", "shoreline", "evacuation-line", ...).
 //
 // Typical usage:
 //
@@ -41,10 +43,6 @@ import (
 
 // Errors returned by the facade.
 var (
-	// ErrNoUpperBound is returned when no matching upper bound is known
-	// for the fault model (Byzantine). It is the registry's sentinel,
-	// re-exported so existing errors.Is callers keep working.
-	ErrNoUpperBound = registry.ErrNoUpperBound
 	// ErrNotSearchRegime is returned when an operation needs the
 	// nontrivial regime f < k < m(f+1).
 	ErrNotSearchRegime = errors.New("core: operation requires the search regime f < k < m(f+1)")
@@ -54,52 +52,7 @@ var (
 	ErrNoEvaluation = errors.New("core: scenario verification produces a scalar, not an adversarial evaluation; use VerifyOn")
 )
 
-// FaultModel selects the fault semantics. Each model is backed by a
-// named scenario in internal/registry (registry.Get(fm.String())), so
-// the bound functions and verification jobs of a Problem are resolved
-// through the registry rather than hard-coded switches.
-type FaultModel int
-
-const (
-	// Crash robots move but stay silent at the target (Theorems 1/6).
-	Crash FaultModel = iota + 1
-	// Byzantine robots may stay silent or lie (reference [13]; this
-	// library carries the paper's transfer lower bound).
-	Byzantine
-	// Probabilistic selects the randomized line-search counterpoint
-	// (Kao–Reif–Tate, reference [21]); currently scoped to m=2, k=1,
-	// f=0, wired to internal/randomized via the registry stub.
-	Probabilistic
-	// PFaultyHalfline selects p-Faulty Search on the half-line (Bonato
-	// et al.): one robot, each pass over the target detected with
-	// probability 1-p, wired to internal/pfaulty via the registry.
-	PFaultyHalfline
-	// ByzantineLine selects the simulation-backed Byzantine line
-	// search (Czyzowicz et al.): consistency-observer confirmation
-	// with silent Byzantine robots, wired to internal/byzantine.
-	ByzantineLine
-)
-
-// String names the fault model; the name is the registry key.
-func (fm FaultModel) String() string {
-	switch fm {
-	case Crash:
-		return "crash"
-	case Byzantine:
-		return "byzantine"
-	case Probabilistic:
-		return "probabilistic"
-	case PFaultyHalfline:
-		return "pfaulty-halfline"
-	case ByzantineLine:
-		return "byzantine-line"
-	default:
-		return fmt.Sprintf("FaultModel(%d)", int(fm))
-	}
-}
-
-// Problem is a faulty-robot search instance. The zero value of Fault means
-// Crash.
+// Problem is a faulty-robot search instance.
 type Problem struct {
 	// M is the number of rays (2 = the line).
 	M int
@@ -107,29 +60,26 @@ type Problem struct {
 	K int
 	// F is the number of faulty robots.
 	F int
-	// Fault selects the fault semantics (default Crash).
-	Fault FaultModel
+	// Model names the scenario by its registry key (see
+	// registry.Default().All()); "" means "crash".
+	Model string
 }
 
-// faultModel returns the effective fault model (zero value = Crash).
-func (p Problem) faultModel() FaultModel {
-	if p.Fault == 0 {
-		return Crash
-	}
-	return p.Fault
-}
-
-// Scenario resolves the problem's fault model to its registry entry —
-// the single source of truth for bound functions and verify jobs.
+// Scenario resolves the problem's model to its registry entry — the
+// single source of truth for bound functions and verify jobs.
 func (p Problem) Scenario() (registry.Scenario, error) {
-	sc, err := registry.Get(p.faultModel().String())
+	name := p.Model
+	if name == "" {
+		name = "crash"
+	}
+	sc, err := registry.Get(name)
 	if err != nil {
-		return registry.Scenario{}, fmt.Errorf("core: unknown fault model %v: %w", p.Fault, err)
+		return registry.Scenario{}, fmt.Errorf("core: %w", err)
 	}
 	return sc, nil
 }
 
-// Validate checks the parameters against the fault model's scenario.
+// Validate checks the parameters against the model's scenario.
 func (p Problem) Validate() error {
 	if _, err := bounds.Classify(p.M, p.K, p.F); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -179,8 +129,8 @@ func (p Problem) LowerBound() (float64, error) {
 }
 
 // UpperBound returns the scenario's best known upper bound: equal to
-// LowerBound for crash faults (the bound is tight), ErrNoUpperBound for
-// Byzantine.
+// LowerBound for crash faults (the bound is tight),
+// registry.ErrNoUpperBound for Byzantine.
 func (p Problem) UpperBound() (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
@@ -236,7 +186,7 @@ func (p Problem) VerifyUpperOn(ctx context.Context, e *engine.Engine, horizon fl
 	// (probabilistic) and returning it as an Evaluation would read as
 	// "measured sup ratio 0".
 	if res.Eval.Breakpoints == 0 {
-		return adversary.Evaluation{}, fmt.Errorf("%w (scenario %v, value %g)", ErrNoEvaluation, p.faultModel(), res.Value)
+		return adversary.Evaluation{}, fmt.Errorf("%w (scenario %v, value %g)", ErrNoEvaluation, p.Model, res.Value)
 	}
 	return res.Eval, nil
 }
@@ -288,12 +238,14 @@ func (p Problem) RefuteBelow(ctx context.Context, factor, upTo float64) (potenti
 	if err != nil {
 		return potential.Certificate{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return potential.Certificate{}, err
-	}
-	turns, err := orcTurnsCtx(ctx, s, upTo*8)
-	if err != nil {
-		return potential.Certificate{}, err
+	turns := make([][]float64, s.K())
+	for r := range turns {
+		if err := ctx.Err(); err != nil {
+			return potential.Certificate{}, err
+		}
+		if turns[r], err = strategy.Turns(s, r, upTo*8); err != nil {
+			return potential.Certificate{}, fmt.Errorf("core: %w", err)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return potential.Certificate{}, err
@@ -318,25 +270,4 @@ func (p Problem) Solve(target trajectory.Point) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	return sim.Run(sim.Config{Strategy: s, Faults: p.F, Target: target})
-}
-
-// orcTurnsCtx extracts every robot's excursion distances (labels
-// dropped), checking ctx between robots.
-func orcTurnsCtx(ctx context.Context, s strategy.Strategy, horizon float64) ([][]float64, error) {
-	out := make([][]float64, s.K())
-	for r := 0; r < s.K(); r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rounds, err := s.AppendRounds(nil, r, horizon)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		turns := make([]float64, len(rounds))
-		for i, rd := range rounds {
-			turns[i] = rd.Turn
-		}
-		out[r] = turns
-	}
-	return out, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bounds"
@@ -13,15 +15,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-func TestFaultModelString(t *testing.T) {
-	if Crash.String() != "crash" || Byzantine.String() != "byzantine" {
-		t.Error("FaultModel.String misbehaves")
-	}
-	if FaultModel(9).String() == "" {
-		t.Error("unknown model should render")
-	}
-}
-
 func TestProblemValidate(t *testing.T) {
 	if err := (Problem{M: 2, K: 3, F: 1}).Validate(); err != nil {
 		t.Errorf("valid problem rejected: %v", err)
@@ -29,8 +22,8 @@ func TestProblemValidate(t *testing.T) {
 	if err := (Problem{M: 0, K: 1, F: 0}).Validate(); err == nil {
 		t.Error("m = 0 should fail")
 	}
-	if err := (Problem{M: 2, K: 1, F: 0, Fault: FaultModel(9)}).Validate(); err == nil {
-		t.Error("unknown fault model should fail")
+	if err := (Problem{M: 2, K: 1, F: 0, Model: "no-such-model"}).Validate(); err == nil {
+		t.Error("unknown model should fail")
 	}
 }
 
@@ -77,7 +70,7 @@ func TestProblemBoundsCrash(t *testing.T) {
 }
 
 func TestProblemBoundsByzantine(t *testing.T) {
-	p := Problem{M: 2, K: 3, F: 1, Fault: Byzantine}
+	p := Problem{M: 2, K: 3, F: 1, Model: "byzantine"}
 	lb, err := p.LowerBound()
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +82,7 @@ func TestProblemBoundsByzantine(t *testing.T) {
 	if lb != crash {
 		t.Errorf("Byzantine transfer lower bound = %g, want the crash value %g", lb, crash)
 	}
-	if _, err := p.UpperBound(); !errors.Is(err, ErrNoUpperBound) {
+	if _, err := p.UpperBound(); !errors.Is(err, registry.ErrNoUpperBound) {
 		t.Error("Byzantine upper bound should be unknown")
 	}
 }
@@ -248,19 +241,62 @@ func TestEndToEndGrid(t *testing.T) {
 func TestProblemScenarioResolution(t *testing.T) {
 	sc, err := (Problem{M: 2, K: 3, F: 1}).Scenario()
 	if err != nil || sc.Name != "crash" {
-		t.Errorf("zero Fault resolves to %q (%v), want crash", sc.Name, err)
+		t.Errorf("empty Model resolves to %q (%v), want crash", sc.Name, err)
 	}
-	sc, err = (Problem{M: 2, K: 3, F: 1, Fault: Byzantine}).Scenario()
+	sc, err = (Problem{M: 2, K: 3, F: 1, Model: "byzantine"}).Scenario()
 	if err != nil || sc.Name != "byzantine" {
 		t.Errorf("Byzantine resolves to %q (%v)", sc.Name, err)
 	}
-	if _, err := (Problem{M: 2, K: 1, F: 0, Fault: FaultModel(9)}).Scenario(); err == nil {
-		t.Error("unknown fault model must not resolve")
+	if _, err := (Problem{M: 2, K: 1, F: 0, Model: "no-such-model"}).Scenario(); err == nil {
+		t.Error("unknown model must not resolve")
+	}
+}
+
+// TestProblemModelReachesEveryScenario checks that Model addresses the
+// scenarios outside the paper's fault models: their bounds are the
+// registry's, and VerifyOn runs exactly the scenario's verify job.
+func TestProblemModelReachesEveryScenario(t *testing.T) {
+	ctx := context.Background()
+	const horizon = 100
+	for _, p := range []Problem{
+		{Model: "shoreline", M: 2, K: 5, F: 1},
+		{Model: "evacuation-line", M: 2, K: 3, F: 1},
+	} {
+		sc, err := registry.Get(p.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sc.LowerBound(p.M, p.K, p.F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := p.LowerBound(); err != nil || got != want {
+			t.Errorf("%+v: LowerBound = (%v, %v), want the registry's %v", p, got, err, want)
+		}
+		job, err := sc.VerifyJob(ctx, registry.Request{M: p.M, K: p.K, F: p.F, Horizon: horizon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes, err := engine.New(1).Run(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.VerifyOn(ctx, engine.New(1), horizon)
+		if err != nil {
+			t.Fatalf("%+v: VerifyOn: %v", p, err)
+		}
+		if !reflect.DeepEqual(got, wantRes) {
+			t.Errorf("%+v: VerifyOn = %+v, want the engine's run of %s: %+v", p, got, job.Key(), wantRes)
+		}
+	}
+	_, err := (Problem{Model: "no-such-model", M: 2, K: 3, F: 1}).LowerBound()
+	if !errors.Is(err, registry.ErrUnknownScenario) || !strings.Contains(err.Error(), `"no-such-model"`) {
+		t.Errorf("unknown model error = %v, want ErrUnknownScenario naming it", err)
 	}
 }
 
 func TestProblemProbabilistic(t *testing.T) {
-	p := Problem{M: 2, K: 1, F: 0, Fault: Probabilistic}
+	p := Problem{M: 2, K: 1, F: 0, Model: "probabilistic"}
 	lb, err := p.LowerBound()
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +316,7 @@ func TestProblemProbabilistic(t *testing.T) {
 		t.Errorf("Monte-Carlo verification %g far from closed form %g", res.Value, lb)
 	}
 	// The stub is scoped: other parameter triples must fail validation.
-	if err := (Problem{M: 2, K: 3, F: 1, Fault: Probabilistic}).Validate(); err == nil {
+	if err := (Problem{M: 2, K: 3, F: 1, Model: "probabilistic"}).Validate(); err == nil {
 		t.Error("probabilistic stub must reject k > 1")
 	}
 }
@@ -290,7 +326,7 @@ func TestVerifyOnRegimeErrors(t *testing.T) {
 	if _, err := trivial.VerifyOn(context.Background(), engine.New(1), 1e3); !errors.Is(err, ErrNotSearchRegime) {
 		t.Errorf("trivial-regime VerifyOn = %v, want ErrNotSearchRegime", err)
 	}
-	byz := Problem{M: 2, K: 3, F: 1, Fault: Byzantine}
+	byz := Problem{M: 2, K: 3, F: 1, Model: "byzantine"}
 	if _, err := byz.VerifyOn(context.Background(), engine.New(1), 1e3); !errors.Is(err, registry.ErrNotVerifiable) {
 		t.Errorf("byzantine VerifyOn = %v, want ErrNotVerifiable", err)
 	}
@@ -299,7 +335,7 @@ func TestVerifyOnRegimeErrors(t *testing.T) {
 func TestVerifyUpperRejectsScalarScenarios(t *testing.T) {
 	// Probabilistic verification is a Monte-Carlo scalar; surfacing it
 	// as an adversarial Evaluation would read as "sup ratio 0".
-	p := Problem{M: 2, K: 1, F: 0, Fault: Probabilistic}
+	p := Problem{M: 2, K: 1, F: 0, Model: "probabilistic"}
 	if _, err := p.VerifyUpperOn(context.Background(), engine.New(1), 2000); !errors.Is(err, ErrNoEvaluation) {
 		t.Errorf("probabilistic VerifyUpperOn = %v, want ErrNoEvaluation", err)
 	}

@@ -168,7 +168,7 @@ func TestIntegrationByzantineTransferMonotone(t *testing.T) {
 	for k := 1; k <= 6; k++ {
 		for f := 0; f < k; f++ {
 			crash := Problem{M: 2, K: k, F: f}
-			byz := Problem{M: 2, K: k, F: f, Fault: Byzantine}
+			byz := Problem{M: 2, K: k, F: f, Model: "byzantine"}
 			c, errC := crash.LowerBound()
 			b, errB := byz.LowerBound()
 			if (errC == nil) != (errB == nil) {

@@ -1,13 +1,10 @@
-// planarjobs.go is the geometry-generic job family the tentpole
-// refactor enables: shoreline search in the plane (spread-ray robots
-// against a line target, Acharjee–Georgiou–Kundu–Srinivasan 2020) and
-// search-and-evacuation on the line with a near majority of faulty
-// agents (Czyzowicz–Killick–Kranakis–Stachowiak). Every key carries an
-// explicit geometry tag (geo=r2 / geo=line) next to the strategy
-// fingerprint, so a planar job can never share a cache line with a
-// line job even across snapshot restores, and the evacuation keys
-// additionally carry their objective (obj=evac): same strategy, same
-// parameters, different question, different key.
+// planarjobs.go is the planar job family: shoreline search in the
+// plane (spread-ray robots against a line target,
+// Acharjee–Georgiou–Kundu–Srinivasan 2020). Every key carries the
+// geometry tag geo=r2 next to the strategy fingerprint, so a planar
+// job can never share a cache line with a line job even across
+// snapshot restores (the evacuation jobs of linejobs.go carry geo=line
+// and their objective, obj=evac, the same way).
 package engine
 
 import (
@@ -19,7 +16,7 @@ import (
 	"sort"
 
 	"repro/internal/adversary"
-	"repro/internal/strategy"
+	"repro/internal/bounds"
 	"repro/internal/trajectory"
 )
 
@@ -34,21 +31,6 @@ var shorelineHash = func() string {
 	sum := sha256.Sum256([]byte("shoreline-spread/v1|geometry=r2|paths=planar-ray|headings=2*pi*i/k"))
 	return hex.EncodeToString(sum[:])
 }()
-
-// shorelineSecant returns the spread-ray family's closed-form worst
-// ratio sec((f+1)*pi/k), or an error outside the valid regime
-// k > 2(f+1) (where some shoreline heading defeats any f+1 of the
-// rays).
-func shorelineSecant(k, f int) (float64, error) {
-	if f < 0 || k < 1 {
-		return 0, fmt.Errorf("%w: shoreline k=%d f=%d", ErrBadParams, k, f)
-	}
-	c := math.Cos(float64(f+1) * math.Pi / float64(k))
-	if k <= 2*(f+1) || c <= 0 {
-		return 0, fmt.Errorf("%w: shoreline needs k > 2(f+1) spread rays, got k=%d f=%d", ErrBadParams, k, f)
-	}
-	return 1 / c, nil
-}
 
 // ShorelineWorst runs the exact planar adversary sweep for the
 // spread-ray shoreline strategy: the supremum over shoreline
@@ -116,9 +98,9 @@ func (j ShorelineSim) Run(ctx context.Context) (Result, error) {
 	if !(j.Dist > 0) || math.IsInf(j.Dist, 0) || math.IsNaN(j.Dist) {
 		return Result{}, fmt.Errorf("%w: shoreline distance %g (want positive finite)", ErrBadParams, j.Dist)
 	}
-	sec, err := shorelineSecant(j.K, j.F)
+	sec, err := bounds.Shoreline(j.K, j.F)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("%w: %w", ErrBadParams, err)
 	}
 	// Rays twice as long as the worst detection needs: every swept
 	// heading's (f+1)-st hit lands strictly inside the trajectory.
@@ -169,193 +151,7 @@ func shorelineSimHeadings(k int) []float64 {
 	return out
 }
 
-// evacuationHash extends the cyclic program's identity with the
-// evacuation objective: the strategy under evaluation is the optimal
-// cyclic exponential (cyclicHash), but the measured quantity is
-// evacuation, so the keys must never collide with find-objective
-// entries for the same program.
-var evacuationHash = cyclicHash
-
-// evacuationEval carries the per-(k, f) setup — the optimal line
-// strategy and the horizon factor — so worst-over-grid jobs compute it
-// once, not once per distance (the byzantineLineEval pattern).
-type evacuationEval struct {
-	s  *strategy.CyclicExponential
-	k  int
-	f  int
-	hf float64
-}
-
-func newEvacuationEval(ctx context.Context, k, f int) (*evacuationEval, error) {
-	s, hf, err := simSetup(ctx, 2, k, f)
-	if err != nil {
-		return nil, err
-	}
-	return &evacuationEval{s: s, k: k, f: f, hf: hf}, nil
-}
-
-// ratio measures the exact evacuation ratio at one target distance,
-// worst over both rays and over the adversary's fault choices. The
-// adversary's optimum has a prefix structure: silencing exactly the
-// first j distinct visitors (j <= f) delays the wireless announcement
-// to the (j+1)-st distinct first-visit time v_{j+1} while keeping the
-// slowest healthy robot as far from the exit as possible, and any
-// fault set that is not a visit-order prefix does no better (replacing
-// a non-prefix member with an earlier visitor never decreases the
-// announcement time, and with k - j - 1 >= f - j robots outside the
-// prefix the remaining budget can always be spent on robots that do
-// not attain the gather maximum). So the sweep is over j = 0..f, not
-// over all C(k, f) fault sets — the brute-force cross-check test pins
-// the equivalence.
-func (e *evacuationEval) ratio(ctx context.Context, dist float64) (float64, int, int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, 0, err
-	}
-	horizon := dist * e.hf
-	trajs, err := strategy.Trajectories(e.s, horizon)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	type arrival struct {
-		robot int
-		time  float64
-	}
-	worst, worstRay, worstJ := -1.0, 0, 0
-	arrivals := make([]arrival, 0, e.k)
-	for ray := 1; ray <= 2; ray++ {
-		target := trajectory.Point{Ray: ray, Dist: dist}
-		arrivals = arrivals[:0]
-		for r, tr := range trajs {
-			if t := tr.FirstVisit(target); !math.IsInf(t, 1) {
-				arrivals = append(arrivals, arrival{robot: r, time: t})
-			}
-		}
-		sort.Slice(arrivals, func(i, j int) bool {
-			if arrivals[i].time != arrivals[j].time {
-				return arrivals[i].time < arrivals[j].time
-			}
-			return arrivals[i].robot < arrivals[j].robot
-		})
-		if len(arrivals) < e.f+1 {
-			return 0, 0, 0, fmt.Errorf("engine: evacuation target at %v reached by %d < %d robots within horizon %g",
-				target, len(arrivals), e.f+1, horizon)
-		}
-		evac, evacJ := -1.0, 0
-		for j := 0; j <= e.f; j++ {
-			// The first j distinct visitors are faulty; the (j+1)-st
-			// announces at t, and every other robot walks to the exit.
-			t := arrivals[j].time
-			gather := 0.0
-			for r, tr := range trajs {
-				faulty := false
-				for i := 0; i < j; i++ {
-					if arrivals[i].robot == r {
-						faulty = true
-						break
-					}
-				}
-				if faulty {
-					continue
-				}
-				pos := tr.Position(t)
-				if math.IsNaN(pos.Dist) {
-					return 0, 0, 0, fmt.Errorf("engine: evacuation robot %d position undefined at t=%g (horizon %g)", r, t, horizon)
-				}
-				var d float64
-				if pos.Ray == target.Ray {
-					d = math.Abs(pos.Dist - dist)
-				} else {
-					d = pos.Dist + dist
-				}
-				if d > gather {
-					gather = d
-				}
-			}
-			if v := t + gather; v > evac {
-				evac, evacJ = v, j
-			}
-		}
-		if r := evac / dist; r > worst {
-			worst, worstRay, worstJ = r, ray, evacJ
-		}
-	}
-	return worst, worstRay, worstJ, nil
-}
-
-// EvacuationSim measures the exact evacuation ratio of the optimal
-// cyclic search strategy at one target distance: k = 2f+1 robots on
-// the line (a near majority faulty), wireless announcement at the
-// (j+1)-st distinct visit, every healthy robot walks to the exit —
-// the Czyzowicz–Killick–Kranakis–Stachowiak objective served as a
-// cacheable job.
-type EvacuationSim struct {
-	K, F int
-	Dist float64
-}
-
-// Key implements Job; obj=evac separates evacuation answers from find
-// answers for the very same strategy program.
-func (j EvacuationSim) Key() string {
-	return fmt.Sprintf("evacsim|geo=line|obj=evac|sp=%s|k=%d|f=%d|d=%g", evacuationHash[:16], j.K, j.F, j.Dist)
-}
-
-// Run implements Job.
-func (j EvacuationSim) Run(ctx context.Context) (Result, error) {
-	e, err := newEvacuationEval(ctx, j.K, j.F)
-	if err != nil {
-		return Result{}, err
-	}
-	v, ray, _, err := e.ratio(ctx, j.Dist)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Value: v, Eval: adversary.Evaluation{
-		WorstRatio: v, WorstRay: ray, WorstX: j.Dist, Attained: true,
-	}}, nil
-}
-
-// EvacuationWorst measures the worst evacuation ratio over a
-// deterministic log-spaced grid of target distances in [1, Horizon] —
-// the evacuation scenario's verifiable headline quantity, mirroring
-// ByzantineLineWorst.
-type EvacuationWorst struct {
-	K, F    int
-	Horizon float64
-	Points  int
-}
-
-// Key implements Job.
-func (j EvacuationWorst) Key() string {
-	return fmt.Sprintf("evacworst|geo=line|obj=evac|sp=%s|k=%d|f=%d|h=%g|n=%d",
-		evacuationHash[:16], j.K, j.F, j.Horizon, j.Points)
-}
-
-// Run implements Job.
-func (j EvacuationWorst) Run(ctx context.Context) (Result, error) {
-	if j.Points < 2 || !(j.Horizon > 1) {
-		return Result{}, fmt.Errorf("%w: evacuation worst needs points >= 2 and horizon > 1, got %d, %g", ErrBadParams, j.Points, j.Horizon)
-	}
-	e, err := newEvacuationEval(ctx, j.K, j.F)
-	if err != nil {
-		return Result{}, err
-	}
-	eval := adversary.Evaluation{WorstRatio: -1}
-	for _, d := range LogGrid(j.Horizon, j.Points) {
-		v, ray, _, err := e.ratio(ctx, d)
-		if err != nil {
-			return Result{}, err
-		}
-		if v > eval.WorstRatio {
-			eval = adversary.Evaluation{WorstRatio: v, WorstRay: ray, WorstX: d, Attained: true, Breakpoints: eval.Breakpoints}
-		}
-		eval.Breakpoints++
-	}
-	return Result{Value: eval.WorstRatio, Eval: eval}, nil
-}
-
 var (
 	_ Job = ShorelineWorst{}
 	_ Job = ShorelineSim{}
-	_ Job = EvacuationSim{}
-	_ Job = EvacuationWorst{}
 )

@@ -130,7 +130,7 @@ func TestPlanarKeysCarryGeometry(t *testing.T) {
 
 // bruteForceEvac computes the worst evacuation ratio at one distance by
 // enumerating EVERY fault set of size at most f — the exhaustive
-// adversary the prefix sweep in evacuationEval.ratio claims to equal.
+// adversary the prefix sweep in lineEval.evacuation claims to equal.
 func bruteForceEvac(t *testing.T, k, f int, dist float64) float64 {
 	t.Helper()
 	s, hf, err := simSetup(context.Background(), 2, k, f)
@@ -190,12 +190,12 @@ func bruteForceEvac(t *testing.T, k, f int, dist float64) float64 {
 // equals the exhaustive maximum over all C(k, <=f) fault sets.
 func TestEvacuationPrefixAdversaryEqualsBruteForce(t *testing.T) {
 	for _, c := range []struct{ k, f int }{{3, 1}, {5, 2}} {
-		e, err := newEvacuationEval(context.Background(), c.k, c.f)
+		e, err := newLineEval(context.Background(), c.k, c.f)
 		if err != nil {
 			t.Fatalf("(k=%d, f=%d): %v", c.k, c.f, err)
 		}
 		for _, d := range []float64{1, 2.3, 10} {
-			got, _, _, err := e.ratio(context.Background(), d)
+			got, _, _, err := e.evacuation(context.Background(), d)
 			if err != nil {
 				t.Fatalf("(k=%d, f=%d) at %g: %v", c.k, c.f, d, err)
 			}

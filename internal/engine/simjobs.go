@@ -14,11 +14,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/bounds"
-	"repro/internal/byzantine"
 	"repro/internal/pfaulty"
 	"repro/internal/sim"
 	"repro/internal/solver"
@@ -226,148 +224,6 @@ func (e *Engine) linkPFaulty(jobs []Job) []Job {
 	return linked
 }
 
-// byzantineLineEval carries the per-(k, f) setup — the optimal line
-// strategy and the horizon factor — so worst-over-grid jobs compute it
-// once, not once per distance.
-type byzantineLineEval struct {
-	s  *strategy.CyclicExponential
-	f  int
-	hf float64
-}
-
-// newByzantineLineEval builds the shared setup for (k, f) through
-// simSetup.
-func newByzantineLineEval(ctx context.Context, k, f int) (*byzantineLineEval, error) {
-	s, hf, err := simSetup(ctx, 2, k, f)
-	if err != nil {
-		return nil, err
-	}
-	return &byzantineLineEval{s: s, f: f, hf: hf}, nil
-}
-
-// ratio measures the consistency-observer detection ratio with the f
-// Byzantine robots playing silent (the adversary's transfer-optimal
-// behavior: the first f distinct visitors of the target stay mute)
-// against a target at distance dist on ray 1. Candidates are the
-// target, its mirror, and a decoy pair at 1.5x the distance — the
-// finite hypothesis set the observer must disambiguate.
-func (e *byzantineLineEval) ratio(ctx context.Context, dist float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	horizon := dist * e.hf
-	trajs, err := strategy.Trajectories(e.s, horizon)
-	if err != nil {
-		return 0, err
-	}
-	target := trajectory.Point{Ray: 1, Dist: dist}
-	type arrival struct {
-		robot int
-		time  float64
-	}
-	var arrivals []arrival
-	for r, tr := range trajs {
-		if t := tr.FirstVisit(target); !math.IsInf(t, 1) {
-			arrivals = append(arrivals, arrival{robot: r, time: t})
-		}
-	}
-	sort.Slice(arrivals, func(i, j int) bool {
-		if arrivals[i].time != arrivals[j].time {
-			return arrivals[i].time < arrivals[j].time
-		}
-		return arrivals[i].robot < arrivals[j].robot
-	})
-	silent := make(map[int]bool, e.f)
-	for i := 0; i < e.f && i < len(arrivals); i++ {
-		silent[arrivals[i].robot] = true
-	}
-	robots := make([]byzantine.Robot, len(trajs))
-	for r, tr := range trajs {
-		behavior := byzantine.Honest
-		if silent[r] {
-			behavior = byzantine.Silent
-		}
-		robots[r] = byzantine.Robot{Traj: tr, Behavior: behavior}
-	}
-	sc, err := byzantine.NewScenario(robots, target, e.f)
-	if err != nil {
-		return 0, err
-	}
-	candidates := []trajectory.Point{
-		target,
-		{Ray: 2, Dist: dist},
-		{Ray: 1, Dist: dist * 1.5},
-		{Ray: 2, Dist: dist * 1.5},
-	}
-	t, ok := sc.DetectionTime(candidates, horizon)
-	if !ok {
-		return 0, fmt.Errorf("engine: byzantine observer never certain of target at %v within horizon %g", target, horizon)
-	}
-	return t / dist, nil
-}
-
-// ByzantineLineSim runs one Byzantine line-search simulation
-// (Czyzowicz et al., ISAAC 2016 setting): K robots on the line, F of
-// them Byzantine-silent, consistency-based target confirmation. Value
-// is the certainty ratio (confirmation time / distance).
-type ByzantineLineSim struct {
-	K, F int
-	Dist float64
-}
-
-// Key implements Job. The observed strategy is the optimal line
-// instance of the cyclic exponential program, hence the sp= fragment.
-func (j ByzantineLineSim) Key() string {
-	return fmt.Sprintf("byzline|sp=%s|k=%d|f=%d|d=%g", cyclicHash[:16], j.K, j.F, j.Dist)
-}
-
-// Run implements Job.
-func (j ByzantineLineSim) Run(ctx context.Context) (Result, error) {
-	e, err := newByzantineLineEval(ctx, j.K, j.F)
-	if err != nil {
-		return Result{}, err
-	}
-	v, err := e.ratio(ctx, j.Dist)
-	return Result{Value: v}, err
-}
-
-// ByzantineLineWorst measures the worst certainty ratio over a
-// deterministic log-spaced grid of Points target distances in
-// [1, Horizon] — the Byzantine line scenario's verifiable headline
-// quantity.
-type ByzantineLineWorst struct {
-	K, F    int
-	Horizon float64
-	Points  int
-}
-
-// Key implements Job. See ByzantineLineSim.Key for the sp= fragment.
-func (j ByzantineLineWorst) Key() string {
-	return fmt.Sprintf("byzworst|sp=%s|k=%d|f=%d|h=%g|n=%d", cyclicHash[:16], j.K, j.F, j.Horizon, j.Points)
-}
-
-// Run implements Job.
-func (j ByzantineLineWorst) Run(ctx context.Context) (Result, error) {
-	if j.Points < 2 || !(j.Horizon > 1) {
-		return Result{}, fmt.Errorf("%w: byzantine worst needs points >= 2 and horizon > 1, got %d, %g", ErrBadParams, j.Points, j.Horizon)
-	}
-	e, err := newByzantineLineEval(ctx, j.K, j.F)
-	if err != nil {
-		return Result{}, err
-	}
-	worst := 0.0
-	for _, d := range LogGrid(j.Horizon, j.Points) {
-		v, err := e.ratio(ctx, d)
-		if err != nil {
-			return Result{}, err
-		}
-		if v > worst {
-			worst = v
-		}
-	}
-	return Result{Value: worst}, nil
-}
-
 // LogGrid returns n log-spaced distances spanning [1, horizon] — the
 // deterministic target grid shared by the simulate endpoints and the
 // worst-over-grid jobs (d_0 = 1, d_{n-1} = horizon). The endpoints are
@@ -389,6 +245,4 @@ var (
 	_ Job = SimulationRun{}
 	_ Job = PFaultyTrials{}
 	_ Job = linkedPFaulty{}
-	_ Job = ByzantineLineSim{}
-	_ Job = ByzantineLineWorst{}
 )

@@ -278,13 +278,9 @@ func ReductionRobots(eta float64, maxK int, horizon float64) ([]WeightedRobot, i
 	}
 	robots := make([]WeightedRobot, k)
 	for r := 0; r < k; r++ {
-		rounds, err := s.AppendRounds(nil, r, horizon)
+		turns, err := strategy.Turns(s, r, horizon)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("fractional: %w", err)
-		}
-		turns := make([]float64, len(rounds))
-		for i, rd := range rounds {
-			turns[i] = rd.Turn
 		}
 		robots[r] = WeightedRobot{Weight: 1 / float64(k), Turns: turns}
 	}

@@ -13,7 +13,6 @@ package registry
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/bounds"
 	"repro/internal/engine"
@@ -39,16 +38,14 @@ func validateShoreline(m, k, f int) error {
 }
 
 // shorelineBound is the family-optimal worst ratio of the spread-ray
-// strategy, sec((f+1)*pi/k): the adversary's shoreline normal lands in
-// the widest angular gap of f+1 consecutive headings, and equal
-// spacing minimizes that gap. Tight within straight-ray strategies
+// strategy, bounds.Shoreline. Tight within straight-ray strategies
 // (quoted the way pfaulty-halfline quotes its geometric-family
 // optimum), and served as both bounds of the scenario.
 func shorelineBound(m, k, f int) (float64, error) {
 	if err := validateShoreline(m, k, f); err != nil {
 		return 0, err
 	}
-	return 1 / math.Cos(float64(f+1)*math.Pi/float64(k)), nil
+	return bounds.Shoreline(k, f)
 }
 
 // shorelineScenario is the planar shoreline-search model: k unit-speed

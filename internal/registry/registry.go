@@ -11,8 +11,8 @@
 //
 // The package-level Default registry carries the built-in scenarios
 // ("crash", "byzantine", "probabilistic", "pfaulty-halfline",
-// "byzantine-line"); isolated registries can be constructed for tests
-// or embedding.
+// "byzantine-line", "shoreline", "evacuation-line"); isolated
+// registries can be constructed for tests or embedding.
 package registry
 
 import (

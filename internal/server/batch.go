@@ -222,12 +222,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// One worker per item, so every item starts at once (their heavy
 		// compute is still bounded by the engine's pool). The fan-out is
 		// detached from the budget, so every row is emitted — batchRow
-		// turns a spent budget into a 499/504 row — and stopped when the
-		// handler returns, even if the NDJSON writer gave up early.
-		rowsCtx, stop := context.WithCancel(context.WithoutCancel(ctx))
-		defer stop()
+		// turns a spent budget into a 499/504 row. Only the NDJSON
+		// fan-out outlives its consumer, so only it is stopped when the
+		// handler returns, even if the writer gave up early; Ordered
+		// returns after its last emit.
+		rowsCtx := context.WithoutCancel(ctx)
 		row := func(i int) (BatchRow, bool) { return s.batchRow(ctx, i, &items[i]), true }
 		if wantsNDJSON(r, p) {
+			rowsCtx, stop := context.WithCancel(rowsCtx)
+			defer stop()
 			enc := getEncoder()
 			defer putEncoder(enc)
 			ndjsonStream(ctx, w, s.cfg.Heartbeat, budget, len(items), engine.OrderedChan(rowsCtx, len(items), len(items), row),

@@ -15,10 +15,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/strategy"
 	"repro/internal/trajectory"
@@ -129,26 +130,35 @@ func Run(cfg Config) (Result, error) {
 	return runOnTrajectories(trajs, cfg.Faults, cfg.Target)
 }
 
-// firstArrival pairs a robot with its first arrival time at the target.
-type firstArrival struct {
-	robot int
-	time  float64
+// Arrival pairs a robot with its first visit time of a target.
+type Arrival struct {
+	Robot int
+	Time  float64
+}
+
+// FirstVisits returns the robots of trajs that reach target, in the
+// order they first visit it: by time, ties by robot index. It is the
+// visit order every line adversary reasons over — the crash adversary
+// here, and the Byzantine and evacuation adversaries of the engine's
+// line jobs.
+func FirstVisits(trajs []*trajectory.Star, target trajectory.Point) []Arrival {
+	arrivals := make([]Arrival, 0, len(trajs))
+	for r, tr := range trajs {
+		if t := tr.FirstVisit(target); !math.IsInf(t, 1) {
+			arrivals = append(arrivals, Arrival{Robot: r, Time: t})
+		}
+	}
+	slices.SortFunc(arrivals, func(a, b Arrival) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Robot, b.Robot)
+	})
+	return arrivals
 }
 
 func runOnTrajectories(trajs []*trajectory.Star, faults int, target trajectory.Point) (Result, error) {
-	arrivals := make([]firstArrival, 0, len(trajs))
-	for r, tr := range trajs {
-		t := tr.FirstVisit(target)
-		if !math.IsInf(t, 1) {
-			arrivals = append(arrivals, firstArrival{robot: r, time: t})
-		}
-	}
-	sort.Slice(arrivals, func(i, j int) bool {
-		if arrivals[i].time != arrivals[j].time {
-			return arrivals[i].time < arrivals[j].time
-		}
-		return arrivals[i].robot < arrivals[j].robot
-	})
+	arrivals := FirstVisits(trajs, target)
 
 	res := Result{
 		Target:        target,
@@ -160,18 +170,18 @@ func runOnTrajectories(trajs []*trajectory.Star, faults int, target trajectory.P
 	for i, a := range arrivals {
 		faulty := i < faults
 		if faulty {
-			res.FaultySet = append(res.FaultySet, a.robot)
+			res.FaultySet = append(res.FaultySet, a.Robot)
 		}
 		res.Timeline = append(res.Timeline, Event{
-			Time: a.time, Kind: EventVisit, Robot: a.robot, Faulty: faulty,
+			Time: a.Time, Kind: EventVisit, Robot: a.Robot, Faulty: faulty,
 		})
 		if !faulty && res.Detector < 0 {
-			res.Detector = a.robot
-			res.DetectionTime = a.time
-			res.Ratio = a.time / target.Dist
+			res.Detector = a.Robot
+			res.DetectionTime = a.Time
+			res.Ratio = a.Time / target.Dist
 			res.Timeline = append(res.Timeline,
-				Event{Time: a.time, Kind: EventReport, Robot: a.robot},
-				Event{Time: a.time, Kind: EventDetect, Robot: a.robot},
+				Event{Time: a.Time, Kind: EventReport, Robot: a.Robot},
+				Event{Time: a.Time, Kind: EventDetect, Robot: a.Robot},
 			)
 			// Later visits are irrelevant to detection; keep the timeline
 			// focused on the decisive prefix.

@@ -69,6 +69,21 @@ type Strategy interface {
 	Fingerprint() string
 }
 
+// Turns returns robot r's turning distances up to the horizon: the
+// Turn of every round s.AppendRounds yields, ray labels dropped (the
+// ORC form the covering and potential arguments read).
+func Turns(s Strategy, r int, horizon float64) ([]float64, error) {
+	rounds, err := s.AppendRounds(nil, r, horizon)
+	if err != nil {
+		return nil, err
+	}
+	turns := make([]float64, len(rounds))
+	for i, rd := range rounds {
+		turns[i] = rd.Turn
+	}
+	return turns, nil
+}
+
 // Trajectories materializes all k robots' trajectories up to the horizon.
 func Trajectories(s Strategy, horizon float64) ([]*trajectory.Star, error) {
 	out := make([]*trajectory.Star, s.K())
@@ -277,15 +292,7 @@ func (s *CyclicExponential) LineTurns(r int, horizon float64) ([]float64, error)
 	if s.m != 2 {
 		return nil, fmt.Errorf("%w: LineTurns requires m = 2, got %d", ErrBadParams, s.m)
 	}
-	rounds, err := s.AppendRounds(nil, r, horizon)
-	if err != nil {
-		return nil, err
-	}
-	turns := make([]float64, len(rounds))
-	for i, rd := range rounds {
-		turns[i] = rd.Turn
-	}
-	return turns, nil
+	return Turns(s, r, horizon)
 }
 
 // Doubling returns the classical cow-path strategy (one robot, two rays,
