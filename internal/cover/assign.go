@@ -22,9 +22,6 @@ type Assigned struct {
 	Turn float64
 	// Lo is the original t''_i, kept for validation.
 	Lo float64
-	// PrefixBefore is the robot's turning-point prefix sum before this
-	// excursion, from the originating Interval.
-	PrefixBefore float64
 }
 
 // intervalHeap is a min-heap of intervals keyed by Hi (earliest deadline
@@ -154,12 +151,11 @@ func ExactAssignment(intervals []Interval, q int, upTo float64) ([]Assigned, err
 			floor[chosen.Robot] = chosen.Index + 1
 			heap.Push(&active, chosen.Hi)
 			assigned = append(assigned, Assigned{
-				Robot:        chosen.Robot,
-				Index:        chosen.Index,
-				TPrime:       c,
-				Turn:         chosen.Hi,
-				Lo:           chosen.Lo,
-				PrefixBefore: chosen.PrefixBefore,
+				Robot:  chosen.Robot,
+				Index:  chosen.Index,
+				TPrime: c,
+				Turn:   chosen.Hi,
+				Lo:     chosen.Lo,
 			})
 		}
 	}

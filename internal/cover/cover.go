@@ -21,7 +21,7 @@
 // assignment of the proofs: truncating the covering intervals [t”_i, t_i]
 // to half-open assigned intervals (t'_i, t_i] so that every point of (1, N]
 // is covered exactly q times, with each robot's t' sequence monotone — the
-// combinatorial object the potential-function engines consume.
+// combinatorial object the potential-function engine consumes.
 package cover
 
 import (
@@ -57,9 +57,6 @@ type Interval struct {
 	Lo float64
 	// Hi is t_i, the turning point.
 	Hi float64
-	// PrefixBefore is t1 + ... + t_{i-1} over the robot's kept turning
-	// points, recorded for the potential engines' load bookkeeping.
-	PrefixBefore float64
 }
 
 // Mu converts a competitive ratio lambda > 1 into mu = (lambda-1)/2.
@@ -98,7 +95,6 @@ func SymmetricCovIntervals(robot int, turns []float64, lambda float64) ([]Interv
 		prefix numeric.Kahan
 	)
 	for i, t := range turns {
-		before := prefix.Value()
 		prefix.Add(t)
 		lo := prefix.Value() / mu
 		if i > 0 && turns[i-1] > lo {
@@ -108,11 +104,10 @@ func SymmetricCovIntervals(robot int, turns []float64, lambda float64) ([]Interv
 			continue // not fruitful
 		}
 		out = append(out, Interval{
-			Robot:        robot,
-			Index:        i + 1,
-			Lo:           lo,
-			Hi:           t,
-			PrefixBefore: before,
+			Robot: robot,
+			Index: i + 1,
+			Lo:    lo,
+			Hi:    t,
 		})
 	}
 	return out, nil
@@ -136,18 +131,16 @@ func ORCCovIntervals(robot int, turns []float64, lambda float64) ([]Interval, er
 		prefix numeric.Kahan
 	)
 	for i, t := range turns {
-		before := prefix.Value()
-		lo := before / mu
+		lo := prefix.Value() / mu
 		prefix.Add(t)
 		if lo > t {
 			continue // not fruitful
 		}
 		out = append(out, Interval{
-			Robot:        robot,
-			Index:        i + 1,
-			Lo:           lo,
-			Hi:           t,
-			PrefixBefore: before,
+			Robot: robot,
+			Index: i + 1,
+			Lo:    lo,
+			Hi:    t,
 		})
 	}
 	return out, nil

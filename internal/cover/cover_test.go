@@ -114,11 +114,11 @@ func TestORCCovIntervalsDropsUnfruitful(t *testing.T) {
 			t.Error("round 3 (turn 0.5 after prefix 30, mu = 1) should be unfruitful")
 		}
 	}
-	// Its turn still counts toward later prefize sums: round 4 has
-	// PrefixBefore = 30.5.
+	// Its turn still counts toward later prefix sums: round 4 starts at
+	// Lo = (10+20+0.5)/mu = 30.5.
 	last := ivs[len(ivs)-1]
-	if last.Index != 4 || !numeric.EqualWithin(last.PrefixBefore, 30.5, 1e-12) {
-		t.Errorf("round 4 PrefixBefore = %g, want 30.5", last.PrefixBefore)
+	if last.Index != 4 || !numeric.EqualWithin(last.Lo, 30.5, 1e-12) {
+		t.Errorf("round 4 Lo = %g, want 30.5", last.Lo)
 	}
 }
 

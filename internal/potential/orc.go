@@ -1,17 +1,15 @@
 package potential
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"repro/internal/bounds"
 	"repro/internal/cover"
 )
 
-// This file implements the ORC (one-ray cover with returns) potential
-// engine of Section 3.1, proving Eq. (10): C(k,q) >= 2*mu(q,k) + 1. The
-// potential is Eq. (15),
+// This file implements the ORC (one-ray cover with returns) setting of
+// Section 3.1, proving Eq. (10): C(k,q) >= 2*mu(q,k) + 1. The potential is
+// Eq. (15),
 //
 //	f(P) = prod_r [ L_r^(q-k) * (b_r)^k / prod_{y in A} y ],
 //
@@ -27,20 +25,8 @@ import (
 //     [mu*t'_i, C*t'_i] receives at most one covering from that robot, so
 //     the other k-1 robots (q-1)-fold cover it; rescaling by mu*t'_i gives
 //     an instance of the same problem with (k-1, q-1), handled by
-//     induction. The engine detects the jump and RefuteORCStrategy
-//     performs the recursion explicitly.
-type orcEngine struct {
-	k, q    int
-	mu      float64
-	loads   []float64
-	logLoad []float64
-	zeroCnt int
-	// nextBeg[r] is b_r, the start of robot r's next unprocessed interval.
-	nextBeg    []float64
-	logNextSum float64
-	front      *frontier
-	steps      int
-}
+//     induction. RunORC detects the jump and RefuteORCStrategy performs
+//     the recursion explicitly.
 
 // Case2Info describes a detected Case-2 jump.
 type Case2Info struct {
@@ -54,109 +40,6 @@ type Case2Info struct {
 	WindowLo, WindowHi float64
 }
 
-func newORCEngine(k, q int, lambda float64, firstBeg []float64) (*orcEngine, error) {
-	if k < 1 || q <= k {
-		return nil, fmt.Errorf("%w: k=%d q=%d (need 1 <= k < q)", ErrBadParams, k, q)
-	}
-	if !(lambda > 1) || math.IsNaN(lambda) {
-		return nil, fmt.Errorf("%w: lambda=%g", ErrBadParams, lambda)
-	}
-	if len(firstBeg) != k {
-		return nil, fmt.Errorf("%w: %d first beginnings for %d robots", ErrBadParams, len(firstBeg), k)
-	}
-	e := &orcEngine{
-		k:       k,
-		q:       q,
-		mu:      (lambda - 1) / 2,
-		loads:   make([]float64, k),
-		logLoad: make([]float64, k),
-		zeroCnt: k,
-		nextBeg: make([]float64, k),
-		front:   newFrontier(q),
-	}
-	for r, b := range firstBeg {
-		if !(b > 0) {
-			return nil, fmt.Errorf("%w: robot %d first beginning %g", ErrBadParams, r, b)
-		}
-		e.nextBeg[r] = b
-		e.logNextSum += math.Log(b)
-	}
-	return e, nil
-}
-
-// logF returns ln f(P) per Eq. (15), defined once all loads are positive.
-func (e *orcEngine) logF() (float64, bool) {
-	if e.zeroCnt > 0 {
-		return math.NaN(), false
-	}
-	sumLoads := 0.0
-	for _, l := range e.logLoad {
-		sumLoads += l
-	}
-	return float64(e.q-e.k)*sumLoads + float64(e.k)*e.logNextSum - float64(e.k)*e.front.logSum, true
-}
-
-// step processes one assigned interval whose robot's following interval
-// begins at nextBeg (the lookahead b').
-func (e *orcEngine) step(a cover.Assigned, nextBeg float64) (Step, error) {
-	if a.Robot < 0 || a.Robot >= e.k {
-		return Step{}, fmt.Errorf("%w: robot %d of %d", ErrBadParams, a.Robot, e.k)
-	}
-	const tol = 1e-9
-	front := e.front.min()
-	if math.Abs(a.TPrime-front) > tol*math.Max(1, front) {
-		return Step{}, fmt.Errorf("%w: interval starts at %.12g but the frontier is %.12g",
-			ErrInvalidStep, a.TPrime, front)
-	}
-	if math.Abs(a.TPrime-e.nextBeg[a.Robot]) > tol*math.Max(1, a.TPrime) {
-		return Step{}, fmt.Errorf("%w: robot %d steps at %.12g but its recorded next beginning is %.12g",
-			ErrInvalidStep, a.Robot, a.TPrime, e.nextBeg[a.Robot])
-	}
-	if !(nextBeg >= a.TPrime) {
-		return Step{}, fmt.Errorf("%w: robot %d lookahead %.12g before current start %.12g",
-			ErrInvalidStep, a.Robot, nextBeg, a.TPrime)
-	}
-	load := e.loads[a.Robot]
-	newLoad := load + a.Turn
-	// Eq. (14) for the next interval: L_new <= mu * b'.
-	if newLoad > e.mu*nextBeg+tol*math.Max(1, e.mu*nextBeg) {
-		return Step{}, fmt.Errorf("%w: robot %d load %.12g exceeds mu*b' = %.12g",
-			ErrInvalidStep, a.Robot, newLoad, e.mu*nextBeg)
-	}
-
-	var (
-		muStar   = newLoad / nextBeg
-		x        = load / nextBeg
-		logRatio = math.Inf(1)
-		sMinus   = float64(e.q - e.k)
-	)
-	if load > 0 {
-		logRatio = sMinus*math.Log(muStar) - sMinus*math.Log(x) - float64(e.k)*math.Log(muStar-x)
-	}
-
-	if e.loads[a.Robot] == 0 {
-		e.zeroCnt--
-	}
-	e.loads[a.Robot] = newLoad
-	e.logLoad[a.Robot] = math.Log(newLoad)
-	e.logNextSum += math.Log(nextBeg) - math.Log(e.nextBeg[a.Robot])
-	e.nextBeg[a.Robot] = nextBeg
-	e.front.replaceMin(a.Turn)
-	e.steps++
-
-	logF, _ := e.logF()
-	return Step{
-		Index:    e.steps - 1,
-		Robot:    a.Robot,
-		A:        a.TPrime,
-		B:        a.Turn,
-		MuStar:   muStar,
-		X:        x,
-		LogRatio: logRatio,
-		LogF:     logF,
-	}, nil
-}
-
 // RunORC replays an exact-q ORC assignment through the Eq. (15) potential.
 // caseC is the Case-1/Case-2 split constant: consecutive assigned starts of
 // one robot jumping by a factor >= caseC trigger Case 2, reported in the
@@ -166,39 +49,25 @@ func RunORC(assigned []cover.Assigned, k, q int, lambda, caseC float64) (Certifi
 	if caseC <= 1 {
 		return Certificate{}, nil, fmt.Errorf("%w: caseC = %g (need > 1)", ErrBadParams, caseC)
 	}
+	if k < 1 || q <= k {
+		return Certificate{}, nil, fmt.Errorf("%w: k=%d q=%d (need 1 <= k < q)", ErrBadParams, k, q)
+	}
+	if err := checkRun(assigned, k, lambda); err != nil {
+		return Certificate{}, nil, err
+	}
 	perRobot := cover.PerRobot(assigned, k)
 	firstBeg := make([]float64, k)
 	for r, list := range perRobot {
 		if len(list) == 0 {
 			return Certificate{}, nil, fmt.Errorf("%w: robot %d", ErrPrefixTooShort, r)
 		}
-		firstBeg[r] = list[0].TPrime
+		if firstBeg[r] = list[0].TPrime; !(firstBeg[r] > 0) {
+			return Certificate{}, nil, fmt.Errorf("%w: robot %d first beginning %g", ErrBadParams, r, firstBeg[r])
+		}
 	}
-	e, err := newORCEngine(k, q, lambda, firstBeg)
-	if err != nil {
-		return Certificate{}, nil, err
-	}
-	muCrit, err := bounds.MuQK(float64(q), float64(k))
-	if err != nil {
-		return Certificate{}, nil, fmt.Errorf("potential: %w", err)
-	}
-	delta, err := bounds.Lemma5Delta(e.mu, float64(q-k), float64(k))
-	if err != nil {
-		return Certificate{}, nil, fmt.Errorf("potential: %w", err)
-	}
-	cert := Certificate{
-		Setting: "orc",
-		K:       k,
-		Fold:    q,
-		Lambda:  lambda,
-		Mu:      e.mu,
-		MuCrit:  muCrit,
-		Delta:   delta,
-		// Case-1 cap: f <= C^(qk) * mu^((q-k)k).
-		LogFBound:         float64(k*q)*math.Log(caseC) + float64((q-k)*k)*math.Log(e.mu),
-		ContradictionStep: -1,
-		MinStepRatio:      math.Inf(1),
-	}
+	e := newEngine(orc(k, q), lambda, firstBeg)
+	// Case-1 cap: f <= C^(qk) * mu^((q-k)k).
+	e.cert.LogFBound = float64(k*q)*math.Log(caseC) + float64((q-k)*k)*math.Log(e.cert.Mu)
 
 	pos := make([]int, k) // per-robot index of the interval being processed
 	for _, a := range assigned {
@@ -211,43 +80,28 @@ func RunORC(assigned []cover.Assigned, k, q int, lambda, caseC float64) (Certifi
 		}
 		next := list[idx+1].TPrime
 		if next >= caseC*a.TPrime {
-			info := &Case2Info{
+			finalizeCertificate(&e.cert)
+			return e.cert, &Case2Info{
 				Robot:      a.Robot,
 				TPrime:     a.TPrime,
 				NextTPrime: next,
-				WindowLo:   e.mu * a.TPrime,
+				WindowLo:   e.cert.Mu * a.TPrime,
 				WindowHi:   next,
-			}
-			finalizeCertificate(&cert)
-			return cert, info, nil
+			}, nil
 		}
-		st, err := e.step(a, next)
-		if err != nil {
-			return cert, nil, err
+		// b_r is the start of a's own interval by construction; its
+		// successor b' must not begin before it.
+		if !(next >= a.TPrime) {
+			return e.cert, nil, fmt.Errorf("%w: robot %d lookahead %.12g before current start %.12g",
+				ErrInvalidStep, a.Robot, next, a.TPrime)
+		}
+		if err := e.step(a, next); err != nil {
+			return e.cert, nil, err
 		}
 		pos[a.Robot]++
-		logF, defined := e.logF()
-		if !defined {
-			cert.WarmupSteps++
-			continue
-		}
-		if cert.Steps == 0 {
-			cert.LogFStart = logF
-		}
-		cert.Steps++
-		cert.LogFEnd = logF
-		if !math.IsInf(st.LogRatio, 1) {
-			ratio := math.Exp(st.LogRatio)
-			if ratio < cert.MinStepRatio {
-				cert.MinStepRatio = ratio
-			}
-		}
-		if cert.ContradictionStep < 0 && logF > cert.LogFBound {
-			cert.ContradictionStep = cert.Steps - 1
-		}
 	}
-	finalizeCertificate(&cert)
-	return cert, nil, nil
+	finalizeCertificate(&e.cert)
+	return e.cert, nil, nil
 }
 
 // RefuteORCStrategy runs the full Eq. (10) pipeline against a concrete
@@ -270,75 +124,60 @@ func refuteORC(turnsPerRobot [][]float64, q int, lambda, upTo, caseC float64, de
 	if depth > k {
 		return Certificate{}, fmt.Errorf("%w: recursion exceeded robot count", ErrBadParams)
 	}
-	var all []cover.Interval
-	for r, turns := range turnsPerRobot {
-		ivs, err := cover.ORCCovIntervals(r, turns, lambda)
+	return refute(turnsPerRobot, orc(k, q), lambda, upTo, cover.ORCCovIntervals, func(assigned []cover.Assigned) (Certificate, error) {
+		if q <= k {
+			// The Eq. (15) potential needs q > k (its exponent q-k would
+			// vanish), and the Eq. (10) lower bound does not constrain this
+			// regime: with at least as many robots as required coverings the
+			// covering either exists (verified above) or gapped.
+			return Certificate{
+				Setting: "orc",
+				K:       k,
+				Fold:    q,
+				Lambda:  lambda,
+				Mu:      (lambda - 1) / 2,
+				Steps:   len(assigned),
+				Verdict: VerdictBounded,
+			}, nil
+		}
+		cert, case2, err := RunORC(assigned, k, q, lambda, caseC)
+		if err != nil || case2 == nil {
+			return cert, err
+		}
+		// Case 2: the jumping robot covers the window at most once; the
+		// other robots must (q-1)-fold cover it. Rescale by mu*t' so the
+		// window becomes (1, C/mu] and recurse with k-1 robots.
+		if k == 1 {
+			// Cannot recurse further (q > k leaves k-1 < q-1 otherwise);
+			// the window coverage claim fails immediately for a single
+			// robot (q >= 2 coverage needed).
+			cert.Verdict = VerdictContradiction
+			cert.GapDetail = fmt.Sprintf("case-2 window (%.6g, %.6g] needs %d-fold coverage by %d robots",
+				case2.WindowLo, case2.WindowHi, q-1, k-1)
+			return cert, nil
+		}
+		scale := case2.WindowLo
+		subTurns := make([][]float64, 0, k-1)
+		for r, turns := range turnsPerRobot {
+			if r == case2.Robot {
+				continue
+			}
+			scaled := make([]float64, len(turns))
+			for i, t := range turns {
+				scaled[i] = t / scale
+			}
+			subTurns = append(subTurns, scaled)
+		}
+		subUpTo := case2.WindowHi / scale
+		if subUpTo <= 1 {
+			subUpTo = 1 + 1e-6
+		}
+		sub, err := refuteORC(subTurns, q-1, lambda, subUpTo, caseC, depth+1)
 		if err != nil {
-			return Certificate{}, fmt.Errorf("potential: robot %d: %w", r, err)
+			return cert, err
 		}
-		all = append(all, ivs...)
-	}
-	assigned, err := cover.ExactAssignment(all, q, upTo)
-	if err != nil {
-		if errors.Is(err, cover.ErrCoverageGap) {
-			return gapCertificate("orc", k, q, lambda, err), nil
-		}
-		return Certificate{}, err
-	}
-	if q <= k {
-		// The Eq. (15) potential needs q > k (its exponent q-k would
-		// vanish), and the Eq. (10) lower bound does not constrain this
-		// regime: with at least as many robots as required coverings the
-		// covering either exists (verified above) or gapped.
-		return Certificate{
-			Setting: "orc",
-			K:       k,
-			Fold:    q,
-			Lambda:  lambda,
-			Mu:      (lambda - 1) / 2,
-			Steps:   len(assigned),
-			Verdict: VerdictBounded,
-		}, nil
-	}
-	cert, case2, err := RunORC(assigned, k, q, lambda, caseC)
-	if err != nil {
-		return cert, err
-	}
-	if case2 == nil {
+		cert.Sub = &sub
+		cert.Verdict = sub.Verdict
 		return cert, nil
-	}
-	// Case 2: the jumping robot covers the window at most once; the other
-	// robots must (q-1)-fold cover it. Rescale by mu*t' so the window
-	// becomes (1, C/mu] and recurse with k-1 robots.
-	if k == 1 || q-1 <= k-1 {
-		// Cannot recurse further; the window coverage claim fails
-		// immediately for a single robot (q >= 2 coverage needed).
-		cert.Verdict = VerdictContradiction
-		cert.GapDetail = fmt.Sprintf("case-2 window (%.6g, %.6g] needs %d-fold coverage by %d robots",
-			case2.WindowLo, case2.WindowHi, q-1, k-1)
-		return cert, nil
-	}
-	scale := case2.WindowLo
-	subTurns := make([][]float64, 0, k-1)
-	for r, turns := range turnsPerRobot {
-		if r == case2.Robot {
-			continue
-		}
-		scaled := make([]float64, len(turns))
-		for i, t := range turns {
-			scaled[i] = t / scale
-		}
-		subTurns = append(subTurns, scaled)
-	}
-	subUpTo := case2.WindowHi / scale
-	if subUpTo <= 1 {
-		subUpTo = 1 + 1e-6
-	}
-	sub, err := refuteORC(subTurns, q-1, lambda, subUpTo, caseC, depth+1)
-	if err != nil {
-		return cert, err
-	}
-	cert.Sub = &sub
-	cert.Verdict = sub.Verdict
-	return cert, nil
+	})
 }

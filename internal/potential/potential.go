@@ -1,6 +1,6 @@
 // Package potential implements the potential-function machinery of the
-// lower-bound proofs in Kupavskii–Welzl (PODC 2018) as executable,
-// certificate-producing engines.
+// lower-bound proofs in Kupavskii–Welzl (PODC 2018) as an executable,
+// certificate-producing engine.
 //
 // The proofs of Theorem 3 (line, s-fold ±-covering) and Eq. (10) (ORC,
 // q-fold covering) share one skeleton. Accumulate all robots' assigned
@@ -20,22 +20,23 @@
 // for every step — and delta > 1 exactly when mu = (lambda-1)/2 is below
 // the critical mu(k+s, k). Since f(P) is also bounded (Eq. 8 / Case 1),
 // a strategy claiming a competitive ratio below the bound runs into a
-// contradiction after finitely many intervals. The engines replay this
-// argument on concrete assignments and report the step where the
-// contradiction materializes, yielding a machine-checkable refutation.
+// contradiction after finitely many intervals. One engine replays this
+// argument for both settings on concrete assignments and reports the step
+// where the contradiction materializes, yielding a machine-checkable
+// refutation.
 package potential
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/bounds"
 	"repro/internal/cover"
 )
 
-// Errors returned by the engines.
+// Errors returned by the engine.
 var (
 	// ErrBadParams is returned for invalid engine parameters.
 	ErrBadParams = errors.New("potential: invalid parameters")
@@ -43,12 +44,12 @@ var (
 	// covering inequalities (Eq. 5) or the frontier invariant — evidence
 	// that the claimed covering is not actually valid.
 	ErrInvalidStep = errors.New("potential: assigned interval violates covering constraints")
-	// ErrPrefixTooShort is returned when an engine cannot start because
+	// ErrPrefixTooShort is returned when the engine cannot start because
 	// some robot contributes no intervals.
 	ErrPrefixTooShort = errors.New("potential: some robot has no assigned intervals in the prefix")
 )
 
-// Verdict classifies the outcome of running an engine over an assignment.
+// Verdict classifies the outcome of running the engine over an assignment.
 type Verdict int
 
 const (
@@ -76,26 +77,6 @@ func (v Verdict) String() string {
 	default:
 		return fmt.Sprintf("Verdict(%d)", int(v))
 	}
-}
-
-// Step records one engine transition (one assigned interval).
-type Step struct {
-	// Index is the 0-based position in the processed sequence.
-	Index int
-	// Robot is the interval's robot.
-	Robot int
-	// A is the frontier value (min of A(P)) when the step was taken.
-	A float64
-	// B is the interval's right endpoint (the robot's new turning point).
-	B float64
-	// MuStar is the effective ratio (L_r + B)/reference <= mu.
-	MuStar float64
-	// X is the normalized load L_r/reference in (0, mu*).
-	X float64
-	// LogRatio is ln(f(P+)/f(P)).
-	LogRatio float64
-	// LogF is ln f(P+) after the step (NaN during warmup).
-	LogF float64
 }
 
 // Certificate summarizes an engine run: the paper's lower-bound argument
@@ -141,89 +122,117 @@ type Certificate struct {
 	// contradiction.
 	GapDetail string
 	// Sub holds the certificate of the recursive (k-1, q-1) argument when
-	// the ORC engine hit Case 2 of the proof.
+	// the ORC run hit Case 2 of the proof.
 	Sub *Certificate
 }
 
-// frontier is a min-heap multiset of frontier values with an incrementally
+// frontier is the multiset A(P), kept sorted, with an incrementally
 // maintained sum of logarithms.
 type frontier struct {
-	heap   floatMinHeap
+	vals   []float64
 	logSum float64
 }
 
+// newFrontier returns n frontier values at 1 (log sum 0).
 func newFrontier(n int) *frontier {
-	f := &frontier{heap: make(floatMinHeap, n)}
-	for i := range f.heap {
-		f.heap[i] = 1
+	f := &frontier{vals: make([]float64, n)}
+	for i := range f.vals {
+		f.vals[i] = 1
 	}
-	// log(1) = 0 for every initial element.
 	return f
 }
 
-func (f *frontier) min() float64 { return f.heap[0] }
+func (f *frontier) min() float64 { return f.vals[0] }
 
-// replaceMin pops the minimum and inserts v, updating the log sum.
+// replaceMin replaces the minimum by v, updating the log sum.
 func (f *frontier) replaceMin(v float64) {
-	f.logSum -= math.Log(f.heap[0])
-	f.heap[0] = v
+	f.logSum -= math.Log(f.vals[0])
 	f.logSum += math.Log(v)
-	heap.Fix(&f.heap, 0)
+	i := sort.SearchFloat64s(f.vals[1:], v)
+	copy(f.vals, f.vals[1:i+1])
+	f.vals[i] = v
 }
 
-type floatMinHeap []float64
-
-func (h floatMinHeap) Len() int            { return len(h) }
-func (h floatMinHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h floatMinHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floatMinHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *floatMinHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// setting is one of the proof's two covering problems: k robots that
+// cover every point fold times, and s, the exponent of each load L_r in
+// f(P). Theorem 3 has fold = s; Eq. (15) has fold = q and s = q-k.
+type setting struct {
+	name       string
+	k, fold, s int
 }
 
-// SymmetricEngine replays the Theorem 3 potential argument: k robots,
-// s-fold ±-covering at ratio lambda.
-type SymmetricEngine struct {
-	k, s    int
-	mu      float64
-	loads   []float64
-	logLoad []float64
-	zeroCnt int
-	front   *frontier
-	steps   int
-}
+func symmetric(k, s int) setting { return setting{"symmetric", k, s, s} }
+func orc(k, q int) setting       { return setting{"orc", k, q, q - k} }
 
-// NewSymmetricEngine validates parameters and returns a fresh engine.
-// Requires 1 <= s <= k (the meaningful range of Theorem 3) and lambda > 1.
-func NewSymmetricEngine(k, s int, lambda float64) (*SymmetricEngine, error) {
-	if k < 1 || s < 1 || s > k {
-		return nil, fmt.Errorf("%w: k=%d s=%d (need 1 <= s <= k)", ErrBadParams, k, s)
+// certificate opens the certificate of st at ratio lambda: mu, the
+// critical mu(k+s, k) and Lemma 5's delta. Outside their domain (s < 1,
+// an ORC gap with q <= k) MuCrit is 0 and Delta NaN.
+func (st setting) certificate(lambda float64) Certificate {
+	mu := (lambda - 1) / 2
+	muCrit, _ := bounds.MuQK(float64(st.k+st.s), float64(st.k))
+	delta, err := bounds.Lemma5Delta(mu, float64(st.s), float64(st.k))
+	if err != nil {
+		delta = math.NaN()
 	}
-	if !(lambda > 1) || math.IsNaN(lambda) {
-		return nil, fmt.Errorf("%w: lambda=%g", ErrBadParams, lambda)
+	return Certificate{Setting: st.name, K: st.k, Fold: st.fold, Lambda: lambda, Mu: mu, MuCrit: muCrit, Delta: delta}
+}
+
+// checkRun validates what both settings require: lambda > 1 and every
+// assigned interval's robot one of k.
+func checkRun(assigned []cover.Assigned, k int, lambda float64) error {
+	if !(lambda > 1) {
+		return fmt.Errorf("%w: lambda=%g", ErrBadParams, lambda)
 	}
-	return &SymmetricEngine{
-		k:       k,
-		s:       s,
-		mu:      (lambda - 1) / 2,
-		loads:   make([]float64, k),
-		logLoad: make([]float64, k),
-		zeroCnt: k,
-		front:   newFrontier(s),
-	}, nil
+	for _, a := range assigned {
+		if a.Robot < 0 || a.Robot >= k {
+			return fmt.Errorf("%w: robot %d of %d", ErrBadParams, a.Robot, k)
+		}
+	}
+	return nil
 }
 
-// Bound returns the a-priori cap ln f(P) <= k*s*ln(mu) of Eq. (8).
-func (e *SymmetricEngine) Bound() float64 {
-	return float64(e.k*e.s) * math.Log(e.mu)
+// engine replays the potential argument of both settings on an
+// assignment ordered by TPrime. Beyond the setting's fold and s, the two
+// proofs differ in two places:
+//
+//   - the reference point ref a step is measured at: the interval start
+//     t' (Eq. 5) or the robot's next start b' (Eq. 14). Both checks are
+//     L + t <= mu*ref;
+//   - the b_r term of Eq. (15), which only the ORC setting has: nextBeg
+//     holds b_r there and is nil in the symmetric setting.
+type engine struct {
+	cert       Certificate
+	s          float64
+	loads      []float64
+	logLoad    []float64
+	zeroCnt    int
+	front      *frontier
+	nextBeg    []float64
+	logNextSum float64
 }
 
-// LogF returns ln f(P) and whether it is defined (all loads positive).
-func (e *SymmetricEngine) LogF() (float64, bool) {
+// newEngine starts a replay of st at ratio lambda. firstBeg holds each
+// robot's first b_r in the ORC setting and is nil in the symmetric one.
+func newEngine(st setting, lambda float64, firstBeg []float64) *engine {
+	e := &engine{
+		cert:    st.certificate(lambda),
+		s:       float64(st.s),
+		loads:   make([]float64, st.k),
+		logLoad: make([]float64, st.k),
+		zeroCnt: st.k,
+		front:   newFrontier(st.fold),
+		nextBeg: firstBeg,
+	}
+	e.cert.ContradictionStep, e.cert.MinStepRatio = -1, math.Inf(1)
+	for _, b := range firstBeg {
+		e.logNextSum += math.Log(b)
+	}
+	return e
+}
+
+// logF returns ln f(P) (Eq. 7, or Eq. 15 with its b_r term), defined once
+// every load is positive.
+func (e *engine) logF() (float64, bool) {
 	if e.zeroCnt > 0 {
 		return math.NaN(), false
 	}
@@ -231,123 +240,101 @@ func (e *SymmetricEngine) LogF() (float64, bool) {
 	for _, l := range e.logLoad {
 		sumLoads += l
 	}
-	return float64(e.s)*sumLoads - float64(e.k)*e.front.logSum, true
+	k := float64(e.cert.K)
+	logF := e.s * sumLoads
+	if e.nextBeg != nil {
+		logF += k * e.logNextSum
+	}
+	return logF - k*e.front.logSum, true
 }
 
-// Step processes one assigned interval. It checks the frontier invariant
-// (the interval must begin at the current a(P)) and the covering inequality
-// (Eq. 5), then updates loads and the frontier.
-func (e *SymmetricEngine) Step(a cover.Assigned) (Step, error) {
-	if a.Robot < 0 || a.Robot >= e.k {
-		return Step{}, fmt.Errorf("%w: robot %d of %d", ErrBadParams, a.Robot, e.k)
-	}
-	front := e.front.min()
+// step replays one assigned interval measured at ref. It checks the
+// frontier invariant (the interval must begin at the current a(P)) and
+// L + t <= mu*ref, updates the loads, b_r and the frontier, and accounts
+// the step in the certificate.
+func (e *engine) step(a cover.Assigned, ref float64) error {
 	const tol = 1e-9
+	front := e.front.min()
 	if math.Abs(a.TPrime-front) > tol*math.Max(1, front) {
-		return Step{}, fmt.Errorf("%w: interval starts at %.12g but the frontier is %.12g",
+		return fmt.Errorf("%w: interval starts at %.12g but the frontier is %.12g",
 			ErrInvalidStep, a.TPrime, front)
 	}
 	load := e.loads[a.Robot]
-	// Eq. (5): b <= mu*a - L. Violation means the robot cannot actually
-	// lambda-cover up to b in time.
-	if a.Turn > e.mu*a.TPrime-load+tol*math.Max(1, e.mu*a.TPrime) {
-		return Step{}, fmt.Errorf("%w: turn %.12g exceeds mu*t' - load = %.12g (robot %d)",
-			ErrInvalidStep, a.Turn, e.mu*a.TPrime-load, a.Robot)
+	newLoad := load + a.Turn
+	// Violation means the robot cannot actually lambda-cover up to the
+	// interval's turn in time.
+	if bound := e.cert.Mu * ref; newLoad > bound+tol*math.Max(1, bound) {
+		return fmt.Errorf("%w: robot %d load %.12g exceeds mu*%.12g = %.12g",
+			ErrInvalidStep, a.Robot, newLoad, ref, bound)
 	}
 
-	var (
-		muStar   = (load + a.Turn) / a.TPrime
-		x        = load / a.TPrime
-		logRatio = math.Inf(1)
-	)
+	muStar, x, logRatio := newLoad/ref, load/ref, math.Inf(1)
 	if load > 0 {
-		logRatio = float64(e.s)*math.Log(muStar) -
-			float64(e.s)*math.Log(x) -
-			float64(e.k)*math.Log(muStar-x)
-	}
-
-	// Apply the update.
-	if e.loads[a.Robot] == 0 {
+		logRatio = e.s*math.Log(muStar) - e.s*math.Log(x) - float64(e.cert.K)*math.Log(muStar-x)
+	} else if load == 0 {
 		e.zeroCnt--
 	}
-	e.loads[a.Robot] += a.Turn
-	e.logLoad[a.Robot] = math.Log(e.loads[a.Robot])
+	e.loads[a.Robot] = newLoad
+	e.logLoad[a.Robot] = math.Log(newLoad)
+	if e.nextBeg != nil {
+		e.logNextSum += math.Log(ref) - math.Log(e.nextBeg[a.Robot])
+		e.nextBeg[a.Robot] = ref
+	}
 	e.front.replaceMin(a.Turn)
-	e.steps++
 
-	logF, _ := e.LogF()
-	return Step{
-		Index:    e.steps - 1,
-		Robot:    a.Robot,
-		A:        a.TPrime,
-		B:        a.Turn,
-		MuStar:   muStar,
-		X:        x,
-		LogRatio: logRatio,
-		LogF:     logF,
-	}, nil
+	c := &e.cert
+	logF, defined := e.logF()
+	if !defined {
+		c.WarmupSteps++
+		return nil
+	}
+	if c.Steps == 0 {
+		c.LogFStart = logF
+	}
+	c.Steps++
+	c.LogFEnd = logF
+	if !math.IsInf(logRatio, 1) {
+		if ratio := math.Exp(logRatio); ratio < c.MinStepRatio {
+			c.MinStepRatio = ratio
+		}
+	}
+	if c.ContradictionStep < 0 && logF > c.LogFBound {
+		c.ContradictionStep = c.Steps - 1
+	}
+	return nil
 }
 
-// RunSymmetric replays the whole assignment through a symmetric engine and
-// assembles the certificate. The assignment must be ordered by TPrime (as
-// produced by cover.ExactAssignment with q = s).
+// checkSymmetric validates Theorem 3's parameters, 1 <= s <= k, and
+// checkRun's.
+func checkSymmetric(assigned []cover.Assigned, k, s int, lambda float64) error {
+	if k < 1 || s < 1 || s > k {
+		return fmt.Errorf("%w: k=%d s=%d (need 1 <= s <= k)", ErrBadParams, k, s)
+	}
+	return checkRun(assigned, k, lambda)
+}
+
+// RunSymmetric replays the whole assignment through the Theorem 3
+// potential (k robots, s-fold ±-covering at ratio lambda) and assembles
+// the certificate. Requires 1 <= s <= k and lambda > 1. The assignment
+// must be ordered by TPrime (as produced by cover.ExactAssignment with
+// q = s).
 func RunSymmetric(assigned []cover.Assigned, k, s int, lambda float64) (Certificate, error) {
-	e, err := NewSymmetricEngine(k, s, lambda)
-	if err != nil {
+	if err := checkSymmetric(assigned, k, s, lambda); err != nil {
 		return Certificate{}, err
 	}
-	muCrit, err := bounds.MuQK(float64(k+s), float64(k))
-	if err != nil {
-		return Certificate{}, fmt.Errorf("potential: %w", err)
-	}
-	delta, err := bounds.Lemma5Delta(e.mu, float64(s), float64(k))
-	if err != nil {
-		return Certificate{}, fmt.Errorf("potential: %w", err)
-	}
-	cert := Certificate{
-		Setting:           "symmetric",
-		K:                 k,
-		Fold:              s,
-		Lambda:            lambda,
-		Mu:                e.mu,
-		MuCrit:            muCrit,
-		Delta:             delta,
-		LogFBound:         e.Bound(),
-		ContradictionStep: -1,
-		MinStepRatio:      math.Inf(1),
-	}
-	seen := make(map[int]bool, k)
+	e := newEngine(symmetric(k, s), lambda, nil)
+	// Eq. (8): ln f(P) <= k*s*ln(mu).
+	e.cert.LogFBound = float64(k*s) * math.Log(e.cert.Mu)
 	for _, a := range assigned {
-		st, err := e.Step(a)
-		if err != nil {
-			return cert, err
-		}
-		seen[a.Robot] = true
-		logF, defined := e.LogF()
-		if !defined {
-			cert.WarmupSteps++
-			continue
-		}
-		if cert.Steps == 0 {
-			cert.LogFStart = logF
-		}
-		cert.Steps++
-		cert.LogFEnd = logF
-		if !math.IsInf(st.LogRatio, 1) {
-			ratio := math.Exp(st.LogRatio)
-			if ratio < cert.MinStepRatio {
-				cert.MinStepRatio = ratio
-			}
-		}
-		if cert.ContradictionStep < 0 && logF > cert.LogFBound {
-			cert.ContradictionStep = cert.Steps - 1
+		if err := e.step(a, a.TPrime); err != nil {
+			return e.cert, err
 		}
 	}
-	if len(seen) < k {
-		return cert, fmt.Errorf("%w: %d of %d robots appeared", ErrPrefixTooShort, len(seen), k)
+	if e.zeroCnt > 0 {
+		return e.cert, fmt.Errorf("%w: %d of %d robots appeared", ErrPrefixTooShort, k-e.zeroCnt, k)
 	}
-	finalizeCertificate(&cert)
-	return cert, nil
+	finalizeCertificate(&e.cert)
+	return e.cert, nil
 }
 
 // finalizeCertificate derives the verdict and the step-budget estimates.
@@ -384,58 +371,40 @@ func finalizeCertificate(cert *Certificate) {
 // ±-cover at ratio lambda; an ErrCoverageGap from the assignment phase is
 // an even more direct refutation (a point is simply not covered in time),
 // which is reported as a contradiction certificate with Steps = 0.
+// Requires 1 <= s <= len(turnsPerRobot) and lambda > 1.
 func RefuteSymmetricStrategy(turnsPerRobot [][]float64, s int, lambda, upTo float64) (Certificate, error) {
 	k := len(turnsPerRobot)
-	if k == 0 {
-		return Certificate{}, fmt.Errorf("%w: no robots", ErrBadParams)
+	if err := checkSymmetric(nil, k, s, lambda); err != nil {
+		return Certificate{}, err
 	}
+	return refute(turnsPerRobot, symmetric(k, s), lambda, upTo, cover.SymmetricCovIntervals,
+		func(assigned []cover.Assigned) (Certificate, error) { return RunSymmetric(assigned, k, s, lambda) })
+}
+
+// refute is the pipeline both refuters share: extract every robot's
+// covering intervals at ratio lambda, build the exact fold-fold
+// assignment over (1, upTo], and replay it with run. A coverage gap needs
+// no potential argument: a point is simply not covered often enough in
+// time, so it becomes a contradiction certificate with Steps = 0.
+func refute(turnsPerRobot [][]float64, st setting, lambda, upTo float64,
+	intervals func(robot int, turns []float64, lambda float64) ([]cover.Interval, error),
+	run func([]cover.Assigned) (Certificate, error)) (Certificate, error) {
 	var all []cover.Interval
 	for r, turns := range turnsPerRobot {
-		ivs, err := cover.SymmetricCovIntervals(r, turns, lambda)
+		ivs, err := intervals(r, turns, lambda)
 		if err != nil {
 			return Certificate{}, fmt.Errorf("potential: robot %d: %w", r, err)
 		}
 		all = append(all, ivs...)
 	}
-	assigned, err := cover.ExactAssignment(all, s, upTo)
+	assigned, err := cover.ExactAssignment(all, st.fold, upTo)
+	if errors.Is(err, cover.ErrCoverageGap) {
+		cert := st.certificate(lambda)
+		cert.Verdict, cert.GapDetail = VerdictContradiction, err.Error()
+		return cert, nil
+	}
 	if err != nil {
-		if errors.Is(err, cover.ErrCoverageGap) {
-			return gapCertificate("symmetric", k, s, lambda, err), nil
-		}
 		return Certificate{}, err
 	}
-	return RunSymmetric(assigned, k, s, lambda)
-}
-
-// gapCertificate builds the trivial refutation certificate for a strategy
-// whose covering has an outright gap: a point is simply not covered often
-// enough in time, so no potential argument is even needed.
-func gapCertificate(setting string, k, fold int, lambda float64, cause error) Certificate {
-	mu := (lambda - 1) / 2
-	var muCrit float64
-	if setting == "symmetric" {
-		muCrit, _ = bounds.MuQK(float64(k+fold), float64(k))
-	} else {
-		muCrit, _ = bounds.MuQK(float64(fold), float64(k))
-	}
-	s := fold
-	if setting == "orc" {
-		s = fold - k
-	}
-	delta, derr := bounds.Lemma5Delta(mu, float64(s), float64(k))
-	if derr != nil {
-		delta = math.NaN()
-	}
-	return Certificate{
-		Setting:           setting,
-		K:                 k,
-		Fold:              fold,
-		Lambda:            lambda,
-		Mu:                mu,
-		MuCrit:            muCrit,
-		Delta:             delta,
-		Verdict:           VerdictContradiction,
-		ContradictionStep: 0,
-		GapDetail:         cause.Error(),
-	}
+	return run(assigned)
 }

@@ -11,15 +11,39 @@ import (
 	"repro/internal/strategy"
 )
 
-func TestNewSymmetricEngineValidation(t *testing.T) {
-	if _, err := NewSymmetricEngine(0, 1, 9); !errors.Is(err, ErrBadParams) {
+func TestRunSymmetricValidation(t *testing.T) {
+	if _, err := RunSymmetric(nil, 0, 1, 9); !errors.Is(err, ErrBadParams) {
 		t.Error("k = 0 should fail")
 	}
-	if _, err := NewSymmetricEngine(2, 3, 9); !errors.Is(err, ErrBadParams) {
+	if _, err := RunSymmetric(nil, 2, 3, 9); !errors.Is(err, ErrBadParams) {
 		t.Error("s > k should fail")
 	}
-	if _, err := NewSymmetricEngine(1, 1, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := RunSymmetric(nil, 1, 1, 1); !errors.Is(err, ErrBadParams) {
 		t.Error("lambda <= 1 should fail")
+	}
+}
+
+func TestRefuteSymmetricStrategyRejectsBadParams(t *testing.T) {
+	// Theorem 3 needs 1 <= s <= k and lambda > 1. Outside that range a
+	// covering gap is no refutation: one robot cannot 3-fold cover
+	// anything, whatever the strategy.
+	doubling := [][]float64{{1, 2, 4, 8, 16, 32, 64, 128}}
+	for _, c := range []struct {
+		name   string
+		turns  [][]float64
+		s      int
+		lambda float64
+	}{
+		{"s > k", doubling, 3, 9.05},
+		{"s = 0", doubling, 0, 9.05},
+		{"no robots", nil, 1, 9.05},
+		{"lambda = 1", doubling, 1, 1},
+		{"lambda NaN", doubling, 1, math.NaN()},
+	} {
+		cert, err := RefuteSymmetricStrategy(c.turns, c.s, c.lambda, 100)
+		if !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: got %v (verdict %v), want ErrBadParams", c.name, err, cert.Verdict)
+		}
 	}
 }
 
@@ -402,9 +426,14 @@ func TestCertificateMaxStepsIndependence(t *testing.T) {
 }
 
 func TestGapCertificateFields(t *testing.T) {
-	cert := gapCertificate("orc", 2, 3, 8, errors.New("test gap"))
-	if cert.Verdict != VerdictContradiction || cert.GapDetail != "test gap" {
-		t.Error("gapCertificate fields wrong")
+	// Neither robot reaches past 1, so nothing is covered.
+	cert, err := RefuteORCStrategy([][]float64{{0.5}, {0.5}}, 3, 8, 10, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.Verdict != VerdictContradiction || cert.Steps != 0 ||
+		cert.GapDetail != "cover: coverage gap: multiplicity 0 < 3 just beyond x = 1" {
+		t.Errorf("gap certificate fields wrong: %+v", cert)
 	}
 	if !numeric.EqualWithin(cert.Mu, 3.5, 1e-12) {
 		t.Errorf("mu = %g, want 3.5", cert.Mu)
