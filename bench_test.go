@@ -1053,6 +1053,31 @@ func BenchmarkEngineRunMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineFanoutMiss is BenchmarkEngineRunMiss for a fan-out:
+// a one-worker RunBatch of b.N jobs that each miss a full 1024-result
+// cache, so one op is one miss computed in place on the worker that
+// claimed it (no goroutine, no cancel context), one store and one
+// eviction, plus a 1/b.N share of the batch.
+func BenchmarkEngineFanoutMiss(b *testing.B) {
+	eng := engine.NewWithCache(1, 1024)
+	keys := engineBenchKeys(4096)
+	open := make(chan struct{})
+	close(open)
+	jobs := make([]engine.Job, b.N)
+	for i := range jobs {
+		jobs[i] = gatedJob{key: keys[i%len(keys)], gate: open}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := eng.RunBatch(context.Background(), jobs); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if st := eng.Stats(); st.Hits != 0 {
+		b.Fatalf("%d hits, want every job a miss", st.Hits)
+	}
+}
+
 // BenchmarkEngineRunHit measures one engine.Run served from the cache:
 // a lookup and an LRU touch under the cache lock, cycling over 512
 // results in a 1024-result cache.

@@ -50,6 +50,11 @@ var (
 	// verification produces only a scalar (no adversarial evaluation) —
 	// use VerifyOn for those scenarios.
 	ErrNoEvaluation = errors.New("core: scenario verification produces a scalar, not an adversarial evaluation; use VerifyOn")
+	// ErrNotRayModel is returned by the helpers that read M as a ray
+	// count (Regime, Rho, HighPrecision, OptimalStrategy and those built
+	// on them) for a model whose M means something else, such as
+	// shoreline's ambient dimension.
+	ErrNotRayModel = errors.New("core: operation requires a ray-search model (M counts rays)")
 )
 
 // Problem is a faulty-robot search instance.
@@ -81,9 +86,6 @@ func (p Problem) Scenario() (registry.Scenario, error) {
 
 // Validate checks the parameters against the model's scenario.
 func (p Problem) Validate() error {
-	if _, err := bounds.Classify(p.M, p.K, p.F); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	sc, err := p.Scenario()
 	if err != nil {
 		return err
@@ -94,9 +96,26 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// Regime classifies the instance (unsolvable / trivial / search).
-func (p Problem) Regime() (bounds.Regime, error) {
+// rays validates the parameters and checks that the model's M counts
+// rays, which the paper's classification assumes.
+func (p Problem) rays() error {
 	if err := p.Validate(); err != nil {
+		return err
+	}
+	sc, err := p.Scenario()
+	if err != nil {
+		return err
+	}
+	if !sc.Rays {
+		return fmt.Errorf("%w: %s", ErrNotRayModel, sc.Name)
+	}
+	return nil
+}
+
+// Regime classifies the instance (unsolvable / trivial / search); a
+// model whose M is not a ray count has no regime (ErrNotRayModel).
+func (p Problem) Regime() (bounds.Regime, error) {
+	if err := p.rays(); err != nil {
 		return 0, err
 	}
 	return bounds.Classify(p.M, p.K, p.F)
@@ -107,7 +126,7 @@ func (p Problem) Q() int { return p.M * (p.F + 1) }
 
 // Rho returns rho = q/k, the single parameter the bound depends on.
 func (p Problem) Rho() (float64, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.rays(); err != nil {
 		return 0, err
 	}
 	return bounds.Rho(p.M, p.K, p.F)
@@ -209,7 +228,7 @@ func (p Problem) VerifyOn(ctx context.Context, e *engine.Engine, horizon float64
 	job, err := sc.VerifyJob(ctx, registry.Request{M: p.M, K: p.K, F: p.F, Horizon: horizon})
 	if err != nil {
 		if errors.Is(err, registry.ErrNotVerifiable) {
-			if regime, rerr := bounds.Classify(p.M, p.K, p.F); rerr == nil && regime != bounds.RegimeSearch {
+			if regime, rerr := p.Regime(); rerr == nil && regime != bounds.RegimeSearch {
 				return engine.Result{}, fmt.Errorf("%w: regime is %v", ErrNotSearchRegime, regime)
 			}
 		}
@@ -256,7 +275,7 @@ func (p Problem) RefuteBelow(ctx context.Context, factor, upTo float64) (potenti
 // RefuteStrategy runs the refutation pipeline against an arbitrary
 // collective ORC strategy (per-robot excursion distances) at ratio lambda.
 func (p Problem) RefuteStrategy(turnsPerRobot [][]float64, lambda, upTo float64) (potential.Certificate, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.rays(); err != nil {
 		return potential.Certificate{}, err
 	}
 	return potential.RefuteORCStrategy(turnsPerRobot, p.Q(), lambda, upTo, 1e9)

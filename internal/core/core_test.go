@@ -295,6 +295,55 @@ func TestProblemModelReachesEveryScenario(t *testing.T) {
 	}
 }
 
+// TestShorelineHasNoRayRegime: shoreline's M is the ambient dimension,
+// not a ray count, so a valid shoreline problem validates through its
+// scenario, and the helpers that read M as rays answer ErrNotRayModel
+// instead of classifying (2, 5, 1) as the trivial regime. Every ray
+// model still classifies.
+func TestShorelineHasNoRayRegime(t *testing.T) {
+	p := Problem{Model: "shoreline", M: 2, K: 5, F: 1}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("valid shoreline problem rejected: %v", err)
+	}
+	if err := (Problem{Model: "shoreline", M: 2, K: 4, F: 1}).Validate(); err == nil {
+		t.Error("shoreline with k <= 2(f+1) validated")
+	}
+	if lb, err := p.LowerBound(); err != nil || !(lb > 1) {
+		t.Errorf("LowerBound = (%v, %v), want the scenario's bound", lb, err)
+	}
+	if regime, err := p.Regime(); !errors.Is(err, ErrNotRayModel) {
+		t.Errorf("Regime = (%v, %v), want ErrNotRayModel", regime, err)
+	}
+	if _, err := p.Rho(); !errors.Is(err, ErrNotRayModel) {
+		t.Errorf("Rho error = %v, want ErrNotRayModel", err)
+	}
+	if _, err := p.HighPrecision(64); !errors.Is(err, ErrNotRayModel) {
+		t.Errorf("HighPrecision error = %v, want ErrNotRayModel", err)
+	}
+	if _, err := p.OptimalStrategy(); !errors.Is(err, ErrNotRayModel) {
+		t.Errorf("OptimalStrategy error = %v, want ErrNotRayModel", err)
+	}
+	if _, err := p.RefuteStrategy([][]float64{{1, 2, 4}}, 9, 10); !errors.Is(err, ErrNotRayModel) {
+		t.Errorf("RefuteStrategy error = %v, want ErrNotRayModel", err)
+	}
+	for _, q := range []Problem{
+		{M: 2, K: 3, F: 1},
+		{Model: "byzantine", M: 2, K: 3, F: 1},
+		{Model: "probabilistic", M: 2, K: 1, F: 0},
+		{Model: "pfaulty-halfline", M: 1, K: 1, F: 0},
+		{Model: "byzantine-line", M: 2, K: 3, F: 1},
+		{Model: "evacuation-line", M: 2, K: 3, F: 1},
+	} {
+		want, err := bounds.Classify(q.M, q.K, q.F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := q.Regime(); err != nil || got != want {
+			t.Errorf("%+v: Regime = (%v, %v), want %v", q, got, err, want)
+		}
+	}
+}
+
 func TestProblemProbabilistic(t *testing.T) {
 	p := Problem{M: 2, K: 1, F: 0, Model: "probabilistic"}
 	lb, err := p.LowerBound()

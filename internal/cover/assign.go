@@ -61,7 +61,12 @@ func (h *floatHeap) Pop() interface{} {
 // (earliest deadline first) whenever the active multiplicity drops below q;
 // activating a later excursion of a robot retires that robot's earlier
 // unactivated excursions, which keeps each robot's t' sequence monotone
-// (the paper's "skipping turning points").
+// (the paper's "skipping turning points"). A robot's excursions activate
+// in index order: when the earliest deadline is a robot's later excursion
+// while an earlier one of it is still available and unexpired, the
+// earlier one activates instead. Where the robot's turns decrease, the
+// later excursion is nested in the earlier one, and retiring the earlier
+// one would lose a covering; on nondecreasing turns the two orders agree.
 //
 // It returns ErrCoverageGap (wrapped, with the gap location) if the
 // intervals do not actually q-fold cover (1, upTo].
@@ -141,6 +146,12 @@ func ExactAssignment(intervals []Interval, q int, upTo float64) ([]Assigned, err
 				if iv.Hi <= c {
 					continue // expired unused
 				}
+				if first, ok := firstLive(avail, iv.Robot, floor[iv.Robot], iv.Index, c); ok {
+					// first stays in avail and is skipped there once
+					// activated; iv stays activatable after it.
+					heap.Push(&avail, iv)
+					iv = first
+				}
 				chosen = &iv
 				break
 			}
@@ -160,6 +171,22 @@ func ExactAssignment(intervals []Interval, q int, upTo float64) ([]Assigned, err
 		}
 	}
 	return assigned, nil
+}
+
+// firstLive returns robot's lowest-index interval among the available
+// ones with an index in [from, before) that has not expired at c, if
+// there is one.
+func firstLive(avail intervalHeap, robot, from, before int, c float64) (Interval, bool) {
+	var (
+		first Interval
+		found bool
+	)
+	for _, iv := range avail {
+		if iv.Robot == robot && iv.Index >= from && iv.Index < before && iv.Hi > c && (!found || iv.Index < first.Index) {
+			first, found = iv, true
+		}
+	}
+	return first, found
 }
 
 // VerifyAssignment checks the defining properties of an exact-q assignment

@@ -290,6 +290,41 @@ func TestExactAssignmentGapDetection(t *testing.T) {
 	}
 }
 
+// TestExactAssignmentNestedLaterExcursion: when a robot's turns
+// decrease, its later excursion is nested in the earlier one and has the
+// earlier deadline. The assignment activates the robot's excursions in
+// index order, so the earlier, longer one covers and the nested one
+// stays available; retiring the earlier one for the nested one would
+// leave (50, 100] uncovered.
+func TestExactAssignmentNestedLaterExcursion(t *testing.T) {
+	ivs := []Interval{
+		{Robot: 0, Index: 1, Lo: 0.5, Hi: 100},
+		{Robot: 0, Index: 2, Lo: 0.5, Hi: 50},
+	}
+	got, err := ExactAssignment(ivs, 1, 100)
+	if err != nil {
+		t.Fatalf("ExactAssignment: %v", err)
+	}
+	if len(got) != 1 || got[0].Index != 1 || got[0].Turn != 100 {
+		t.Errorf("assignment = %+v, want excursion 1 alone on (1, 100]", got)
+	}
+	if err := VerifyAssignment(got, 1, 100); err != nil {
+		t.Error(err)
+	}
+	// Twofold, the nested excursion joins the earlier one in index order.
+	two := append(ivs, Interval{Robot: 1, Index: 1, Lo: 40, Hi: 100})
+	got, err = ExactAssignment(two, 2, 100)
+	if err != nil {
+		t.Fatalf("twofold ExactAssignment: %v", err)
+	}
+	if err := VerifyAssignment(got, 2, 100); err != nil {
+		t.Error(err)
+	}
+	if len(got) != 3 || got[0].Index != 1 || got[1].Index != 2 {
+		t.Errorf("twofold assignment = %+v, want robot 0's excursions 1 then 2, then robot 1's", got)
+	}
+}
+
 func TestExactAssignmentValidation(t *testing.T) {
 	if _, err := ExactAssignment(nil, 0, 10); !errors.Is(err, ErrBadTurns) {
 		t.Error("q = 0 should fail")

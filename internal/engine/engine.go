@@ -20,7 +20,10 @@
 // indexes, jobs check the context inside their long loops, and an
 // in-flight singleflight computation is cancelled as soon as its last
 // interested caller goes away — a timed-out request stops burning
-// workers instead of running to completion for nobody.
+// workers instead of running to completion for nobody. A fan-out's
+// cache miss runs on the worker that claimed it, under the caller's
+// context; only a lone Run detaches its computation, so that the
+// caller can leave at once.
 //
 // Typical usage:
 //
@@ -77,11 +80,11 @@ type Engine struct {
 	// across engines only helps.
 	solver *solver.Solver
 
-	// compSem caps concurrently executing detached computations at the
-	// pool size, so abandoned non-cooperative jobs cannot pile up
-	// unbounded CPU work: at most `workers` jobs execute at once, and a
-	// queued computation whose context is cancelled (all callers left)
-	// exits without ever running.
+	// compSem caps concurrently executing keyed computations, detached
+	// or in place, at the pool size, so abandoned non-cooperative jobs
+	// cannot pile up unbounded CPU work: at most `workers` jobs execute
+	// at once, and a queued computation whose context is cancelled (all
+	// callers left) exits without ever running.
 	compSem chan struct{}
 
 	// mu guards flights, cache, lru and every flight's waiters.
@@ -98,11 +101,13 @@ type Engine struct {
 	inflight  atomic.Int64
 }
 
-// flight is one computation in progress: the first Run for a key starts
-// it, later Runs for the same key join it and share its outcome. The
-// computation runs detached from any single caller, so it outlives a
-// cancelled caller as long as someone still wants it — and is cancelled
-// itself the moment nobody does.
+// flight is one computation in progress: the first evaluation of a key
+// owns it, later ones join it and share its outcome. Run's computation
+// runs detached from any single caller, so it outlives a cancelled
+// caller as long as someone still wants it — and is cancelled itself
+// the moment nobody does. A fan-out's computation runs in place on its
+// owner (see runHere) and is detached only if the owner's ctx cuts it
+// short while others wait.
 type flight struct {
 	done chan struct{}
 	// res and err are the outcome; written once, before done closes.
@@ -114,7 +119,9 @@ type flight struct {
 	// last caller to give up on one removes it from flights and
 	// cancels it.
 	waiters int
-	// cancel aborts the detached computation. Safe to call repeatedly.
+	// cancel aborts the detached computation. Safe to call repeatedly;
+	// nil while the flight runs in place, where no joiner can be the
+	// last to leave because the owner counts as a waiter.
 	cancel context.CancelFunc
 }
 
@@ -245,6 +252,15 @@ func (e *Engine) Stats() Stats {
 // When the last interested caller goes away, the job's context is
 // cancelled and a cooperative job stops within one check.
 func (e *Engine) Run(ctx context.Context, j Job) (Result, error) {
+	return e.run(ctx, j, false)
+}
+
+// run is Run with the choice of where a miss computes: detached on a
+// goroutine of its own (Run), or here, on the caller's goroutine under
+// the caller's ctx (the fan-outs, whose Ordered waits for every
+// evaluation anyway). Hits, joins and the counters are the same either
+// way: both go through claim.
+func (e *Engine) run(ctx context.Context, j Job, here bool) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		e.cancelled.Add(1)
 		return Result{}, err
@@ -253,30 +269,80 @@ func (e *Engine) Run(ctx context.Context, j Job) (Result, error) {
 	if key == "" {
 		e.inflight.Add(1)
 		defer e.inflight.Add(-1)
-		return safeRun(solver.With(ctx, e.solver), j)
+		return safeRun(e.jobCtx(ctx), j)
 	}
+	c, fl, own := e.claim(key)
+	switch {
+	case c != nil:
+		return c.res, c.err
+	case own && here:
+		return e.runHere(ctx, key, fl, j)
+	case own:
+		cctx, cancel := context.WithCancel(context.Background())
+		fl.cancel = cancel
+		go e.compute(cctx, key, fl, j)
+	}
+	return e.wait(ctx, key, fl)
+}
+
+// claim is the one cache step of every keyed evaluation: a completed
+// result is a hit (c), a computation in progress is joined (fl), and
+// otherwise the caller owns a new flight (fl, own) — a miss — and must
+// see it settled, by compute or by runHere. The owner counts as the
+// flight's first waiter.
+func (e *Engine) claim(key string) (c *cached, fl *flight, own bool) {
 	e.mu.Lock()
 	if el, ok := e.cache[key]; ok {
 		e.lru.MoveToFront(el)
-		c := el.Value.(*cached)
+		c = el.Value.(*cached)
 		e.mu.Unlock()
 		e.hits.Add(1)
-		return c.res, c.err
+		return c, nil, false
 	}
 	if fl, ok := e.flights[key]; ok {
 		fl.waiters++
 		e.mu.Unlock()
 		e.hits.Add(1)
 		e.deduped.Add(1)
-		return e.wait(ctx, key, fl)
+		return nil, fl, false
 	}
-	cctx, cancel := context.WithCancel(context.Background())
-	fl := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
+	fl = &flight{done: make(chan struct{}), waiters: 1}
 	e.flights[key] = fl
 	e.mu.Unlock()
 	e.misses.Add(1)
-	go e.compute(cctx, key, fl, j)
-	return e.wait(ctx, key, fl)
+	return nil, fl, true
+}
+
+// runHere computes a flight its caller owns on the caller's goroutine,
+// under a compSem slot and the caller's ctx: no goroutine and no
+// context of its own. An outcome settles as a detached computation's
+// does. An attempt that ctx cut short is never memoized: if callers
+// joined the flight meanwhile, it passes to a detached compute for
+// them, so none of them sees a cancellation it did not cause;
+// otherwise it leaves flights and the next Run of the key starts
+// afresh.
+func (e *Engine) runHere(ctx context.Context, key string, fl *flight, j Job) (Result, error) {
+	if e.exec(ctx, key, fl, j) {
+		close(fl.done)
+		return fl.res, fl.err
+	}
+	e.mu.Lock()
+	fl.waiters--
+	handOff := fl.waiters > 0
+	var cctx context.Context
+	if handOff {
+		cctx, fl.cancel = context.WithCancel(context.Background())
+	} else {
+		delete(e.flights, key)
+	}
+	e.mu.Unlock()
+	if handOff {
+		go e.compute(cctx, key, fl, j)
+	} else {
+		close(fl.done)
+	}
+	e.cancelled.Add(1)
+	return Result{}, ctx.Err()
 }
 
 // resident reports whether key has a completed result or a live
@@ -315,25 +381,51 @@ func (e *Engine) wait(ctx context.Context, key string, fl *flight) (Result, erro
 }
 
 // compute runs the job detached from any caller, under a context that
-// wait cancels when the last waiter leaves. Execution is gated on the
-// engine-wide compSem: at most `workers` detached jobs run at once, and
-// a computation abandoned while still queued exits without running.
-// The outcome is settled into the cache before the worker counts as
-// idle, so InFlight == 0 means every finished result is visible.
+// wait cancels when the last waiter leaves; a computation abandoned
+// while still queued for a slot exits without running.
 func (e *Engine) compute(cctx context.Context, key string, fl *flight, j Job) {
 	defer fl.cancel()
-	select {
-	case e.compSem <- struct{}{}:
-		e.inflight.Add(1)
-		fl.res, fl.err = safeRun(solver.With(cctx, e.solver), j)
-		e.settle(key, fl)
-		e.inflight.Add(-1)
-		<-e.compSem
-	case <-cctx.Done():
+	if !e.exec(cctx, key, fl, j) {
 		fl.err = cctx.Err()
 		e.settle(key, fl)
 	}
 	close(fl.done)
+}
+
+// exec runs the job of a flight on one of the engine-wide compSem
+// slots, so at most `workers` computations execute at once, and
+// settles the outcome into the flight. It reports false, settling
+// nothing, when ctx cut the attempt short: before a slot was free, or
+// by the job returning ctx's error. The outcome is settled before the
+// worker counts as idle, so InFlight == 0 means every finished result
+// is visible.
+func (e *Engine) exec(ctx context.Context, key string, fl *flight, j Job) bool {
+	select {
+	case e.compSem <- struct{}{}:
+	case <-ctx.Done():
+		return false
+	}
+	e.inflight.Add(1)
+	fl.res, fl.err = safeRun(e.jobCtx(ctx), j)
+	done := !cutOff(ctx, fl.err)
+	if done {
+		e.settle(key, fl)
+	}
+	e.inflight.Add(-1)
+	<-e.compSem
+	return done
+}
+
+// jobCtx returns ctx carrying the engine's solver for a job to run
+// under. A ctx that already resolves to it is returned as is, sparing
+// an allocation per computation: the server's admitted requests carry
+// it, and an engine on the shared solver finds it anyway, since
+// solver.From falls back to the shared one.
+func (e *Engine) jobCtx(ctx context.Context) context.Context {
+	if solver.From(ctx) == e.solver {
+		return ctx
+	}
+	return solver.With(ctx, e.solver)
 }
 
 // settle retires a finished flight: it leaves flights (unless its last
@@ -394,7 +486,7 @@ func (e *Engine) RunBatch(ctx context.Context, jobs []Job) ([]Result, error) {
 	results := make([]Result, 0, len(jobs))
 	var err error
 	Ordered(ctx, e.workers, len(jobs), func(i int) (JobResult, bool) {
-		res, jerr := e.Run(ctx, jobs[i])
+		res, jerr := e.run(ctx, jobs[i], true)
 		return JobResult{Result: res, Err: jerr}, true
 	}, func(_ int, jr JobResult) bool {
 		if err == nil {

@@ -183,7 +183,7 @@ type JobResult struct {
 func (e *Engine) RunStream(ctx context.Context, jobs []Job) <-chan JobResult {
 	jobs = e.linkPFaulty(jobs)
 	return OrderedChan(ctx, e.workers, len(jobs), func(i int) (JobResult, bool) {
-		res, err := e.Run(ctx, jobs[i])
+		res, err := e.run(ctx, jobs[i], true)
 		return JobResult{Index: i, Result: res, Err: err}, !cutOff(ctx, err)
 	})
 }

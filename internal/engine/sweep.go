@@ -100,7 +100,7 @@ func (e *Engine) evalCell(ctx context.Context, c Cell, horizon float64) CellResu
 	if regime != bounds.RegimeSearch {
 		return out
 	}
-	res, err := e.Run(ctx, VerifyUpper{M: c.M, K: c.K, F: c.F, Horizon: horizon})
+	res, err := e.run(ctx, VerifyUpper{M: c.M, K: c.K, F: c.F, Horizon: horizon}, true)
 	if err != nil {
 		out.Err = &CellError{Cell: c, Err: err}
 		return out

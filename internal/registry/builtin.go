@@ -44,6 +44,7 @@ func crashScenario() Scenario {
 		Params:        baseParams(),
 		HasUpperBound: true,
 		Verifiable:    true,
+		Rays:          true,
 		Cost:          CostAnalytic,
 		Objective:     ObjectiveFind,
 		Validate: func(m, k, f int) error {
@@ -92,6 +93,7 @@ func byzantineScenario() Scenario {
 		Params:        baseParams(),
 		HasUpperBound: false,
 		Verifiable:    false,
+		Rays:          true,
 		Cost:          CostClosedForm,
 		Objective:     ObjectiveFind,
 		Validate: func(m, k, f int) error {
@@ -129,6 +131,7 @@ func probabilisticScenario() Scenario {
 		Params:        baseParams(),
 		HasUpperBound: true,
 		Verifiable:    true,
+		Rays:          true,
 		Cost:          CostMonteCarlo,
 		Objective:     ObjectiveFind,
 		Validate:      validateProbabilistic,

@@ -124,6 +124,7 @@ func evacuationLineScenario() Scenario {
 		Params:        baseParams(),
 		HasUpperBound: false,
 		Verifiable:    true,
+		Rays:          true,
 		Cost:          CostMonteCarlo,
 		Objective:     ObjectiveEvacuate,
 		Validate:      validateEvacuationLine,

@@ -108,6 +108,7 @@ func pfaultyHalflineScenario() Scenario {
 		},
 		HasUpperBound: true,
 		Verifiable:    true,
+		Rays:          true,
 		Cost:          CostMonteCarlo,
 		Objective:     ObjectiveFind,
 		Validate:      validatePFaulty,
@@ -184,6 +185,7 @@ func byzantineLineScenario() Scenario {
 		Params:        baseParams(),
 		HasUpperBound: false,
 		Verifiable:    true,
+		Rays:          true,
 		Cost:          CostMonteCarlo,
 		Objective:     ObjectiveFind,
 		Validate:      validateByzantineLine,

@@ -167,6 +167,11 @@ type Scenario struct {
 	HasUpperBound bool `json:"has_upper_bound"`
 	// Verifiable reports whether VerifyJob can ever succeed.
 	Verifiable bool `json:"verifiable"`
+	// Rays reports that m counts rays, so the paper's (m, k, f) regime
+	// classification, ρ = m(f+1)/k and the crash strategies built on
+	// them apply to the scenario's triples. It is false where m means
+	// something else (shoreline: the ambient dimension).
+	Rays bool `json:"-"`
 	// Simulatable reports whether the scenario has a simulator
 	// (SimulateJob non-nil); Register fills it in.
 	Simulatable bool `json:"simulatable"`
