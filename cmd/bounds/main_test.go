@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -143,5 +145,19 @@ func TestRunNewModelsThroughRegistry(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, `scenario "byzantine-line"`) || !strings.Contains(out, "5.23306947") {
 		t.Errorf("byzantine-line table missing the transfer bound B(3,1):\n%s", out)
+	}
+}
+
+// TestPrintScenariosPinned pins the bytes of `bounds -scenarios`: the
+// capability columns are derived from each registered scenario, and
+// however that derivation is organised the listing must not move.
+func TestPrintScenariosPinned(t *testing.T) {
+	var sb strings.Builder
+	if err := printScenarios(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = "f83480b2929e596db614a8e173f7b03c1394822fc0436dc7e569b19bc306a21d"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); got != want {
+		t.Errorf("listing sha256 = %s, want %s:\n%s", got, want, sb.String())
 	}
 }
