@@ -29,12 +29,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	q, err := problem.Q()
+	if err != nil {
+		log.Fatal(err)
+	}
 	rho, err := problem.Rho()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("m=3 corridors, k=4 robots, f=1 crash fault\n")
-	fmt.Printf("q = m(f+1) = %d, rho = q/k = %.4g\n", problem.Q(), rho)
+	fmt.Printf("q = m(f+1) = %d, rho = q/k = %.4g\n", q, rho)
 	fmt.Printf("optimal ratio A(3,4,1) = 2*rho^rho/(rho-1)^(rho-1) + 1 = %.9g\n\n", lambda)
 
 	// The optimal cooperative strategy...

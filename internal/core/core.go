@@ -84,25 +84,23 @@ func (p Problem) Scenario() (registry.Scenario, error) {
 	return sc, nil
 }
 
-// Validate checks the parameters against the model's scenario.
-func (p Problem) Validate() error {
+// scenario resolves the model and checks the parameters against it,
+// once per call of the method that needs both.
+func (p Problem) scenario() (registry.Scenario, error) {
 	sc, err := p.Scenario()
 	if err != nil {
-		return err
+		return sc, err
 	}
 	if err := sc.Validate(p.M, p.K, p.F); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return sc, fmt.Errorf("core: %w", err)
 	}
-	return nil
+	return sc, nil
 }
 
 // rays validates the parameters and checks that the model's M counts
 // rays, which the paper's classification assumes.
 func (p Problem) rays() error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	sc, err := p.Scenario()
+	sc, err := p.scenario()
 	if err != nil {
 		return err
 	}
@@ -121,8 +119,18 @@ func (p Problem) Regime() (bounds.Regime, error) {
 	return bounds.Classify(p.M, p.K, p.F)
 }
 
-// Q returns q = m(f+1), the covering multiplicity of Theorem 6.
-func (p Problem) Q() int { return p.M * (p.F + 1) }
+// Q returns q = m(f+1), the covering multiplicity of Theorem 6; a
+// model whose M is not a ray count has none (ErrNotRayModel).
+func (p Problem) Q() (int, error) {
+	if err := p.rays(); err != nil {
+		return 0, err
+	}
+	return p.q(), nil
+}
+
+// q is m(f+1) for callers that have already checked the model counts
+// rays.
+func (p Problem) q() int { return p.M * (p.F + 1) }
 
 // Rho returns rho = q/k, the single parameter the bound depends on.
 func (p Problem) Rho() (float64, error) {
@@ -137,10 +145,7 @@ func (p Problem) Rho() (float64, error) {
 // faults, the transfer value (same formula) for Byzantine faults, the
 // Kao–Reif–Tate constant for the probabilistic stub.
 func (p Problem) LowerBound() (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	sc, err := p.Scenario()
+	sc, err := p.scenario()
 	if err != nil {
 		return 0, err
 	}
@@ -151,10 +156,7 @@ func (p Problem) LowerBound() (float64, error) {
 // LowerBound for crash faults (the bound is tight),
 // registry.ErrNoUpperBound for Byzantine.
 func (p Problem) UpperBound() (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	sc, err := p.Scenario()
+	sc, err := p.scenario()
 	if err != nil {
 		return 0, err
 	}
@@ -171,7 +173,7 @@ func (p Problem) HighPrecision(prec uint) (bounds.HighPrecision, error) {
 	if regime != bounds.RegimeSearch {
 		return bounds.HighPrecision{}, fmt.Errorf("%w: regime is %v", ErrNotSearchRegime, regime)
 	}
-	return bounds.HighPrecisionBound(p.Q(), p.K, prec)
+	return bounds.HighPrecisionBound(p.q(), p.K, prec)
 }
 
 // OptimalStrategy returns the ratio-optimal cyclic exponential strategy
@@ -218,10 +220,7 @@ func (p Problem) VerifyUpperOn(ctx context.Context, e *engine.Engine, horizon fl
 // the reason, the scenario's own error otherwise. ctx flows through the
 // job construction and into the engine run.
 func (p Problem) VerifyOn(ctx context.Context, e *engine.Engine, horizon float64) (engine.Result, error) {
-	if err := p.Validate(); err != nil {
-		return engine.Result{}, err
-	}
-	sc, err := p.Scenario()
+	sc, err := p.scenario()
 	if err != nil {
 		return engine.Result{}, err
 	}
@@ -269,16 +268,17 @@ func (p Problem) RefuteBelow(ctx context.Context, factor, upTo float64) (potenti
 	if err := ctx.Err(); err != nil {
 		return potential.Certificate{}, err
 	}
-	return potential.RefuteORCStrategy(turns, p.Q(), lambda0*factor, upTo, 1e9)
+	return potential.RefuteORCStrategy(turns, s.Q(), lambda0*factor, upTo, 1e9)
 }
 
 // RefuteStrategy runs the refutation pipeline against an arbitrary
 // collective ORC strategy (per-robot excursion distances) at ratio lambda.
 func (p Problem) RefuteStrategy(turnsPerRobot [][]float64, lambda, upTo float64) (potential.Certificate, error) {
-	if err := p.rays(); err != nil {
+	q, err := p.Q()
+	if err != nil {
 		return potential.Certificate{}, err
 	}
-	return potential.RefuteORCStrategy(turnsPerRobot, p.Q(), lambda, upTo, 1e9)
+	return potential.RefuteORCStrategy(turnsPerRobot, q, lambda, upTo, 1e9)
 }
 
 // Solve simulates the optimal strategy against a target under the

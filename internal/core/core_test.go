@@ -16,13 +16,13 @@ import (
 )
 
 func TestProblemValidate(t *testing.T) {
-	if err := (Problem{M: 2, K: 3, F: 1}).Validate(); err != nil {
+	if _, err := (Problem{M: 2, K: 3, F: 1}).scenario(); err != nil {
 		t.Errorf("valid problem rejected: %v", err)
 	}
-	if err := (Problem{M: 0, K: 1, F: 0}).Validate(); err == nil {
+	if _, err := (Problem{M: 0, K: 1, F: 0}).scenario(); err == nil {
 		t.Error("m = 0 should fail")
 	}
-	if err := (Problem{M: 2, K: 1, F: 0, Model: "no-such-model"}).Validate(); err == nil {
+	if _, err := (Problem{M: 2, K: 1, F: 0, Model: "no-such-model"}).scenario(); err == nil {
 		t.Error("unknown model should fail")
 	}
 }
@@ -89,8 +89,8 @@ func TestProblemBoundsByzantine(t *testing.T) {
 
 func TestProblemQRho(t *testing.T) {
 	p := Problem{M: 3, K: 4, F: 1}
-	if p.Q() != 6 {
-		t.Errorf("Q = %d, want 6", p.Q())
+	if q, err := p.Q(); err != nil || q != 6 {
+		t.Errorf("Q = (%d, %v), want 6", q, err)
 	}
 	rho, err := p.Rho()
 	if err != nil {
@@ -302,10 +302,10 @@ func TestProblemModelReachesEveryScenario(t *testing.T) {
 // model still classifies.
 func TestShorelineHasNoRayRegime(t *testing.T) {
 	p := Problem{Model: "shoreline", M: 2, K: 5, F: 1}
-	if err := p.Validate(); err != nil {
+	if _, err := p.scenario(); err != nil {
 		t.Fatalf("valid shoreline problem rejected: %v", err)
 	}
-	if err := (Problem{Model: "shoreline", M: 2, K: 4, F: 1}).Validate(); err == nil {
+	if _, err := (Problem{Model: "shoreline", M: 2, K: 4, F: 1}).scenario(); err == nil {
 		t.Error("shoreline with k <= 2(f+1) validated")
 	}
 	if lb, err := p.LowerBound(); err != nil || !(lb > 1) {
@@ -365,7 +365,7 @@ func TestProblemProbabilistic(t *testing.T) {
 		t.Errorf("Monte-Carlo verification %g far from closed form %g", res.Value, lb)
 	}
 	// The stub is scoped: other parameter triples must fail validation.
-	if err := (Problem{M: 2, K: 3, F: 1, Model: "probabilistic"}).Validate(); err == nil {
+	if _, err := (Problem{M: 2, K: 3, F: 1, Model: "probabilistic"}).scenario(); err == nil {
 		t.Error("probabilistic stub must reject k > 1")
 	}
 }
@@ -392,5 +392,27 @@ func TestVerifyUpperRejectsScalarScenarios(t *testing.T) {
 	res, err := p.VerifyOn(context.Background(), engine.New(1), 2000)
 	if err != nil || res.Value <= 0 {
 		t.Errorf("VerifyOn = (%+v, %v)", res, err)
+	}
+}
+
+// TestQRayOnly: q = m(f+1) counts ray coverings, so a planar model has
+// none (shoreline's M is the ambient dimension), an out-of-scope
+// triple answers its validation error, and each ray model answers
+// m(f+1).
+func TestQRayOnly(t *testing.T) {
+	if q, err := (Problem{Model: "shoreline", M: 2, K: 5, F: 1}).Q(); !errors.Is(err, ErrNotRayModel) {
+		t.Errorf("shoreline Q = (%d, %v), want ErrNotRayModel", q, err)
+	}
+	if q, err := (Problem{Model: "byzantine-line", M: 3, K: 2, F: 0}).Q(); err == nil || errors.Is(err, ErrNotRayModel) {
+		t.Errorf("out-of-scope Q = (%d, %v), want the scope error", q, err)
+	}
+	for _, p := range []Problem{
+		{M: 4, K: 3, F: 2},
+		{Model: "pfaulty-halfline", M: 1, K: 1, F: 0},
+		{Model: "evacuation-line", M: 2, K: 5, F: 2},
+	} {
+		if q, err := p.Q(); err != nil || q != p.M*(p.F+1) {
+			t.Errorf("%+v: Q = (%d, %v), want %d", p, q, err, p.M*(p.F+1))
+		}
 	}
 }

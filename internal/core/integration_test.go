@@ -42,7 +42,11 @@ func TestIntegrationBoundConsistencyAcrossPaths(t *testing.T) {
 			t.Errorf("%+v: certified %.17g vs closed %.17g", p, hp.Lambda0.Float64(), closed)
 		}
 		// Interval-arithmetic enclosure contains the certified value.
-		iv, err := numeric.MuInterval(float64(p.Q()), float64(p.K))
+		q, err := p.Q()
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv, err := numeric.MuInterval(float64(q), float64(p.K))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,11 +43,15 @@ type Case2Info struct {
 // RunORC replays an exact-q ORC assignment through the Eq. (15) potential.
 // caseC is the Case-1/Case-2 split constant: consecutive assigned starts of
 // one robot jumping by a factor >= caseC trigger Case 2, reported in the
-// certificate's Sub == nil and Case2 return. The assignment must be ordered
-// by TPrime (as produced by cover.ExactAssignment).
+// certificate's Sub == nil and Case2 return. caseC must exceed mu, so
+// that every Case-2 window (mu*t', next] is non-empty. The assignment
+// must be ordered by TPrime (as produced by cover.ExactAssignment).
 func RunORC(assigned []cover.Assigned, k, q int, lambda, caseC float64) (Certificate, *Case2Info, error) {
 	if caseC <= 1 {
 		return Certificate{}, nil, fmt.Errorf("%w: caseC = %g (need > 1)", ErrBadParams, caseC)
+	}
+	if mu := (lambda - 1) / 2; caseC <= mu {
+		return Certificate{}, nil, fmt.Errorf("%w: caseC = %g <= mu = %g (the case-2 window would be empty)", ErrBadParams, caseC, mu)
 	}
 	if k < 1 || q <= k {
 		return Certificate{}, nil, fmt.Errorf("%w: k=%d q=%d (need 1 <= k < q)", ErrBadParams, k, q)
@@ -146,16 +150,11 @@ func refuteORC(turnsPerRobot [][]float64, q int, lambda, upTo, caseC float64, de
 		}
 		// Case 2: the jumping robot covers the window at most once; the
 		// other robots must (q-1)-fold cover it. Rescale by mu*t' so the
-		// window becomes (1, C/mu] and recurse with k-1 robots.
-		if k == 1 {
-			// Cannot recurse further (q > k leaves k-1 < q-1 otherwise);
-			// the window coverage claim fails immediately for a single
-			// robot (q >= 2 coverage needed).
-			cert.Verdict = VerdictContradiction
-			cert.GapDetail = fmt.Sprintf("case-2 window (%.6g, %.6g] needs %d-fold coverage by %d robots",
-				case2.WindowLo, case2.WindowHi, q-1, k-1)
-			return cert, nil
-		}
+		// window becomes (1, C/mu] and recurse with k-1 robots. A lone
+		// robot never gets here: the q-1 >= 1 intervals active beside
+		// its excursion i at t' are earlier excursions of its own, so
+		// the next activation comes by their ends, at most
+		// S_{i-1} = mu*Lo <= mu*t' < C*t'.
 		scale := case2.WindowLo
 		subTurns := make([][]float64, 0, k-1)
 		for r, turns := range turnsPerRobot {

@@ -1,6 +1,7 @@
 package potential
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -153,7 +154,7 @@ func TestCertificatesPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T) (Certificate, error)
-		want *Certificate
+		want *Certificate // nil: the run must fail with ErrBadParams
 	}{
 		{"E3/1.0001", e03(1.0001), &Certificate{
 			Setting: "symmetric", K: 3, Fold: 1, Lambda: 0x1.4ef32f2072ed3p+02, Mu: 0x1.0ef32f2072ed3p+01, MuCrit: 0x1.0eea9c37e497ep+01, Delta: 0x1.ffcf66b9a95b8p-01, LogFBound: 0x1.1ff68b444b586p+01,
@@ -257,28 +258,20 @@ func TestCertificatesPinned(t *testing.T) {
 				Sub: nil,
 			},
 		}},
+		// caseC = 1.5 <= mu = 19.5 let a jump from 1 to 2 through as
+		// Case 2 with the empty window (19.5, 2]; the recursion then
+		// reported a gap "just beyond x = 1" of a range it had forced up
+		// to 1+1e-6.
 		{"orc/case2-contradiction", func(t *testing.T) (Certificate, error) {
 			return RefuteORCStrategy(case2Turns, 4, 40, 500, 1.5)
-		}, &Certificate{
-			Setting: "orc", K: 2, Fold: 4, Lambda: 0x1.4p+05, Mu: 0x1.38p+04, MuCrit: 0x1.ffffffffffffep+01, Delta: 0x1.58b31509ee28bp-05, LogFBound: 0x1.e4031a3f9656dp+03,
-			Steps: 1, WarmupSteps: 1, LogFStart: 0x0p+00, LogFEnd: 0x0p+00, MinStepRatio: math.Inf(1), ContradictionStep: -1,
-			Verdict: VerdictContradiction, StepsNeeded: 0, MaxSteps: 0, GapDetail: "",
-			Sub: &Certificate{
-				Setting: "orc", K: 1, Fold: 3, Lambda: 0x1.4p+05, Mu: 0x1.38p+04, MuCrit: 0x1.afffffffffffdp+02, Delta: 0x1.6276276276275p-02, LogFBound: 0x0p+00,
-				Steps: 0, WarmupSteps: 0, LogFStart: 0x0p+00, LogFEnd: 0x0p+00, MinStepRatio: 0x0p+00, ContradictionStep: 0,
-				Verdict: VerdictContradiction, StepsNeeded: 0, MaxSteps: 0, GapDetail: "cover: coverage gap: multiplicity 1 < 3 just beyond x = 1",
-				Sub: nil,
-			},
-		}},
+		}, nil},
+		// caseC = 20 <= mu = 39.5 let the jump from 8 to 256 through as
+		// Case 2 with the empty window (316, 256], which the lone robot
+		// then "failed" to cover.
 		{"orc/case2-window", func(t *testing.T) (Certificate, error) {
 			turns := [][]float64{{1, 2, 4, 8, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072}}
 			return RefuteORCStrategy(turns, 2, 80, 500, 20)
-		}, &Certificate{
-			Setting: "orc", K: 1, Fold: 2, Lambda: 0x1.4p+06, Mu: 0x1.3cp+05, MuCrit: 0x1p+02, Delta: 0x1.9ec8e951033dbp-04, LogFBound: 0x1.355e552a226e3p+03,
-			Steps: 4, WarmupSteps: 0, LogFStart: 0x0p+00, LogFEnd: 0x1.b42dd711972p-05, MinStepRatio: 0x1.3492492492492p-01, ContradictionStep: -1,
-			Verdict: VerdictContradiction, StepsNeeded: 0, MaxSteps: 0, GapDetail: "case-2 window (316, 256] needs 1-fold coverage by 0 robots",
-			Sub: nil,
-		}},
+		}, nil},
 		{"orc/q-at-most-k", func(t *testing.T) (Certificate, error) {
 			turns, lambda0 := optimalTurns(t, 2, 3, 1, 800)
 			return RefuteORCStrategy(turns, 2, lambda0*1.001, 100, 1e9)
@@ -292,6 +285,12 @@ func TestCertificatesPinned(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cert, err := c.run(t)
+			if c.want == nil {
+				if !errors.Is(err, ErrBadParams) {
+					t.Fatalf("got (%s, %v), want ErrBadParams", certLiteral(&cert), err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -368,6 +368,10 @@ func TestRunORCValidation(t *testing.T) {
 	if _, _, err := RunORC(nil, 1, 2, 9, 1); !errors.Is(err, ErrBadParams) {
 		t.Error("caseC <= 1 should fail")
 	}
+	// mu = (9-1)/2 = 4: a caseC of 4 admits jumps whose window is empty.
+	if _, _, err := RunORC(nil, 1, 2, 9, 4); !errors.Is(err, ErrBadParams) {
+		t.Errorf("caseC <= mu: %v, want ErrBadParams", err)
+	}
 	if _, _, err := RunORC(nil, 1, 2, 9, 10); !errors.Is(err, ErrPrefixTooShort) {
 		t.Error("empty assignment should report a short prefix")
 	}

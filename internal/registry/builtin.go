@@ -31,6 +31,13 @@ func baseParams() []Param {
 	}
 }
 
+// classify is the scope of the scenarios that take every triple the
+// paper's regime classification accepts.
+func classify(m, k, f int) error {
+	_, err := bounds.Classify(m, k, f)
+	return err
+}
+
 // crashScenario is Theorems 1/6 of Kupavskii–Welzl: crash-faulty robots
 // stay silent at the target; the bound A(m,k,f) = 2*mu(m(f+1),k)+1 is
 // tight, and the upper bound is executable (exact adversarial
@@ -39,20 +46,16 @@ func baseParams() []Param {
 // and reports the worst ratio over the rays.
 func crashScenario() Scenario {
 	return Scenario{
-		Name:          "crash",
-		Description:   "crash-faulty robots stay silent at the target; tight bound A(m,k,f) = 2*mu(m(f+1),k)+1 (Kupavskii–Welzl, Theorems 1/6)",
-		Params:        baseParams(),
-		HasUpperBound: true,
-		Verifiable:    true,
-		Rays:          true,
-		Cost:          CostAnalytic,
-		Objective:     ObjectiveFind,
-		Validate: func(m, k, f int) error {
-			_, err := bounds.Classify(m, k, f)
-			return err
-		},
-		LowerBound: bounds.AMKF,
-		UpperBound: bounds.AMKF,
+		Name:        "crash",
+		Description: "crash-faulty robots stay silent at the target; tight bound A(m,k,f) = 2*mu(m(f+1),k)+1 (Kupavskii–Welzl, Theorems 1/6)",
+		Params:      baseParams(),
+		Verifiable:  true,
+		Rays:        true,
+		Cost:        CostAnalytic,
+		Objective:   ObjectiveFind,
+		Validate:    classify,
+		LowerBound:  bounds.AMKF,
+		UpperBound:  bounds.AMKF,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
 			if err := requireSearchRegime(req, "crash verification"); err != nil {
 				return nil, err
@@ -88,22 +91,15 @@ func requireSearchRegime(req Request, what string) error {
 // simulation-backed variant is the "byzantine-line" scenario.
 func byzantineScenario() Scenario {
 	return Scenario{
-		Name:          "byzantine",
-		Description:   "Byzantine robots may stay silent or lie; transfer lower bound B(k,f) >= A(k,f) (Czyzowicz et al., ISAAC 2016; improved to 5.23 for B(3,1) by the paper)",
-		Params:        baseParams(),
-		HasUpperBound: false,
-		Verifiable:    false,
-		Rays:          true,
-		Cost:          CostClosedForm,
-		Objective:     ObjectiveFind,
-		Validate: func(m, k, f int) error {
-			_, err := bounds.Classify(m, k, f)
-			return err
-		},
-		LowerBound: bounds.AMKF,
-		UpperBound: func(m, k, f int) (float64, error) {
-			return 0, ErrNoUpperBound
-		},
+		Name:        "byzantine",
+		Description: "Byzantine robots may stay silent or lie; transfer lower bound B(k,f) >= A(k,f) (Czyzowicz et al., ISAAC 2016; improved to 5.23 for B(3,1) by the paper)",
+		Params:      baseParams(),
+		Verifiable:  false,
+		Rays:        true,
+		Cost:        CostClosedForm,
+		Objective:   ObjectiveFind,
+		Validate:    classify,
+		LowerBound:  bounds.AMKF,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
 			return nil, fmt.Errorf("%w: only the transfer lower bound is known for Byzantine faults (the byzantine-line scenario carries the simulator)", ErrNotVerifiable)
 		},
@@ -126,31 +122,16 @@ const probabilisticProbeX = 7.5
 // distinct sample paths — and req.Seed overrides it.
 func probabilisticScenario() Scenario {
 	return Scenario{
-		Name:          "probabilistic",
-		Description:   "randomized zigzag line search, expected ratio 1+(1+b*)/ln b* ~ 4.5911 (Kao–Reif–Tate); scoped to m=2, k=1, f=0",
-		Params:        baseParams(),
-		HasUpperBound: true,
-		Verifiable:    true,
-		Rays:          true,
-		Cost:          CostMonteCarlo,
-		Objective:     ObjectiveFind,
-		Validate:      validateProbabilistic,
-		LowerBound: func(m, k, f int) (float64, error) {
-			if err := validateProbabilistic(m, k, f); err != nil {
-				return 0, err
-			}
-			_, ratio, err := randomized.OptimalBase()
-			return ratio, err
-		},
-		UpperBound: func(m, k, f int) (float64, error) {
-			if err := validateProbabilistic(m, k, f); err != nil {
-				return 0, err
-			}
-			// The optimal zigzag achieves the constant, so the bound is
-			// tight in expectation.
-			_, ratio, err := randomized.OptimalBase()
-			return ratio, err
-		},
+		Name:        "probabilistic",
+		Description: "randomized zigzag line search, expected ratio 1+(1+b*)/ln b* ~ 4.5911 (Kao–Reif–Tate); scoped to m=2, k=1, f=0",
+		Params:      baseParams(),
+		Verifiable:  true,
+		Rays:        true,
+		Cost:        CostMonteCarlo,
+		Objective:   ObjectiveFind,
+		Validate:    validateProbabilistic,
+		LowerBound:  probabilisticBound,
+		UpperBound:  probabilisticBound,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
 			return probabilisticTrials(req, probabilisticProbeX)
 		},
@@ -160,12 +141,17 @@ func probabilisticScenario() Scenario {
 	}
 }
 
+// probabilisticBound is the Kao–Reif–Tate constant, served as both
+// bounds: the optimal zigzag achieves it, so it is tight in
+// expectation.
+func probabilisticBound(m, k, f int) (float64, error) {
+	_, ratio, err := randomized.OptimalBase()
+	return ratio, err
+}
+
 // probabilisticTrials builds the seeded Monte-Carlo job for the
 // randomized zigzag at the probe distance x.
 func probabilisticTrials(req Request, x float64) (engine.Job, error) {
-	if err := validateProbabilistic(req.M, req.K, req.F); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotVerifiable, err)
-	}
 	base, _, err := randomized.OptimalBase()
 	if err != nil {
 		return nil, err
@@ -184,7 +170,7 @@ func probabilisticTrials(req Request, x float64) (engine.Job, error) {
 }
 
 func validateProbabilistic(m, k, f int) error {
-	if _, err := bounds.Classify(m, k, f); err != nil {
+	if err := classify(m, k, f); err != nil {
 		return err
 	}
 	if m != 2 || k != 1 || f != 0 {

@@ -3,21 +3,20 @@ package registry
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/bounds"
+	"repro/internal/engine"
 )
 
-// validTriples scans a small parameter box for triples the scenario's
-// Validate accepts.
-func validTriples(sc Scenario) [][3]int {
+// scanBox is the small parameter box the conformance test scans.
+func scanBox() [][3]int {
 	var out [][3]int
 	for m := 1; m <= 4; m++ {
 		for k := 1; k <= 4; k++ {
 			for f := 0; f <= 3; f++ {
-				if sc.Validate(m, k, f) == nil {
-					out = append(out, [3]int{m, k, f})
-				}
+				out = append(out, [3]int{m, k, f})
 			}
 		}
 	}
@@ -29,7 +28,9 @@ func validTriples(sc Scenario) [][3]int {
 // triple in the small box, returns consistent bounds wherever both
 // exist, and its advertised capabilities (Verifiable, Simulatable)
 // are backed by constructors that succeed on at least one valid
-// triple.
+// triple. On every triple of the box Validate rejects, each bound
+// function answers Validate's error and each job constructor
+// ErrNotVerifiable wrapping it: the scope is applied in one place.
 func TestConformance(t *testing.T) {
 	ctx := context.Background()
 	scenarios := Default().All()
@@ -64,13 +65,33 @@ func TestConformance(t *testing.T) {
 			if sc.Objective != ObjectiveFind && sc.Objective != ObjectiveEvacuate {
 				t.Errorf("objective %q is not a declared objective", sc.Objective)
 			}
-			triples := validTriples(sc)
-			if len(triples) == 0 {
-				t.Fatal("no valid triple in the scan box m<=4, k<=4, f<=3")
-			}
+			var valid int
 			var verified, simulated bool
-			for _, tr := range triples {
+			for _, tr := range scanBox() {
 				m, k, f := tr[0], tr[1], tr[2]
+				req := Request{M: m, K: k, F: f, Horizon: 1000, Dist: 5}
+				if verr := sc.Validate(m, k, f); verr != nil {
+					_, lerr := sc.LowerBound(m, k, f)
+					_, uerr := sc.UpperBound(m, k, f)
+					_, cerr := sc.ClosedForm(req)
+					for name, err := range map[string]error{"LowerBound": lerr, "UpperBound": uerr, "ClosedForm": cerr} {
+						if err == nil || err.Error() != verr.Error() {
+							t.Errorf("%s(%d,%d,%d) out of scope = %v, want %v", name, m, k, f, err, verr)
+						}
+					}
+					want := fmt.Sprintf("%v: %v", ErrNotVerifiable, verr)
+					jobs := map[string]func(context.Context, Request) (engine.Job, error){"VerifyJob": sc.VerifyJob}
+					if sc.SimulateJob != nil {
+						jobs["SimulateJob"] = sc.SimulateJob
+					}
+					for name, build := range jobs {
+						if _, err := build(ctx, req); !errors.Is(err, ErrNotVerifiable) || err.Error() != want {
+							t.Errorf("%s(%d,%d,%d) out of scope = %v, want %s", name, m, k, f, err, want)
+						}
+					}
+					continue
+				}
+				valid++
 				lower, lerr := sc.LowerBound(m, k, f)
 				if lerr != nil {
 					// The unsolvable regime (f >= k) validates — it is a
@@ -89,7 +110,6 @@ func TestConformance(t *testing.T) {
 						t.Errorf("UpperBound(%d,%d,%d) without HasUpperBound: %v", m, k, f, uerr)
 					}
 				}
-				req := Request{M: m, K: k, F: f, Horizon: 1000}
 				if job, err := sc.VerifyJob(ctx, req); err == nil {
 					verified = true
 					if !sc.Verifiable {
@@ -100,20 +120,19 @@ func TestConformance(t *testing.T) {
 					}
 				}
 				if sc.SimulateJob != nil {
-					simReq := req
-					simReq.Dist = 5
-					if job, err := sc.SimulateJob(ctx, simReq); err == nil {
+					if job, err := sc.SimulateJob(ctx, req); err == nil {
 						simulated = true
 						if job == nil {
 							t.Errorf("SimulateJob(%d,%d,%d) returned a nil job without error", m, k, f)
 						}
 					}
 				}
-				if sc.ClosedForm != nil {
-					if _, err := sc.ClosedForm(req); err != nil {
-						t.Errorf("ClosedForm(%d,%d,%d): %v", m, k, f, err)
-					}
+				if _, err := sc.ClosedForm(req); err != nil {
+					t.Errorf("ClosedForm(%d,%d,%d): %v", m, k, f, err)
 				}
+			}
+			if valid == 0 {
+				t.Fatal("no valid triple in the scan box m<=4, k<=4, f<=3")
 			}
 			if sc.Verifiable && !verified {
 				t.Error("Verifiable scenario has no verifiable triple in the scan box")

@@ -42,9 +42,6 @@ func validateShoreline(m, k, f int) error {
 // (quoted the way pfaulty-halfline quotes its geometric-family
 // optimum), and served as both bounds of the scenario.
 func shorelineBound(m, k, f int) (float64, error) {
-	if err := validateShoreline(m, k, f); err != nil {
-		return 0, err
-	}
 	return bounds.Shoreline(k, f)
 }
 
@@ -63,23 +60,16 @@ func shorelineScenario() Scenario {
 			{Name: "k", Kind: KindInt, Doc: "number of robots (k > 2(f+1) for coverage)"},
 			{Name: "f", Kind: KindInt, Doc: "number of crash-faulty robots"},
 		},
-		HasUpperBound: true,
-		Verifiable:    true,
-		Cost:          CostAnalytic,
-		Objective:     ObjectiveFind,
-		Validate:      validateShoreline,
-		LowerBound:    shorelineBound,
-		UpperBound:    shorelineBound,
+		Verifiable: true,
+		Cost:       CostAnalytic,
+		Objective:  ObjectiveFind,
+		Validate:   validateShoreline,
+		LowerBound: shorelineBound,
+		UpperBound: shorelineBound,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
-			if err := validateShoreline(req.M, req.K, req.F); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrNotVerifiable, err)
-			}
 			return engine.ShorelineWorst{K: req.K, F: req.F, Horizon: req.Horizon}, nil
 		},
 		SimulateJob: func(ctx context.Context, req Request) (engine.Job, error) {
-			if err := validateShoreline(req.M, req.K, req.F); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrNotVerifiable, err)
-			}
 			return engine.ShorelineSim{K: req.K, F: req.F, Dist: req.Dist}, nil
 		},
 	}
@@ -96,7 +86,7 @@ const evacuationPoints = 12
 // f < k < 2(f+1) for every f >= 1, so the optimal cyclic strategy
 // under evaluation always exists.
 func validateEvacuationLine(m, k, f int) error {
-	if _, err := bounds.Classify(m, k, f); err != nil {
+	if err := classify(m, k, f); err != nil {
 		return err
 	}
 	if m != 2 {
@@ -119,44 +109,20 @@ func validateEvacuationLine(m, k, f int) error {
 // crash-search strategy under the worst prefix-fault adversary.
 func evacuationLineScenario() Scenario {
 	return Scenario{
-		Name:          "evacuation-line",
-		Description:   "search-and-evacuation on the line, k = 2f+1 robots with f crash-faulty (Czyzowicz–Killick–Kranakis–Stachowiak): transfer lower bound E(k,f) >= A(2,k,f), simulator measures wireless evacuation of the optimal search strategy",
-		Params:        baseParams(),
-		HasUpperBound: false,
-		Verifiable:    true,
-		Rays:          true,
-		Cost:          CostMonteCarlo,
-		Objective:     ObjectiveEvacuate,
-		Validate:      validateEvacuationLine,
-		LowerBound: func(m, k, f int) (float64, error) {
-			if err := validateEvacuationLine(m, k, f); err != nil {
-				return 0, err
-			}
-			return bounds.AMKF(2, k, f)
-		},
-		UpperBound: func(m, k, f int) (float64, error) {
-			return 0, ErrNoUpperBound
-		},
+		Name:        "evacuation-line",
+		Description: "search-and-evacuation on the line, k = 2f+1 robots with f crash-faulty (Czyzowicz–Killick–Kranakis–Stachowiak): transfer lower bound E(k,f) >= A(2,k,f), simulator measures wireless evacuation of the optimal search strategy",
+		Params:      baseParams(),
+		Verifiable:  true,
+		Rays:        true,
+		Cost:        CostMonteCarlo,
+		Objective:   ObjectiveEvacuate,
+		Validate:    validateEvacuationLine,
+		LowerBound:  lineTransferBound,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
-			if err := evacuationLineCheck(req); err != nil {
-				return nil, err
-			}
 			return engine.EvacuationWorst{K: req.K, F: req.F, Horizon: req.Horizon, Points: evacuationPoints}, nil
 		},
 		SimulateJob: func(ctx context.Context, req Request) (engine.Job, error) {
-			if err := evacuationLineCheck(req); err != nil {
-				return nil, err
-			}
 			return engine.EvacuationSim{K: req.K, F: req.F, Dist: req.Dist}, nil
 		},
 	}
-}
-
-// evacuationLineCheck validates an evacuation job request: the model
-// scope (which implies the search regime the cyclic strategy needs).
-func evacuationLineCheck(req Request) error {
-	if err := validateEvacuationLine(req.M, req.K, req.F); err != nil {
-		return fmt.Errorf("%w: %v", ErrNotVerifiable, err)
-	}
-	return nil
 }

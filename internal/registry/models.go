@@ -28,12 +28,18 @@ const DefaultFaultProbability = 0.5
 // expected ratio is probed away from its best case.
 const pfaultyProbeX = 7.5
 
+// pfaultyParams is the pfaulty-halfline schema. Its p entry's Default
+// is where an unset p resolves, through Scenario.EffectiveP.
+var pfaultyParams = []Param{
+	{Name: "m", Kind: KindInt, Doc: "number of rays (must be 1: the half-line)"},
+	{Name: "k", Kind: KindInt, Doc: "number of robots (must be 1)"},
+	{Name: "f", Kind: KindInt, Doc: "adversarial fault count (must be 0; faults are probabilistic)"},
+	{Name: "p", Kind: KindFloat, Doc: "per-visit fault probability in (0,1)", Default: DefaultFaultProbability},
+}
+
 // pfaultyP resolves the request's effective fault probability.
 func pfaultyP(req Request) (float64, error) {
-	p := req.P
-	if p == 0 {
-		p = DefaultFaultProbability
-	}
+	p := Scenario{Params: pfaultyParams}.EffectiveP(req)
 	if !(p > 0 && p < 1) {
 		return 0, fmt.Errorf("%w: fault probability %g (want 0 < p < 1)", ErrInvalidRequest, p)
 	}
@@ -44,7 +50,7 @@ func pfaultyP(req Request) (float64, error) {
 // the one-ray star, searched by a single robot whose faults are
 // probabilistic per visit (f, the adversarial fault count, is 0).
 func validatePFaulty(m, k, f int) error {
-	if _, err := bounds.Classify(m, k, f); err != nil {
+	if err := classify(m, k, f); err != nil {
 		return err
 	}
 	if m != 1 || k != 1 || f != 0 {
@@ -58,9 +64,6 @@ func validatePFaulty(m, k, f int) error {
 // golden-section search; the context's memoizing solver runs it once
 // per distinct p instead of once per constructed job.
 func pfaultyTrials(ctx context.Context, req Request, x float64) (engine.Job, error) {
-	if err := validatePFaulty(req.M, req.K, req.F); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotVerifiable, err)
-	}
 	p, err := pfaultyP(req)
 	if err != nil {
 		return nil, err
@@ -100,20 +103,14 @@ func pfaultyHalflineScenario() Scenario {
 		Description: fmt.Sprintf(
 			"p-faulty half-line search: each pass detects the target with probability 1-p (Bonato et al.); bounds quote the geometric-family optimum at p=%g, override with p=",
 			DefaultFaultProbability),
-		Params: []Param{
-			{Name: "m", Kind: KindInt, Doc: "number of rays (must be 1: the half-line)"},
-			{Name: "k", Kind: KindInt, Doc: "number of robots (must be 1)"},
-			{Name: "f", Kind: KindInt, Doc: "adversarial fault count (must be 0; faults are probabilistic)"},
-			{Name: "p", Kind: KindFloat, Doc: "per-visit fault probability in (0,1)", Default: DefaultFaultProbability},
-		},
-		HasUpperBound: true,
-		Verifiable:    true,
-		Rays:          true,
-		Cost:          CostMonteCarlo,
-		Objective:     ObjectiveFind,
-		Validate:      validatePFaulty,
-		LowerBound:    pfaultyDefaultBound,
-		UpperBound:    pfaultyDefaultBound,
+		Params:     pfaultyParams,
+		Verifiable: true,
+		Rays:       true,
+		Cost:       CostMonteCarlo,
+		Objective:  ObjectiveFind,
+		Validate:   validatePFaulty,
+		LowerBound: pfaultyDefaultBound,
+		UpperBound: pfaultyDefaultBound,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
 			return pfaultyTrials(ctx, req, pfaultyProbeX)
 		},
@@ -145,9 +142,6 @@ func pfaultyHalflineScenario() Scenario {
 // optimal worst-case expected ratio of the geometric family at the
 // default fault probability.
 func pfaultyDefaultBound(m, k, f int) (float64, error) {
-	if err := validatePFaulty(m, k, f); err != nil {
-		return 0, err
-	}
 	_, worst, err := solver.Shared().PFaultyBase(DefaultFaultProbability)
 	return worst, err
 }
@@ -159,13 +153,20 @@ const byzantineLinePoints = 12
 // validateByzantineLine scopes the scenario to the infinite line
 // (m = 2), the setting of Czyzowicz et al.
 func validateByzantineLine(m, k, f int) error {
-	if _, err := bounds.Classify(m, k, f); err != nil {
+	if err := classify(m, k, f); err != nil {
 		return err
 	}
 	if m != 2 {
 		return fmt.Errorf("registry: byzantine-line is the infinite-line model m=2 (got m=%d)", m)
 	}
 	return nil
+}
+
+// lineTransferBound is the crash bound A(2,k,f) on the line, which
+// transfers to every line model whose faulty robots may stay silent
+// (Byzantine search) or whose goal includes detection (evacuation).
+func lineTransferBound(m, k, f int) (float64, error) {
+	return bounds.AMKF(2, k, f)
 }
 
 // byzantineLineScenario is Search on a Line by Byzantine Robots
@@ -180,44 +181,26 @@ func validateByzantineLine(m, k, f int) error {
 // bound certificate.
 func byzantineLineScenario() Scenario {
 	return Scenario{
-		Name:          "byzantine-line",
-		Description:   "Byzantine line search, n robots / f Byzantine (Czyzowicz et al.): transfer lower bound B(k,f) >= A(2,k,f), simulator measures the consistency-observer certainty ratio",
-		Params:        baseParams(),
-		HasUpperBound: false,
-		Verifiable:    true,
-		Rays:          true,
-		Cost:          CostMonteCarlo,
-		Objective:     ObjectiveFind,
-		Validate:      validateByzantineLine,
-		LowerBound: func(m, k, f int) (float64, error) {
-			if err := validateByzantineLine(m, k, f); err != nil {
-				return 0, err
-			}
-			return bounds.AMKF(2, k, f)
-		},
-		UpperBound: func(m, k, f int) (float64, error) {
-			return 0, ErrNoUpperBound
-		},
+		Name:        "byzantine-line",
+		Description: "Byzantine line search, n robots / f Byzantine (Czyzowicz et al.): transfer lower bound B(k,f) >= A(2,k,f), simulator measures the consistency-observer certainty ratio",
+		Params:      baseParams(),
+		Verifiable:  true,
+		Rays:        true,
+		Cost:        CostMonteCarlo,
+		Objective:   ObjectiveFind,
+		Validate:    validateByzantineLine,
+		LowerBound:  lineTransferBound,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
-			if err := byzantineLineCheck(req); err != nil {
+			if err := requireSearchRegime(req, "byzantine-line simulation"); err != nil {
 				return nil, err
 			}
 			return engine.ByzantineLineWorst{K: req.K, F: req.F, Horizon: req.Horizon, Points: byzantineLinePoints}, nil
 		},
 		SimulateJob: func(ctx context.Context, req Request) (engine.Job, error) {
-			if err := byzantineLineCheck(req); err != nil {
+			if err := requireSearchRegime(req, "byzantine-line simulation"); err != nil {
 				return nil, err
 			}
 			return engine.ByzantineLineSim{K: req.K, F: req.F, Dist: req.Dist}, nil
 		},
 	}
-}
-
-// byzantineLineCheck validates a byzantine-line job request: the model
-// scope plus the search regime the cyclic strategy needs.
-func byzantineLineCheck(req Request) error {
-	if err := validateByzantineLine(req.M, req.K, req.F); err != nil {
-		return fmt.Errorf("%w: %v", ErrNotVerifiable, err)
-	}
-	return requireSearchRegime(req, "byzantine-line simulation")
 }

@@ -163,7 +163,8 @@ type Scenario struct {
 	Description string `json:"description"`
 	// Params is the declarative parameter schema.
 	Params []Param `json:"params"`
-	// HasUpperBound reports whether UpperBound can ever succeed.
+	// HasUpperBound reports whether UpperBound can ever succeed;
+	// Register derives it from UpperBound's nil-ness.
 	HasUpperBound bool `json:"has_upper_bound"`
 	// Verifiable reports whether VerifyJob can ever succeed.
 	Verifiable bool `json:"verifiable"`
@@ -186,14 +187,17 @@ type Scenario struct {
 	// every number the scenario serves means.
 	Objective Objective `json:"objective"`
 
-	// Validate checks an (m, k, f) triple under this fault model.
+	// Validate checks an (m, k, f) triple under this fault model: it is
+	// the scenario's scope, stated once. Register applies it in front of
+	// every bound function, ClosedForm and job constructor, so those are
+	// only ever called on triples it accepts.
 	Validate func(m, k, f int) error `json:"-"`
 	// LowerBound returns the scenario's lower bound on the competitive
 	// ratio (the paper's A(m,k,f) for crash, the transfer bound for
 	// Byzantine, the Kao–Reif–Tate constant for probabilistic).
 	LowerBound func(m, k, f int) (float64, error) `json:"-"`
-	// UpperBound returns the best known matching upper bound, or an
-	// error wrapping ErrNoUpperBound.
+	// UpperBound returns the best known matching upper bound. A nil
+	// UpperBound registers as one answering ErrNoUpperBound.
 	UpperBound func(m, k, f int) (float64, error) `json:"-"`
 	// VerifyJob constructs the deterministic engine job measuring the
 	// scenario's verifiable headline quantity for the request, or an
@@ -208,10 +212,10 @@ type Scenario struct {
 	// has no simulator.
 	SimulateJob func(ctx context.Context, req Request) (engine.Job, error) `json:"-"`
 	// ClosedForm returns the closed-form reference value the verify
-	// and simulate jobs are measured against at this request. nil
-	// defaults to LowerBound(m, k, f); scenarios whose reference
-	// depends on request fields beyond the triple (the p-faulty model's
-	// fault probability and target distance) override it.
+	// and simulate jobs are measured against at this request. Register
+	// defaults a nil ClosedForm to LowerBound(m, k, f); scenarios whose
+	// reference depends on request fields beyond the triple (the
+	// p-faulty model's fault probability and target distance) set it.
 	ClosedForm func(req Request) (float64, error) `json:"-"`
 }
 
@@ -226,22 +230,46 @@ func NewRegistry() *Registry {
 	return &Registry{scenarios: make(map[string]Scenario)}
 }
 
-// Register adds a scenario. The name must be unique and the four
-// function fields non-nil (a scenario without an upper bound or a
-// verifier still supplies a func returning the sentinel error, so
-// every entry is uniformly callable).
+// Register adds a scenario. The name must be unique, the objective
+// declared, and Validate, LowerBound and VerifyJob non-nil. Register is
+// the one place a scenario's scope is applied: on a triple Validate
+// rejects, the bound functions and ClosedForm return Validate's error
+// and the job constructors return it wrapped in ErrNotVerifiable. It
+// also derives HasUpperBound and Simulatable, and fills in a nil
+// UpperBound (ErrNoUpperBound), ClosedForm (the lower bound) and Cost.
 func (r *Registry) Register(s Scenario) error {
 	if s.Name == "" {
 		return fmt.Errorf("%w: empty name", ErrInvalidScenario)
 	}
-	if s.Validate == nil || s.LowerBound == nil || s.UpperBound == nil || s.VerifyJob == nil {
-		return fmt.Errorf("%w: scenario %q must define Validate, LowerBound, UpperBound and VerifyJob", ErrInvalidScenario, s.Name)
+	if s.Validate == nil || s.LowerBound == nil || s.VerifyJob == nil {
+		return fmt.Errorf("%w: scenario %q must define Validate, LowerBound and VerifyJob", ErrInvalidScenario, s.Name)
 	}
 	if !validObjective(s.Objective) {
 		return fmt.Errorf("%w: scenario %q must declare an objective (%q or %q), got %q",
 			ErrInvalidScenario, s.Name, ObjectiveFind, ObjectiveEvacuate, s.Objective)
 	}
+	s.HasUpperBound = s.UpperBound != nil
+	if !s.HasUpperBound {
+		s.UpperBound = func(m, k, f int) (float64, error) { return 0, ErrNoUpperBound }
+	}
+	if s.ClosedForm == nil {
+		lower := s.LowerBound
+		s.ClosedForm = func(req Request) (float64, error) { return lower(req.M, req.K, req.F) }
+	}
 	s.Simulatable = s.SimulateJob != nil
+	validate, closedForm := s.Validate, s.ClosedForm
+	s.LowerBound = scopedBound(validate, s.LowerBound)
+	s.UpperBound = scopedBound(validate, s.UpperBound)
+	s.ClosedForm = func(req Request) (float64, error) {
+		if err := validate(req.M, req.K, req.F); err != nil {
+			return 0, err
+		}
+		return closedForm(req)
+	}
+	s.VerifyJob = scopedJob(validate, s.VerifyJob)
+	if s.Simulatable {
+		s.SimulateJob = scopedJob(validate, s.SimulateJob)
+	}
 	if s.Cost == "" {
 		if s.Verifiable {
 			s.Cost = CostAnalytic
@@ -256,6 +284,29 @@ func (r *Registry) Register(s Scenario) error {
 	}
 	r.scenarios[s.Name] = s
 	return nil
+}
+
+// scopedBound answers bound on the triples validate accepts and
+// validate's error elsewhere.
+func scopedBound(validate func(m, k, f int) error, bound func(m, k, f int) (float64, error)) func(m, k, f int) (float64, error) {
+	return func(m, k, f int) (float64, error) {
+		if err := validate(m, k, f); err != nil {
+			return 0, err
+		}
+		return bound(m, k, f)
+	}
+}
+
+// scopedJob constructs job's engine job for requests whose triple
+// validate accepts, and answers ErrNotVerifiable wrapping validate's
+// error elsewhere.
+func scopedJob(validate func(m, k, f int) error, job func(context.Context, Request) (engine.Job, error)) func(context.Context, Request) (engine.Job, error) {
+	return func(ctx context.Context, req Request) (engine.Job, error) {
+		if err := validate(req.M, req.K, req.F); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrNotVerifiable, err)
+		}
+		return job(ctx, req)
+	}
 }
 
 // MustRegister is Register, panicking on error (init-time use).

@@ -488,7 +488,7 @@ func simRowOf(sc registry.Scenario, req registry.Request, dist float64, jr engin
 	}
 	rowReq := req
 	rowReq.Dist = dist
-	closed, err := scenarioClosedForm(sc, rowReq)
+	closed, err := sc.ClosedForm(rowReq)
 	if err == nil {
 		row.Closed = Float(closed)
 		if closed > 0 && jr.Err == nil {
@@ -500,16 +500,6 @@ func simRowOf(sc registry.Scenario, req registry.Request, dist float64, jr engin
 		row.Error = jr.Err.Error()
 	}
 	return row
-}
-
-// scenarioClosedForm resolves the reference value verify/simulate
-// results are measured against: ClosedForm when the scenario defines
-// it, LowerBound otherwise.
-func scenarioClosedForm(sc registry.Scenario, req registry.Request) (float64, error) {
-	if sc.ClosedForm != nil {
-		return sc.ClosedForm(req)
-	}
-	return sc.LowerBound(req.M, req.K, req.F)
 }
 
 // markdownErrors renders the failed-row section appended below a

@@ -719,7 +719,7 @@ func (v *verifyWork) answer(ctx context.Context) (any, error) {
 		ans.Warning = fmt.Sprintf("horizon %g derived a sample count outside [%d, %d]; running %d samples — pass samples= to choose explicitly",
 			req.Horizon, registry.MinSamples, registry.MaxSamples, res.Samples)
 	}
-	if lower, err := scenarioClosedForm(sc, req); err == nil {
+	if lower, err := sc.ClosedForm(req); err == nil {
 		ans.Lower = Float(lower)
 		if lower > 0 {
 			ans.RelGap = Float((res.Value - lower) / lower)
