@@ -2,7 +2,7 @@
 // JSON summary and compares two summaries with a regression tolerance.
 // It is the benchmark gate of the CI pipeline:
 //
-//	go test -run=NONE -bench=. -benchtime=100x -count=5 . | tee bench.txt
+//	go test -run=NONE -bench=. -benchtime=100x -count=5 -benchmem . | tee bench.txt
 //	benchdiff -write BENCH_ci.json -in bench.txt
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json -tolerance 2.0
 //
@@ -11,7 +11,9 @@
 // fails (exit 1) when a benchmark's current median exceeds
 // tolerance * baseline median, or when a baseline benchmark vanished.
 // New benchmarks are reported but do not fail the gate — they simply
-// belong in the next baseline refresh.
+// belong in the next baseline refresh. When the run had -benchmem, the
+// B/op and allocs/op samples collapse to medians the same way and the
+// comparison prints them beside ns/op; they never fail the gate.
 package main
 
 import (
@@ -31,10 +33,15 @@ type Summary struct {
 	Benchmarks map[string]*Bench `json:"benchmarks"`
 }
 
-// Bench is one benchmark's samples across -count repetitions.
+// Bench is one benchmark's samples across -count repetitions. The
+// memory fields are set only for runs with -benchmem.
 type Bench struct {
-	NsPerOp []float64 `json:"ns_per_op"`
-	Median  float64   `json:"median"`
+	NsPerOp      []float64 `json:"ns_per_op"`
+	Median       float64   `json:"median"`
+	BytesPerOp   []float64 `json:"bytes_per_op,omitempty"`
+	BytesMedian  *float64  `json:"bytes_median,omitempty"`
+	AllocsPerOp  []float64 `json:"allocs_per_op,omitempty"`
+	AllocsMedian *float64  `json:"allocs_median,omitempty"`
 }
 
 func main() {
@@ -125,8 +132,15 @@ func load(path string) (*Summary, error) {
 // machines with different core counts.
 var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op`)
 
+// bytesField and allocsField match the -benchmem columns, which follow
+// ns/op and any custom metrics the benchmark reports.
+var (
+	bytesField  = regexp.MustCompile(`\s([0-9.eE+]+) B/op\b`)
+	allocsField = regexp.MustCompile(`\s([0-9.eE+]+) allocs/op\b`)
+)
+
 // Parse reads `go test -bench` output into a Summary, collapsing the
-// -count repetitions of each benchmark into a median.
+// -count repetitions of each benchmark into medians.
 func Parse(r io.Reader) (*Summary, error) {
 	sum := &Summary{Benchmarks: make(map[string]*Bench)}
 	sc := bufio.NewScanner(r)
@@ -146,14 +160,45 @@ func Parse(r io.Reader) (*Summary, error) {
 			sum.Benchmarks[match[1]] = b
 		}
 		b.NsPerOp = append(b.NsPerOp, ns)
+		if b.BytesPerOp, err = appendField(b.BytesPerOp, bytesField, sc.Text()); err != nil {
+			return nil, err
+		}
+		if b.AllocsPerOp, err = appendField(b.AllocsPerOp, allocsField, sc.Text()); err != nil {
+			return nil, err
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	for _, b := range sum.Benchmarks {
 		b.Median = median(b.NsPerOp)
+		b.BytesMedian = optMedian(b.BytesPerOp)
+		b.AllocsMedian = optMedian(b.AllocsPerOp)
 	}
 	return sum, nil
+}
+
+// appendField appends to xs the value of field in line, if it has one.
+func appendField(xs []float64, field *regexp.Regexp, line string) ([]float64, error) {
+	match := field.FindStringSubmatch(line)
+	if match == nil {
+		return xs, nil
+	}
+	v, err := strconv.ParseFloat(match[1], 64)
+	if err != nil {
+		return nil, fmt.Errorf("line %q: %w", line, err)
+	}
+	return append(xs, v), nil
+}
+
+// optMedian is median for a field that may never have been measured:
+// nil without samples.
+func optMedian(xs []float64) *float64 {
+	if len(xs) == 0 {
+		return nil
+	}
+	m := median(xs)
+	return &m
 }
 
 // median returns the middle sample (mean of the middle two for even
@@ -171,13 +216,17 @@ func median(xs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// Delta is one benchmark's baseline-vs-current comparison.
+// Delta is one benchmark's baseline-vs-current comparison. The memory
+// medians are nil where that side was run without -benchmem.
 type Delta struct {
 	Name    string
 	Base    float64
 	Current float64
 	Ratio   float64
 	Verdict string // "ok", "regression", "missing", "new"
+
+	BaseBytes, CurrentBytes   *float64
+	BaseAllocs, CurrentAllocs *float64
 }
 
 // Report is the full comparison.
@@ -200,7 +249,11 @@ func Compare(base, cur *Summary, tolerance float64) *Report {
 			report.Deltas = append(report.Deltas, Delta{Name: name, Base: b.Median, Verdict: "missing"})
 			continue
 		}
-		d := Delta{Name: name, Base: b.Median, Current: c.Median, Verdict: "ok"}
+		d := Delta{
+			Name: name, Base: b.Median, Current: c.Median, Verdict: "ok",
+			BaseBytes: b.BytesMedian, CurrentBytes: c.BytesMedian,
+			BaseAllocs: b.AllocsMedian, CurrentAllocs: c.AllocsMedian,
+		}
 		if b.Median > 0 {
 			d.Ratio = c.Median / b.Median
 			if d.Ratio > tolerance {
@@ -217,7 +270,11 @@ func Compare(base, cur *Summary, tolerance float64) *Report {
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		report.Deltas = append(report.Deltas, Delta{Name: name, Current: cur.Benchmarks[name].Median, Verdict: "new"})
+		c := cur.Benchmarks[name]
+		report.Deltas = append(report.Deltas, Delta{
+			Name: name, Current: c.Median, Verdict: "new",
+			CurrentBytes: c.BytesMedian, CurrentAllocs: c.AllocsMedian,
+		})
 	}
 	return report
 }
@@ -239,15 +296,15 @@ func (r *Report) Text(tolerance float64) string {
 	for _, d := range r.Deltas {
 		switch d.Verdict {
 		case "ok":
-			out += fmt.Sprintf("  ok          %-40s %12.0f -> %12.0f ns/op (%.2fx)\n", d.Name, d.Base, d.Current, d.Ratio)
+			out += fmt.Sprintf("  ok          %-40s %12.0f -> %12.0f ns/op (%.2fx)%s\n", d.Name, d.Base, d.Current, d.Ratio, d.memText())
 		case "regression":
 			bad++
-			out += fmt.Sprintf("  REGRESSION  %-40s %12.0f -> %12.0f ns/op (%.2fx > %gx)\n", d.Name, d.Base, d.Current, d.Ratio, tolerance)
+			out += fmt.Sprintf("  REGRESSION  %-40s %12.0f -> %12.0f ns/op (%.2fx > %gx)%s\n", d.Name, d.Base, d.Current, d.Ratio, tolerance, d.memText())
 		case "missing":
 			bad++
 			out += fmt.Sprintf("  MISSING     %-40s (in baseline at %.0f ns/op, absent from current run)\n", d.Name, d.Base)
 		case "new":
-			out += fmt.Sprintf("  new         %-40s %12.0f ns/op (not in baseline)\n", d.Name, d.Current)
+			out += fmt.Sprintf("  new         %-40s %12.0f ns/op (not in baseline)%s\n", d.Name, d.Current, d.memText())
 		}
 	}
 	if bad > 0 {
@@ -256,4 +313,20 @@ func (r *Report) Text(tolerance float64) string {
 		out += "PASS\n"
 	}
 	return out
+}
+
+// memText renders the delta's B/op and allocs/op medians, base -> current,
+// with "-" for a side run without -benchmem; empty when neither side
+// has them.
+func (d Delta) memText() string {
+	if d.CurrentBytes == nil && d.BaseBytes == nil && d.CurrentAllocs == nil && d.BaseAllocs == nil {
+		return ""
+	}
+	v := func(p *float64) string {
+		if p == nil {
+			return "-"
+		}
+		return strconv.FormatFloat(*p, 'f', -1, 64)
+	}
+	return fmt.Sprintf("  %s -> %s B/op  %s -> %s allocs/op", v(d.BaseBytes), v(d.CurrentBytes), v(d.BaseAllocs), v(d.CurrentAllocs))
 }

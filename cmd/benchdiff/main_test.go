@@ -41,6 +41,48 @@ func TestParseMediansAndStripsSuffix(t *testing.T) {
 	}
 }
 
+// sampleBenchmem is -benchmem output whose benchmark reports a custom
+// metric before the B/op and allocs/op columns.
+const sampleBenchmem = `BenchmarkExactRatioSweepCells/h=1e+06-8   	     200	   1761517 ns/op	       186.1 breakpoints/cell	      48 B/op	       3 allocs/op
+BenchmarkExactRatioSweepCells/h=1e+06-8   	     200	   1750118 ns/op	       186.1 breakpoints/cell	      16 B/op	       1 allocs/op
+BenchmarkExactRatioSweepCells/h=1e+06-8   	     200	   2007198 ns/op	       186.1 breakpoints/cell	      32 B/op	       2 allocs/op
+BenchmarkAblationCacheHit-8   	     100	       500 ns/op
+`
+
+func TestParseBenchmemMedians(t *testing.T) {
+	sum, err := Parse(strings.NewReader(sampleBenchmem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sum.Benchmarks["BenchmarkExactRatioSweepCells/h=1e+06"]
+	if b == nil {
+		t.Fatalf("benchmark with a custom metric not parsed: %+v", sum.Benchmarks)
+	}
+	if b.Median != 1761517 {
+		t.Errorf("ns/op median = %g, want 1761517", b.Median)
+	}
+	if b.BytesMedian == nil || *b.BytesMedian != 32 {
+		t.Errorf("B/op median = %v (samples %v), want 32", b.BytesMedian, b.BytesPerOp)
+	}
+	if b.AllocsMedian == nil || *b.AllocsMedian != 2 {
+		t.Errorf("allocs/op median = %v (samples %v), want 2", b.AllocsMedian, b.AllocsPerOp)
+	}
+	if hit := sum.Benchmarks["BenchmarkAblationCacheHit"]; hit.BytesMedian != nil || hit.AllocsMedian != nil {
+		t.Errorf("a line without -benchmem columns got memory medians %v, %v", hit.BytesMedian, hit.AllocsMedian)
+	}
+
+	// The comparison prints the memory medians and still gates on
+	// ns/op alone: against a baseline run without -benchmem it passes.
+	base := mkSummary(map[string]float64{"BenchmarkExactRatioSweepCells/h=1e+06": 1e6, "BenchmarkAblationCacheHit": 500})
+	report := Compare(base, sum, 4.0)
+	if !report.OK() {
+		t.Errorf("memory columns failed the gate:\n%s", report.Text(4.0))
+	}
+	if text := report.Text(4.0); !strings.Contains(text, "(1.76x)  - -> 32 B/op  - -> 2 allocs/op") {
+		t.Errorf("report does not show the memory medians:\n%s", text)
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	sum, err := Parse(strings.NewReader("no benchmarks here\n"))
 	if err != nil {

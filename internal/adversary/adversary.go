@@ -30,7 +30,7 @@ import (
 // process between cooperative context checks — frequent enough that a
 // cancelled evaluation stops within microseconds, rare enough that the
 // check cost vanishes against 64 points' multiset updates (a copy of k
-// offsets and a binary search per event at each breakpoint).
+// offsets and a short scan per event at each breakpoint).
 const cancelCheckEvery = 64
 
 // Errors returned by the evaluator.
@@ -55,12 +55,11 @@ type rayVisit struct {
 }
 
 // rayEvent is one visit of a ray's event stream: as a target on the ray
-// passes Turn, robot's arrival offset moves from tables[ray][robot][idx]
-// to the next entry of the table (+Inf past its end).
+// passes Turn, one robot's arrival offset moves from Old (the visit's
+// own offset) to New, the offset of the robot's next visit on the ray
+// (+Inf past the end of its table).
 type rayEvent struct {
-	Turn  float64
-	robot int32
-	idx   int32
+	Turn, Old, New float64
 }
 
 // Evaluation reports the exact worst case of a strategy.
@@ -76,37 +75,6 @@ type Evaluation struct {
 	Attained bool
 	// Breakpoints counts the candidate points examined.
 	Breakpoints int
-}
-
-// visitTables builds, for each ray and robot, the increasing (turn, offset)
-// table of first-reaching excursions. It is the reference construction
-// the pooled arena build (pool.go) must reproduce bit-for-bit; the
-// equivalence tests compare the two.
-func visitTables(s strategy.Strategy, horizon float64) ([][][]rayVisit, error) {
-	m, k := s.M(), s.K()
-	tables := make([][][]rayVisit, m+1) // 1-based rays
-	for ray := 1; ray <= m; ray++ {
-		tables[ray] = make([][]rayVisit, k)
-	}
-	for r := 0; r < k; r++ {
-		rounds, err := s.AppendRounds(nil, r, horizon)
-		if err != nil {
-			return nil, fmt.Errorf("adversary: robot %d: %w", r, err)
-		}
-		maxTurn := make([]float64, m+1)
-		prefix := 0.0
-		for _, rd := range rounds {
-			if rd.Turn > maxTurn[rd.Ray] {
-				maxTurn[rd.Ray] = rd.Turn
-				tables[rd.Ray][r] = append(tables[rd.Ray][r], rayVisit{
-					Turn:   rd.Turn,
-					Offset: 2 * prefix,
-				})
-			}
-			prefix += rd.Turn
-		}
-	}
-	return tables, nil
 }
 
 // ExactRatio computes the exact supremum of tau(x)/x over x in [1, horizon)

@@ -169,8 +169,8 @@ func TestEvaluatorValidation(t *testing.T) {
 	if _, err := e.GridRatio(ctx, 0, 1); !errors.Is(err, ErrBadParams) {
 		t.Error("grid n < 2 should fail")
 	}
-	if e.Breakpoints() == 0 {
-		t.Error("Breakpoints() reported an empty candidate set")
+	if eval, err := e.ExactRatio(ctx, 0); err != nil || eval.Breakpoints == 0 {
+		t.Errorf("ExactRatio = %+v, %v; want a nonempty candidate set", eval, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 // oracle_test.go checks the kernel against an independent reference: the
 // adversary computed straight from the package doc, with no state
-// carried from one candidate point to the next. The other kernel tests
+// carried from one candidate point to the next, over visit tables and
+// breakpoints built the naive way (visitTables, breakpointSlice). The other kernel tests
 // compare the kernel's own paths with each other (Evaluator vs package
 // functions, FRange vs per-f queries, pooled vs reference build), so a bug
 // those paths share passes them all; this one does not.
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,6 +22,52 @@ import (
 
 // oracleGridPoints is the sample count of the GridRatio comparisons.
 const oracleGridPoints = 97
+
+// visitTables builds, for each ray and robot, the increasing (turn, offset)
+// table of first-reaching excursions. It is the reference construction
+// the pooled arena build (pool.go) must reproduce bit-for-bit.
+func visitTables(s strategy.Strategy, horizon float64) ([][][]rayVisit, error) {
+	m, k := s.M(), s.K()
+	tables := make([][][]rayVisit, m+1) // 1-based rays
+	for ray := 1; ray <= m; ray++ {
+		tables[ray] = make([][]rayVisit, k)
+	}
+	for r := 0; r < k; r++ {
+		rounds, err := s.AppendRounds(nil, r, horizon)
+		if err != nil {
+			return nil, fmt.Errorf("adversary: robot %d: %w", r, err)
+		}
+		maxTurn := make([]float64, m+1)
+		prefix := 0.0
+		for _, rd := range rounds {
+			if rd.Turn > maxTurn[rd.Ray] {
+				maxTurn[rd.Ray] = rd.Turn
+				tables[rd.Ray][r] = append(tables[rd.Ray][r], rayVisit{
+					Turn:   rd.Turn,
+					Offset: 2 * prefix,
+				})
+			}
+			prefix += rd.Turn
+		}
+	}
+	return tables, nil
+}
+
+// breakpointSlice flattens one ray's candidate points — x = 1 plus
+// every turning point in [1, horizon) — into a sorted, deduplicated
+// slice: the x sequence the kernel's breakpoint walk must visit.
+func breakpointSlice(tables [][]rayVisit, horizon float64) []float64 {
+	out := []float64{1}
+	for _, table := range tables {
+		for _, v := range table {
+			if v.Turn >= 1 && v.Turn < horizon {
+				out = append(out, v.Turn)
+			}
+		}
+	}
+	sort.Float64s(out)
+	return slices.Compact(out)
+}
 
 // naiveOffsets fills att and lim with every robot's arrival offsets at
 // x on one ray, each by its own binary search: att[r] is the offset of
@@ -227,6 +275,15 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 		{"three-rays-shared", 3, 2, [][]trajectory.Round{
 			doublingRounds(3, 1, 0.125), doublingRounds(3, 2, 0.25), doublingRounds(3, 3, 0.5),
 			doublingRounds(3, 1, 1), doublingRounds(3, 2, 2), doublingRounds(3, 1, 0.125),
+		}},
+		// Robot 0's first turns on each ray come before the other
+		// robots' pending visits there, and its turn 3 on ray 1 ties
+		// robot 1's, so the merge inserts robot 0's next visit at the
+		// front of its ring, ahead of a higher robot index on a tie.
+		{"front-insert", 2, 1, [][]trajectory.Round{
+			append([]trajectory.Round{{Ray: 1, Turn: 1.25}, {Ray: 1, Turn: 1.5}, {Ray: 1, Turn: 2}, {Ray: 1, Turn: 3},
+				{Ray: 2, Turn: 1.25}, {Ray: 2, Turn: 1.75}}, doublingRounds(2, 1, 4)...),
+			doublingRounds(2, 1, 3), doublingRounds(2, 2, 5),
 		}},
 		// Robot 1 never enters ray 2: with one crash ray 2 is uncovered,
 		// and both sides must say so at the same point.

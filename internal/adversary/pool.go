@@ -6,15 +6,16 @@
 // the running-maximum visit filter only to count survivors per
 // (ray, robot), which lets the flat visit buffer be partitioned into
 // exactly-sized tables; pass two repeats the identical iteration
-// recording offsets. Breakpoints are produced by a k-way merge of the
-// per-robot tables (each already sorted), replacing the
-// concatenate-sort-dedup of the reference implementation with a single
-// ordered pass; the same merge emits the ray's event stream, one entry
-// per visit below the horizon, which the queries walk (evaluator.go).
-// Both passes perform the same floating-point operations in the same
-// order as the reference visitTables/breakpointSlice, so the built
-// Evaluator is bit-for-bit identical to one built the naive way — the
-// equivalence tests pin this.
+// recording offsets. Both passes perform the same floating-point
+// operations in the same order as the reference construction the
+// tests keep, so the tables are bit-for-bit identical to ones built
+// the naive way — the equivalence tests pin this. A merge then turns
+// each ray's tables into the ray's start offsets and event stream,
+// the only state the queries read (evaluator.go): it keeps the robots'
+// pending visits sorted in a k-slot ring, pops the front as the next
+// event and inserts that robot's next visit by scanning from the back,
+// where a strategy whose turns grow geometrically places it — so a
+// typical event costs O(1) rather than a scan of all k robots.
 //
 // Release returns an Evaluator — arena and all — to a process-wide
 // sync.Pool. In steady state a build therefore allocates nothing, which
@@ -24,6 +25,8 @@ package adversary
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +72,7 @@ func getEvaluator() *Evaluator {
 	return &Evaluator{}
 }
 
-// Release returns the Evaluator — tables, breakpoints, scratch, arena —
+// Release returns the Evaluator — tables, streams, scratch, arena —
 // to the kernel pool for the next NewEvaluator to recycle. The
 // Evaluator must not be used after Release; a second Release is a
 // no-op. Releasing is optional (an unreleased Evaluator is ordinary
@@ -123,11 +126,10 @@ func resizeRays[T any](b [][]T, m int) [][]T {
 }
 
 // build populates the Evaluator for (s, horizon) out of its arena. The
-// resulting tables, breakpoints and query answers are bit-for-bit
-// identical to the reference construction (visitTables +
-// breakpointSlice): the filter/offset passes run the same operations in
-// the same order, and the breakpoint merge emits the same sorted
-// deduplicated sequence the reference's sort produced.
+// tables are bit-for-bit identical to the reference construction the
+// tests keep (the filter/offset passes run the same operations in the
+// same order), and the merge copies their values into the start and
+// event slices without arithmetic.
 func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 	m, k := s.M(), s.K()
 	e.s, e.horizon, e.m, e.k = s, horizon, m, k
@@ -205,24 +207,18 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 		}
 	}
 
-	// Breakpoints and events: per ray, a k-way merge of the robots'
-	// sorted turn columns behind the leading x = 1 — the same
-	// breakpoint sequence breakpointSlice's concatenate-sort-dedup
-	// produces, in one pass. Each ray's slices take the rest of the
-	// arena as capacity while it merges.
-	e.breaksBuf = resize(e.breaksBuf, m+total)
+	// Start offsets and events: a merge per ray. Each ray's event
+	// slice takes the rest of the arena as capacity while it merges.
+	e.startBuf = resize(e.startBuf, m*k)
 	e.eventsBuf = resize(e.eventsBuf, total)
-	e.breaks = resizeRays(e.breaks, m)
+	e.start = resizeRays(e.start, m)
 	e.events = resizeRays(e.events, m)
-	e.cursors = resize(e.cursors, k)
-	e.heads = resize(e.heads, k)
-	nb, ne := 0, 0
+	e.ring = resize(e.ring, k)
+	ne := 0
 	for ray := 1; ray <= m; ray++ {
-		e.breaksBuf[nb] = 1
-		e.breaks[ray] = e.breaksBuf[nb : nb+1]
-		e.events[ray] = e.eventsBuf[ne:ne]
-		e.mergeRay(ray, horizon)
-		nb, ne = nb+len(e.breaks[ray]), ne+len(e.events[ray])
+		e.start[ray] = e.startBuf[(ray-1)*k : ray*k]
+		e.events[ray] = e.mergeRay(ray, horizon, e.eventsBuf[ne:ne])
+		ne += len(e.events[ray])
 	}
 
 	// Query scratch (all length k; reused across breakpoints so the
@@ -232,45 +228,70 @@ func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 	return nil
 }
 
-// mergeRay appends to the ray's breakpoint and event slices every
-// table visit with Turn < horizon, in turn order: a k-way merge of the
-// robots' sorted tables, scanning one head turn per robot (horizon
-// once a robot's column is spent). Every visit becomes an event; a
-// turn at or above 1 that differs from the last breakpoint becomes a
-// breakpoint too.
-func (e *Evaluator) mergeRay(ray int, horizon float64) {
-	tables, heads := e.tables[ray], e.heads
-	for r, t := range tables {
-		e.cursors[r] = 0
-		heads[r] = horizon
-		if len(t) > 0 && t[0].Turn < horizon {
-			heads[r] = t[0].Turn
+// mergeHead is a robot's pending visit in the merge ring: its turn and
+// its position in the robot's table.
+type mergeHead struct {
+	turn       float64
+	robot, idx int32
+}
+
+// mergeRay fills start[ray] and appends to ev, in turn order and by
+// robot index among equal turns, one event per table visit of the ray
+// with 1 <= Turn < horizon. The ring holds each robot's next such
+// visit, sorted by (turn, robot), in n slots from lo (modulo k): the
+// front is the next event, and the robot's following visit is inserted
+// by scanning from the back.
+func (e *Evaluator) mergeRay(ray int, horizon float64, ev []rayEvent) []rayEvent {
+	tables, start, ring, k := e.tables[ray], e.start[ray], e.ring, e.k
+	lo, n := 0, 0
+	push := func(h mergeHead) {
+		i := lo + n
+		if i >= k {
+			i -= k
 		}
+		for j := 0; j < n; j++ {
+			p := i - 1
+			if p < 0 {
+				p += k
+			}
+			if q := ring[p]; q.turn < h.turn || q.turn == h.turn && q.robot < h.robot {
+				break
+			}
+			ring[i] = ring[p]
+			i = p
+		}
+		ring[i] = h
+		n++
 	}
-	br, ev := e.breaks[ray], e.events[ray]
-	last := br[len(br)-1]
-	for {
-		best, bt := 0, heads[0]
-		for r := 1; r < len(heads); r++ {
-			if heads[r] < bt {
-				best, bt = r, heads[r]
+	for r, t := range tables {
+		c := 0
+		for c < len(t) && t[c].Turn < 1 {
+			c++
+		}
+		start[r] = math.Inf(1)
+		if c < len(t) {
+			start[r] = t[c].Offset
+			if t[c].Turn < horizon {
+				push(mergeHead{t[c].Turn, int32(r), int32(c)})
 			}
 		}
-		if bt >= horizon {
-			break
-		}
-		c := e.cursors[best]
-		ev = append(ev, rayEvent{Turn: bt, robot: int32(best), idx: int32(c)})
-		if bt >= 1 && bt != last {
-			br = append(br, bt)
-			last = bt
-		}
-		c++
-		e.cursors[best] = c
-		heads[best] = horizon
-		if t := tables[best]; c < len(t) && t[c].Turn < horizon {
-			heads[best] = t[c].Turn
-		}
 	}
-	e.breaks[ray], e.events[ray] = br, ev
+	slices.Sort(start)
+	for n > 0 {
+		h := ring[lo]
+		if lo++; lo == k {
+			lo = 0
+		}
+		n--
+		t, c := tables[h.robot], int(h.idx)+1
+		next := math.Inf(1)
+		if c < len(t) {
+			next = t[c].Offset
+			if t[c].Turn < horizon {
+				push(mergeHead{t[c].Turn, h.robot, int32(c)})
+			}
+		}
+		ev = append(ev, rayEvent{Turn: h.turn, Old: t[c-1].Offset, New: next})
+	}
+	return ev
 }

@@ -28,10 +28,23 @@ func referenceEvaluator(t *testing.T, s strategy.Strategy, horizon float64) ([][
 	return tables, breaks
 }
 
-// requireSameShape compares an evaluator's tables and breakpoints
-// against a reference, element by element with exact float equality.
+// walkBreakpoints returns, per ray, the x sequence of e's candidate
+// walk.
+func walkBreakpoints(e *Evaluator) [][]float64 {
+	xs := make([][]float64, e.m+1)
+	var c Candidate
+	for e.ResetSweep(); e.NextCandidate(&c); {
+		xs[c.Ray] = append(xs[c.Ray], c.X)
+	}
+	return xs
+}
+
+// requireSameShape compares an evaluator's tables and the x sequence of
+// its candidate walk against a reference, element by element with
+// exact float equality.
 func requireSameShape(t *testing.T, label string, e *Evaluator, tables [][][]rayVisit, breaks [][]float64) {
 	t.Helper()
+	walked := walkBreakpoints(e)
 	if len(e.tables) != len(tables) {
 		t.Fatalf("%s: %d table rays, reference %d", label, len(e.tables), len(tables))
 	}
@@ -50,7 +63,7 @@ func requireSameShape(t *testing.T, label string, e *Evaluator, tables [][][]ray
 				}
 			}
 		}
-		gb, wb := e.breaks[ray], breaks[ray]
+		gb, wb := walked[ray], breaks[ray]
 		if len(gb) != len(wb) {
 			t.Fatalf("%s: ray %d: %d breakpoints, reference %d", label, ray, len(gb), len(wb))
 		}

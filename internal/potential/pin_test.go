@@ -86,9 +86,11 @@ func optimalTurns(t *testing.T, m, k, f int, horizon float64) ([][]float64, floa
 	return turns, lambda0
 }
 
-// recursionTurns is TestRefuteORCStrategyRecursion's input: two copies of
-// the optimal single-robot two-ray strategy's turns up to 500.
-func recursionTurns(t *testing.T) [][]float64 {
+// coverageGapTurns is two copies of the optimal single-robot two-ray
+// strategy's turns up to 500. At λ = 8.8 the copies cover the points
+// just beyond x = 8 twice, short of fold 3, so the refuter stops at
+// the cover's gap before the ORC runs.
+func coverageGapTurns(t *testing.T) [][]float64 {
 	t.Helper()
 	turns, _ := optimalTurns(t, 2, 1, 0, 500)
 	return [][]float64{turns[0], append([]float64(nil), turns[0]...)}
@@ -237,8 +239,8 @@ func TestCertificatesPinned(t *testing.T) {
 			Verdict: VerdictContradiction, StepsNeeded: 0, MaxSteps: 0, GapDetail: "cover: coverage gap: multiplicity 2 < 3 just beyond x = 1",
 			Sub: nil,
 		}},
-		{"orc/recursion", func(t *testing.T) (Certificate, error) {
-			return RefuteORCStrategy(recursionTurns(t), 3, 8.8, 100, 1.5)
+		{"orc/coverage-gap", func(t *testing.T) (Certificate, error) {
+			return RefuteORCStrategy(coverageGapTurns(t), 3, 8.8, 100, 1.5)
 		}, &Certificate{
 			Setting: "orc", K: 2, Fold: 3, Lambda: 0x1.199999999999ap+03, Mu: 0x1.f333333333334p+01, MuCrit: 0x1.4c8dc2e42397fp+01, Delta: 0x1.c670183c977a7p-02, LogFBound: 0x0p+00,
 			Steps: 0, WarmupSteps: 0, LogFStart: 0x0p+00, LogFEnd: 0x0p+00, MinStepRatio: 0x0p+00, ContradictionStep: 0,

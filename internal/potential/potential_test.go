@@ -337,33 +337,6 @@ func TestRunORCCase2Detection(t *testing.T) {
 	}
 }
 
-func TestRefuteORCStrategyRecursion(t *testing.T) {
-	// Force the Case-2 path with a tiny caseC: every strategy jump
-	// triggers the recursion, which must terminate with a verdict.
-	s, err := strategy.NewCyclicExponential(2, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds, err := s.AppendRounds(nil, 0, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := make([]float64, len(rounds))
-	for i, rd := range rounds {
-		seq[i] = rd.Turn
-	}
-	other := make([]float64, len(seq))
-	copy(other, seq)
-	cert, err := RefuteORCStrategy([][]float64{seq, other}, 3, 8.8, 100, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Whatever branch is taken, a verdict must come out.
-	if cert.Verdict == 0 {
-		t.Error("no verdict from the recursive refuter")
-	}
-}
-
 func TestRunORCValidation(t *testing.T) {
 	if _, _, err := RunORC(nil, 1, 2, 9, 1); !errors.Is(err, ErrBadParams) {
 		t.Error("caseC <= 1 should fail")

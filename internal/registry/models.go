@@ -191,7 +191,7 @@ func byzantineLineScenario() Scenario {
 		Validate:    validateByzantineLine,
 		LowerBound:  lineTransferBound,
 		VerifyJob: func(ctx context.Context, req Request) (engine.Job, error) {
-			if err := requireSearchRegime(req, "byzantine-line simulation"); err != nil {
+			if err := requireSearchRegime(req, "byzantine-line verification"); err != nil {
 				return nil, err
 			}
 			return engine.ByzantineLineWorst{K: req.K, F: req.F, Horizon: req.Horizon, Points: byzantineLinePoints}, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bounds"
@@ -230,5 +231,31 @@ func TestByzantineLineScenario(t *testing.T) {
 	// Outside the search regime the constructor refuses.
 	if _, err := sc.VerifyJob(context.Background(), Request{M: 2, K: 4, F: 1, Horizon: 30}); !errors.Is(err, ErrNotVerifiable) {
 		t.Errorf("trivial-regime byzantine-line verify = %v, want ErrNotVerifiable", err)
+	}
+}
+
+// TestSearchRegimeRefusalNamesOperation: outside the search regime a
+// scenario's verify refusal names verification and its simulate
+// refusal names simulation, so a client is not told an operation it
+// never asked for failed.
+func TestSearchRegimeRefusalNamesOperation(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"crash", "byzantine-line"} {
+		sc, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 4} { // unsolvable and trivial at m = 2, f = 1
+			req := Request{M: 2, K: k, F: 1, Horizon: 40}
+			for _, c := range []struct {
+				op  string
+				job func(context.Context, Request) (engine.Job, error)
+			}{{"verification", sc.VerifyJob}, {"simulation", sc.SimulateJob}} {
+				_, err := c.job(ctx, req)
+				if want := name + " " + c.op + " needs the search regime"; !errors.Is(err, ErrNotVerifiable) || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s %s at k=%d: %v, want ErrNotVerifiable naming %q", name, c.op, k, err, want)
+				}
+			}
+		}
 	}
 }

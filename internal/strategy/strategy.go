@@ -244,8 +244,8 @@ func (s *CyclicExponential) nativeAppendRounds(dst []trajectory.Round, r int, ho
 		q        = s.Q()
 		logA     = math.Log(s.alpha)
 		stopExpo = math.Log(horizon)/logA + float64(q+s.k*s.m)
-		start    = 1 - 2*s.m
-		e0       = float64(s.k*start + s.m*(r+1))
+		first    = s.k*(1-2*s.m) + s.m*(r+1) // exponent of round l = 1-2m
+		e0       = float64(first)
 	)
 	if e0 > stopExpo {
 		return dst, nil
@@ -267,19 +267,20 @@ func (s *CyclicExponential) nativeAppendRounds(dst []trajectory.Round, r int, ho
 		copy(grown, dst)
 		dst = grown
 	}
+	// The exponent k*l + m*(r+1) steps by k per round, and the ray
+	// label ((l-1) mod m) + 1 is a counter that starts at 1 (l-1 = -2m
+	// is a multiple of m) and wraps at m, so the loop divides nothing.
 	step := math.Pow(s.alpha, float64(s.k))
 	turn := math.Pow(s.alpha, e0)
-	for l := start; ; l++ {
-		e := float64(s.k*l + s.m*(r+1))
-		if e > stopExpo {
+	for e, ray := first, 1; ; e += s.k {
+		if float64(e) > stopExpo {
 			break
 		}
-		ray := ((l-1)%s.m + s.m) % s.m // Go's % can be negative; normalize.
-		dst = append(dst, trajectory.Round{
-			Ray:  ray + 1,
-			Turn: turn,
-		})
+		dst = append(dst, trajectory.Round{Ray: ray, Turn: turn})
 		turn *= step
+		if ray++; ray > s.m {
+			ray = 1
+		}
 	}
 	return dst, nil
 }
