@@ -91,8 +91,8 @@ func ExactRatio(ctx context.Context, s strategy.Strategy, faults int, horizon fl
 	if s == nil {
 		return Evaluation{}, fmt.Errorf("%w: nil strategy", ErrBadParams)
 	}
-	if faults < 0 || faults >= s.K() {
-		return Evaluation{}, fmt.Errorf("%w: %d faults with %d robots", ErrBadParams, faults, s.K())
+	if err := checkFaults(faults, s.K()); err != nil {
+		return Evaluation{}, err
 	}
 	e, err := NewEvaluator(s, horizon)
 	if err != nil {
@@ -113,8 +113,8 @@ func GridRatio(ctx context.Context, s strategy.Strategy, faults int, horizon flo
 	if s == nil || n < 2 {
 		return 0, fmt.Errorf("%w: need a strategy and n >= 2", ErrBadParams)
 	}
-	if faults < 0 || faults >= s.K() {
-		return 0, fmt.Errorf("%w: %d faults with %d robots", ErrBadParams, faults, s.K())
+	if err := checkFaults(faults, s.K()); err != nil {
+		return 0, err
 	}
 	e, err := NewEvaluator(s, horizon)
 	if err != nil {

@@ -48,7 +48,6 @@ import (
 // expensive part being shared across fault counts, not across
 // goroutines).
 type Evaluator struct {
-	s       strategy.Strategy
 	horizon float64
 	m, k    int
 
@@ -73,7 +72,7 @@ type Evaluator struct {
 	// nextEv is the breakpoint walk's first event of the ray not yet
 	// applied, or -1 before the ray's x = 1 candidate.
 	nextEv int
-	// cand is the candidate the sweep loops have NextCandidate fill;
+	// cand is the candidate the sweep loop has NextCandidate fill;
 	// sweepRay is the ray the breakpoint walk is on.
 	cand     Candidate
 	sweepRay int
@@ -109,12 +108,6 @@ func NewEvaluator(s strategy.Strategy, horizon float64) (*Evaluator, error) {
 	}
 	return e, nil
 }
-
-// Strategy returns the strategy under evaluation.
-func (e *Evaluator) Strategy() strategy.Strategy { return e.s }
-
-// Horizon returns the evaluation horizon.
-func (e *Evaluator) Horizon() float64 { return e.horizon }
 
 // replaceSorted swaps one occurrence of old in the ascending multiset a
 // for v >= old: a scan from the front finds old, and the values between
@@ -166,36 +159,19 @@ func (e *Evaluator) NextCandidate(c *Candidate) bool {
 		for ; e.nextEv < len(evs) && evs[e.nextEv].Turn <= x; e.nextEv++ {
 			replaceSorted(e.lim, evs[e.nextEv].Old, evs[e.nextEv].New)
 		}
-		c.Ray, c.X, c.Att, c.Lim = e.sweepRay, x, e.att, e.lim
+		c.Ray, c.X, c.Att, c.Lim, c.shift, c.dist = e.sweepRay, x, e.att, e.lim, x, x
 		return true
 	}
 	return false
 }
 
-// CandidateRatio implements Placement: an arrival offset C at distance
-// x certifies the ratio (C + x) / x.
-func (e *Evaluator) CandidateRatio(c *Candidate, v float64) float64 {
-	return (v + c.X) / c.X
-}
-
-// checkFaults validates a per-query fault count against the strategy.
-func (e *Evaluator) checkFaults(faults int) error {
-	if faults < 0 || faults >= e.k {
-		return fmt.Errorf("%w: %d faults with %d robots", ErrBadParams, faults, e.k)
-	}
-	return nil
-}
-
 // ExactRatio computes the exact supremum of tau(x)/x over x in
 // [1, horizon) on every ray for f crash faults, from the prebuilt
 // event streams. The Evaluator is itself a Placement, and the sweep
-// (cancellation cadence, running supremum) is the shared supRatio loop
-// of placement.go.
+// (cancellation cadence, running supremum) is the shared sweep loop of
+// placement.go, here over the one fault count.
 func (e *Evaluator) ExactRatio(ctx context.Context, faults int) (Evaluation, error) {
-	if err := e.checkFaults(faults); err != nil {
-		return Evaluation{}, err
-	}
-	return supRatio(ctx, e, &e.cand, faults)
+	return exactRatio(ctx, e, &e.cand, e.k, faults)
 }
 
 // FRange evaluates ExactRatio for every fault count f in 0..maxF in a
@@ -210,10 +186,7 @@ func (e *Evaluator) ExactRatio(ctx context.Context, faults int) (Evaluation, err
 // exponential strategy of fault budget f whenever maxF <= f); an
 // uncovered fault count fails the whole call with ErrUncovered.
 func (e *Evaluator) FRange(ctx context.Context, maxF int) ([]Evaluation, error) {
-	if err := e.checkFaults(maxF); err != nil {
-		return nil, err
-	}
-	return supRatios(ctx, e, &e.cand, maxF)
+	return fRange(ctx, e, &e.cand, e.k, maxF)
 }
 
 // GridRatio estimates the worst ratio for f faults by sampling n
@@ -225,7 +198,7 @@ func (e *Evaluator) GridRatio(ctx context.Context, faults, n int) (float64, erro
 	if n < 2 {
 		return 0, fmt.Errorf("%w: need a strategy and n >= 2", ErrBadParams)
 	}
-	if err := e.checkFaults(faults); err != nil {
+	if err := checkFaults(faults, e.k); err != nil {
 		return 0, err
 	}
 	logH := math.Log(e.horizon)

@@ -170,12 +170,12 @@ func sameOutcome[T comparable](t *testing.T, label string, got T, gerr error, wa
 	}
 }
 
-// checkEvaluator compares every query of e — ExactRatio, FRange for
-// every fault count up to f, GridRatio — with the reference at e's
-// horizon.
-func checkEvaluator(t *testing.T, label string, e *Evaluator, f int) {
+// checkEvaluator compares every query of e, built for s at horizon h —
+// ExactRatio, FRange for every fault count up to f, GridRatio — with
+// the reference.
+func checkEvaluator(t *testing.T, label string, e *Evaluator, s strategy.Strategy, h float64, f int) {
 	t.Helper()
-	ctx, s, h := context.Background(), e.Strategy(), e.Horizon()
+	ctx := context.Background()
 	label = fmt.Sprintf("%s h=%g f=%d", label, h, f)
 
 	got, gerr := e.ExactRatio(ctx, f)
@@ -213,7 +213,7 @@ func checkAgainstReference(t *testing.T, s strategy.Strategy, f int, horizons []
 		if err != nil {
 			t.Fatalf("NewEvaluator(%s, %g): %v", s.Name(), h, err)
 		}
-		checkEvaluator(t, s.Name(), e, f)
+		checkEvaluator(t, s.Name(), e, s, h, f)
 		e.Release()
 	}
 }

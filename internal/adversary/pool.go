@@ -83,7 +83,6 @@ func (e *Evaluator) Release() {
 		return
 	}
 	e.released = true
-	e.s = nil
 	evalPool.Put(e)
 }
 
@@ -132,7 +131,7 @@ func resizeRays[T any](b [][]T, m int) [][]T {
 // event slices without arithmetic.
 func (e *Evaluator) build(s strategy.Strategy, horizon float64) error {
 	m, k := s.M(), s.K()
-	e.s, e.horizon, e.m, e.k = s, horizon, m, k
+	e.horizon, e.m, e.k = horizon, m, k
 	kernelBuilds.Add(1)
 
 	// Pass 0: generate every robot's excursions into the flat rounds

@@ -21,8 +21,7 @@
 // single robot's distance (the headings and their antipodes). Sweeping
 // exactly that finite candidate set is the planar counterpart of the
 // line kernel's breakpoint argument, and the sweep itself is the same
-// shared supRatio/supRatios plumbing (placement.go) the crash
-// Evaluator runs on.
+// shared sweep loop (placement.go) the crash Evaluator runs on.
 package adversary
 
 import (
@@ -44,12 +43,10 @@ import (
 // done.
 type ShorelineEvaluator struct {
 	paths    []*trajectory.Planar
-	headings []float64
 	cands    []float64 // sorted deduplicated candidate normal headings
 	att      []float64 // the robots' hit times at the current candidate, ascending
 	cand     Candidate
 	idx      int
-	horizon  float64
 	released bool
 }
 
@@ -129,8 +126,6 @@ func (se *ShorelineEvaluator) Release() {
 // antipodes), sorted and deduplicated.
 func (se *ShorelineEvaluator) build(headings []float64, horizon float64) error {
 	k := len(headings)
-	se.horizon = horizon
-	se.headings = append(se.headings[:0], headings...)
 	if cap(se.paths) < k {
 		se.paths = make([]*trajectory.Planar, k)
 	}
@@ -164,9 +159,6 @@ func (se *ShorelineEvaluator) build(headings []float64, horizon float64) error {
 	return nil
 }
 
-// Horizon returns the evaluation horizon (ray length).
-func (se *ShorelineEvaluator) Horizon() float64 { return se.horizon }
-
 // ResetSweep implements Placement.
 func (se *ShorelineEvaluator) ResetSweep() { se.idx = 0 }
 
@@ -178,7 +170,9 @@ func (se *ShorelineEvaluator) ResetSweep() { se.idx = 0 }
 // order to carry from one candidate to the next. Shoreline
 // candidates are isolated kink points, so there is no right-limit
 // structure (Lim = nil), and the locator sets Ray = 0 (the plane has
-// no rays) with X = the normal's heading in radians.
+// no rays) with X = the normal's heading in radians. Hit times are
+// probed at target distance 1, so a hit time is its own ratio
+// (shift 0, dist 1).
 func (se *ShorelineEvaluator) NextCandidate(c *Candidate) bool {
 	if se.idx >= len(se.cands) {
 		return false
@@ -190,20 +184,8 @@ func (se *ShorelineEvaluator) NextCandidate(c *Candidate) bool {
 		se.att[i] = p.FirstHitLine(u, 1)
 	}
 	slices.Sort(se.att)
-	c.Ray, c.X, c.Att, c.Lim = 0, phi, se.att, nil
+	c.Ray, c.X, c.Att, c.Lim, c.shift, c.dist = 0, phi, se.att, nil, 0, 1
 	return true
-}
-
-// CandidateRatio implements Placement: hit times are probed at target
-// distance 1, so the hit time IS the ratio.
-func (se *ShorelineEvaluator) CandidateRatio(_ *Candidate, v float64) float64 { return v }
-
-// checkFaults validates a per-query fault count.
-func (se *ShorelineEvaluator) checkFaults(faults int) error {
-	if faults < 0 || faults >= len(se.paths) {
-		return fmt.Errorf("%w: %d faults with %d robots", ErrBadParams, faults, len(se.paths))
-	}
-	return nil
 }
 
 // ExactRatio computes the exact worst-case shoreline ratio for f crash
@@ -212,20 +194,14 @@ func (se *ShorelineEvaluator) checkFaults(faults int) error {
 // the supremum with WorstRay = 0 and WorstX = the worst normal heading
 // in radians.
 func (se *ShorelineEvaluator) ExactRatio(ctx context.Context, faults int) (Evaluation, error) {
-	if err := se.checkFaults(faults); err != nil {
-		return Evaluation{}, err
-	}
-	return supRatio(ctx, se, &se.cand, faults)
+	return exactRatio(ctx, se, &se.cand, len(se.paths), faults)
 }
 
 // FRange evaluates ExactRatio for every fault count 0..maxF in a
 // single candidate sweep, exactly as the line kernel's FRange shares
 // one breakpoint pass across fault counts.
 func (se *ShorelineEvaluator) FRange(ctx context.Context, maxF int) ([]Evaluation, error) {
-	if err := se.checkFaults(maxF); err != nil {
-		return nil, err
-	}
-	return supRatios(ctx, se, &se.cand, maxF)
+	return fRange(ctx, se, &se.cand, len(se.paths), maxF)
 }
 
 var (

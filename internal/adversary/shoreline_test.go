@@ -3,6 +3,7 @@ package adversary
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -61,9 +62,8 @@ func TestShorelineFRangeMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("f=%d: %v", f, err)
 		}
-		if ev.WorstRatio != single.WorstRatio || ev.WorstX != single.WorstX {
-			t.Errorf("f=%d: FRange (%.15g @ %g) != ExactRatio (%.15g @ %g)",
-				f, ev.WorstRatio, ev.WorstX, single.WorstRatio, single.WorstX)
+		if ev != single {
+			t.Errorf("f=%d: FRange %+v, ExactRatio %+v", f, ev, single)
 		}
 	}
 }
@@ -200,4 +200,87 @@ func TestShorelinePoolReuse(t *testing.T) {
 		}
 		se.Release()
 	}
+}
+
+// FuzzShorelineSweep turns fuzz bytes into a straight-ray shoreline
+// strategy — byte 0 picks k <= 12, byte 1 a horizon in (1, 1e6], and
+// every later pair of bytes one heading in [-2pi, 2pi), so robots may
+// share headings and bisectors may coincide — and checks the sweep's
+// two query forms against each other and against a dense grid: FRange
+// and ExactRatio fail with identical text or both succeed at every
+// fault count, a successful FRange equals ExactRatio field by field at
+// every fault count it covers, and no heading of a 4,096-point grid,
+// evaluated by direct secants with no trajectory code, beats a covered
+// fault count's supremum by more than 1e-9 relative.
+//
+// CI runs this for a short -fuzztime as a smoke gate; `go test -fuzz
+// FuzzShorelineSweep ./internal/adversary` explores further.
+func FuzzShorelineSweep(f *testing.F) {
+	f.Add([]byte{4, 128, 0x80, 0x00, 0x9a, 0x66, 0xb3, 0x33, 0xcc, 0xcd, 0xe6, 0x66})
+	f.Add([]byte{8, 255, 0x80, 0x00, 0x90, 0x00, 0xa0, 0x00, 0xb0, 0x00, 0xc0, 0x00, 0xd0, 0x00, 0xe0, 0x00, 0xf0, 0x00, 0x00, 0x00})
+	f.Add([]byte{5, 0, 0x80, 0x00, 0x80, 0x00, 0xa0, 0x00, 0xc0, 0x00, 0x60, 0x00, 0x31, 0x7f})
+	f.Add([]byte{11, 40, 0x81, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x0f, 0xf0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		k := min(1+int(data[0])%12, (len(data)-2)/2)
+		h := math.Pow(10, 6*float64(int(data[1])+1)/256)
+		headings := make([]float64, k)
+		for i := range headings {
+			u := int(data[2+2*i])<<8 | int(data[3+2*i])
+			headings[i] = float64(u-32768) * math.Pi / 16384
+		}
+		se, err := NewShorelineEvaluator(headings, h)
+		if err != nil {
+			t.Fatalf("NewShorelineEvaluator(%v, %g): %v", headings, h, err)
+		}
+		defer se.Release()
+		ctx := context.Background()
+
+		exact := make([]Evaluation, 0, k) // ExactRatio of each covered fault count
+		for g := 0; g < k; g++ {
+			ev, err := se.ExactRatio(ctx, g)
+			evals, ferr := se.FRange(ctx, g)
+			var top Evaluation
+			if ferr == nil {
+				top = evals[g]
+			}
+			sameOutcome(t, fmt.Sprintf("FRange(%d) against ExactRatio", g), top, ferr, ev, err)
+			if err != nil {
+				continue
+			}
+			if len(exact) != g {
+				t.Fatalf("fault count %d covered but %d is not", g, len(exact))
+			}
+			for j, fr := range evals[:g] {
+				if fr != exact[j] {
+					t.Fatalf("FRange(%d)[%d] = %+v, ExactRatio(%d) = %+v", g, j, fr, j, exact[j])
+				}
+			}
+			exact = append(exact, ev)
+		}
+		if len(exact) == 0 {
+			return
+		}
+
+		const n = 4096
+		hits := make([]float64, k)
+		for i := 0; i < n; i++ {
+			phi := 2 * math.Pi * float64(i) / n
+			for r, th := range headings {
+				hits[r] = math.Inf(1)
+				if c := math.Cos(th - phi); c > 0 && 1/c <= h {
+					hits[r] = 1 / c
+				}
+			}
+			sort.Float64s(hits)
+			for g, ev := range exact {
+				if v := hits[g]; !math.IsInf(v, 1) && v > ev.WorstRatio*(1+1e-9) {
+					t.Fatalf("f=%d: grid heading %g has ratio %.17g above the sweep supremum %.17g",
+						g, phi, v, ev.WorstRatio)
+				}
+			}
+		}
+	})
 }

@@ -167,9 +167,10 @@ func NewWithCache(workers, capacity int) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Solver returns the engine's memoizing solver layer. Callers that
-// construct jobs outside Run (registry scenario constructors, servers
-// shaping closed-form rows) inject it into their context with
-// solver.With so those paths share the engine's memo.
+// construct jobs outside Run for an engine with a private solver
+// inject it into their context with solver.With so those paths share
+// the engine's memo; on the default solver.Shared() the fallback of
+// solver.From already does.
 func (e *Engine) Solver() *solver.Solver { return e.solver }
 
 // CacheCapacity reports the cache bound (0 = unbounded).

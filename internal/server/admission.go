@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/registry"
-	"repro/internal/solver"
 )
 
 // errShed marks a heavy request shed because every heavy compute slot
@@ -67,11 +66,9 @@ func (s *Server) counters(class registry.Cost) *admissionCounters {
 
 // budgetCtx derives the request's compute context: the server default
 // budget, optionally lowered (never raised) by ?timeout_ms, rooted in
-// the request context so a client disconnect cancels it too. The
-// engine's memoizing solver rides in the context, so scenario job
-// constructors (a plugin point that runs root finding and strategy
-// materialization) amortize that work across requests, not just
-// across the engine's own job executions.
+// the request context so a client disconnect cancels it too. Scenario
+// job constructors reached under it find the process-wide solver memo
+// through solver.From's fallback.
 func (s *Server) budgetCtx(r *http.Request, p map[string]string) (context.Context, context.CancelFunc, time.Duration, error) {
 	budget := s.cfg.Timeout
 	if raw, ok := p["timeout_ms"]; ok && raw != "" {
@@ -84,7 +81,7 @@ func (s *Server) budgetCtx(r *http.Request, p map[string]string) (context.Contex
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	return solver.With(ctx, s.cfg.Engine.Solver()), cancel, budget, nil
+	return ctx, cancel, budget, nil
 }
 
 // admit is the one request path of every compute route — /v1/verify,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -195,15 +196,40 @@ func TestBatchClassTakesHeaviestItem(t *testing.T) {
 	}
 }
 
+// failJob fails every run with a deterministic (memoized) error.
+type failJob struct{}
+
+func (failJob) Key() string { return "fail" }
+func (failJob) Run(context.Context) (engine.Result, error) {
+	return engine.Result{}, errors.New("scenario job failed")
+}
+
 func TestPrecomputeWarmsCacheAndCountsFailures(t *testing.T) {
+	r := slowRegistry(t)
+	if err := r.Register(registry.Scenario{
+		Name:        "failing",
+		Description: "test scenario: verification fails at run time",
+		Objective:   registry.ObjectiveFind,
+		Params:      []registry.Param{{Name: "m", Kind: registry.KindInt, Doc: "unused"}},
+		Verifiable:  true,
+		Validate:    func(m, k, f int) error { return nil },
+		LowerBound:  func(m, k, f int) (float64, error) { return 1, nil },
+		UpperBound:  func(m, k, f int) (float64, error) { return 1, nil },
+		VerifyJob: func(ctx context.Context, req registry.Request) (engine.Job, error) {
+			return failJob{}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	e := engine.NewWithCache(2, 1024)
-	srv := New(Config{Engine: e})
+	srv := New(Config{Engine: e, Registry: r})
 	spec := PrecomputeSpec{
 		SweepM:    2,
 		SweepKmax: 3,
 		Horizon:   5e3,
 		Requests: map[string][]registry.Request{
 			"crash":    {{M: 2, K: 3, F: 1, Horizon: 5e3}},
+			"failing":  {{M: 2, K: 1, F: 0}}, // job fails at run time: counted failed
 			"martians": {{M: 2, K: 1, F: 0}}, // unknown: counted failed
 		},
 	}
@@ -212,11 +238,11 @@ func TestPrecomputeWarmsCacheAndCountsFailures(t *testing.T) {
 		t.Fatalf("Precompute: %v", err)
 	}
 	grid := len(engine.Grid(2, 3))
-	if want := grid + 2; st.Jobs != want {
-		t.Errorf("Jobs = %d, want %d (grid %d + 2 pool entries)", st.Jobs, want, grid)
+	if want := grid + 3; st.Jobs != want {
+		t.Errorf("Jobs = %d, want %d (grid %d + 3 pool entries)", st.Jobs, want, grid)
 	}
-	if st.Failed != 1 {
-		t.Errorf("Failed = %d, want 1 (the unknown scenario)", st.Failed)
+	if st.Failed != 2 {
+		t.Errorf("Failed = %d, want 2 (the failing job and the unknown scenario)", st.Failed)
 	}
 	if size := e.Stats().Size; size == 0 {
 		t.Error("precompute left the engine cache empty")
@@ -224,8 +250,12 @@ func TestPrecomputeWarmsCacheAndCountsFailures(t *testing.T) {
 
 	// Idempotent: a second pass recomputes nothing (all hits).
 	misses := e.Stats().Misses
-	if _, err := srv.Precompute(context.Background(), spec); err != nil {
+	st, err = srv.Precompute(context.Background(), spec)
+	if err != nil {
 		t.Fatalf("second Precompute: %v", err)
+	}
+	if st.Failed != 2 {
+		t.Errorf("second pass Failed = %d, want 2 (the memoized job error counts again)", st.Failed)
 	}
 	if after := e.Stats().Misses; after != misses {
 		t.Errorf("second precompute added %d cache misses, want 0", after-misses)

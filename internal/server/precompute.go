@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/registry"
-	"repro/internal/solver"
 )
 
 // PrecomputeSpec names the work a warming pass performs. The zero
@@ -85,7 +84,6 @@ func (s *Server) Precompute(ctx context.Context, spec PrecomputeSpec) (Precomput
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	jctx := solver.With(ctx, s.cfg.Engine.Solver())
 	for _, name := range names {
 		reqs := spec.Requests[name]
 		sc, err := s.cfg.Registry.Get(name)
@@ -97,7 +95,7 @@ func (s *Server) Precompute(ctx context.Context, spec PrecomputeSpec) (Precomput
 		jobs := make([]engine.Job, 0, len(reqs))
 		st.Jobs += len(reqs)
 		for _, req := range reqs {
-			job, err := sc.VerifyJob(jctx, req)
+			job, err := sc.VerifyJob(ctx, req)
 			if err != nil {
 				st.Failed++
 				continue
@@ -110,15 +108,11 @@ func (s *Server) Precompute(ctx context.Context, spec PrecomputeSpec) (Precomput
 		// The pool's jobs run on the engine workers; failures are
 		// counted per job (never propagated — precompute must not fail
 		// readiness over one bad pool entry).
-		engine.Ordered(ctx, s.cfg.Engine.Workers(), len(jobs), func(i int) (failed, ok bool) {
-			_, err := s.cfg.Engine.Run(ctx, jobs[i])
-			return err != nil, true
-		}, func(_ int, failed bool) bool {
-			if failed {
+		for jr := range s.cfg.Engine.RunStream(ctx, jobs) {
+			if jr.Err != nil {
 				st.Failed++
 			}
-			return true
-		})
+		}
 		if ctx.Err() != nil {
 			return st, fmt.Errorf("precompute %s: %w", name, ctx.Err())
 		}
